@@ -1,19 +1,20 @@
-"""Loop-form hot kernels shared by the ``python`` and ``numba`` backends.
+"""Loop-form hot kernels: the reference implementations, and the numba tier.
 
 Every function in this module is written in the *nopython* subset of Python —
 scalar loops over preallocated arrays, no Python objects, no fancy indexing —
 so the exact same code object runs two ways:
 
-* interpreted, as the always-available ``python`` backend (slow, but it is
-  the literal code the compiled tier executes, which makes the bit-identity
-  tests meaningful without numba installed);
+* interpreted, as the always-available ``python`` backend: the
+  vertex-at-a-time reference that every vectorized numpy path in
+  :mod:`repro.graph.traversal`, :mod:`repro.orderings.gps` and
+  :mod:`repro.orderings.sloan` must reproduce bit for bit;
 * JIT-compiled by :mod:`repro.backends.numba_backend` when numba is present
   (``numba.njit(cache=True)``, **without** ``fastmath`` so floating-point
   summation order is preserved).
 
-Identity contracts (pinned by ``tests/test_backends.py`` against the
-vectorized-numpy production paths, which are in turn pinned against
-:mod:`repro.reference`):
+Identity contracts (pinned by ``tests/test_backends.py`` kernel by kernel and
+by the whole-ordering differential sweep, both run against the ``python``
+tier):
 
 * :func:`bfs_levels_kernel` reproduces the discovery order of
   ``SymmetricPattern.frontier_expand`` — the queue scan appends, for each
@@ -46,6 +47,7 @@ __all__ = [
     "number_by_levels_kernel",
     "sloan_kernel",
     "csr_matvec_kernel",
+    "LOOP_KERNELS",
 ]
 
 
@@ -397,3 +399,13 @@ def csr_matvec_kernel(indptr, indices, data, x, out):
             acc += data[jj] * x[indices[jj]]
         out[i] = acc
     return out
+
+
+#: Registry kernel name -> loop implementation (what the numba tier compiles).
+LOOP_KERNELS = {
+    "bfs_levels": bfs_levels_kernel,
+    "bfs_order": bfs_order_kernel,
+    "number_by_levels": number_by_levels_kernel,
+    "sloan": sloan_kernel,
+    "spmv": csr_matvec_kernel,
+}

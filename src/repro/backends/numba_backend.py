@@ -21,14 +21,6 @@ __all__ = ["available", "versions", "compiled_kernels"]
 _PROBED: bool | None = None
 _COMPILED: dict | None = None
 
-_KERNEL_FUNCS = {
-    "bfs_levels": _kernels.bfs_levels_kernel,
-    "bfs_order": _kernels.bfs_order_kernel,
-    "number_by_levels": _kernels.number_by_levels_kernel,
-    "sloan": _kernels.sloan_kernel,
-    "spmv": _kernels.csr_matvec_kernel,
-}
-
 
 def available() -> bool:
     """True when numba imports cleanly (probed once per process)."""
@@ -70,7 +62,7 @@ def compiled_kernels() -> dict:
         import numba
 
         jit = numba.njit(cache=True, fastmath=False)
-        _COMPILED = {name: jit(func) for name, func in _KERNEL_FUNCS.items()}
+        _COMPILED = {name: jit(func) for name, func in _kernels.LOOP_KERNELS.items()}
     return _COMPILED
 
 

@@ -53,10 +53,10 @@ from repro import faults
 from repro.batch.results import SuiteResult, TaskRecord
 from repro.batch.sched import CostModel, order_longest_first, plan_shards
 from repro.batch.tasks import BatchTask, build_tasks, derive_seed, shard_tasks
+from repro.bench.core import time_call
 from repro.collections.registry import load_problem
 from repro.envelope.metrics import envelope_statistics
 from repro.orderings.registry import ORDERING_ALGORITHMS, PAPER_ALGORITHMS
-from repro.utils.timing import Timer
 
 __all__ = [
     "crash_record",
@@ -167,9 +167,7 @@ def execute_task(task: BatchTask, pattern=None, capture_errors: bool = True) -> 
         func = ORDERING_ALGORITHMS[task.algorithm]
         if pattern is None:
             pattern = _cached_pattern(task.problem, task.scale)
-        timer = Timer()
-        with timer:
-            ordering = func(pattern, **task_options(func, task))
+        ordering, time_s = time_call(func, pattern, **task_options(func, task))
         stats = envelope_statistics(pattern, ordering.perm)
         faults.worker_faults(_fault_key(task), point="finish")
         return TaskRecord(
@@ -180,7 +178,7 @@ def execute_task(task: BatchTask, pattern=None, capture_errors: bool = True) -> 
             n=stats.n,
             nnz=stats.nnz,
             metrics=stats.as_dict(),
-            time_s=float(timer.elapsed),
+            time_s=time_s,
             ordering=ordering,
         )
     except Exception as exc:
@@ -576,8 +574,9 @@ def run_suite(
         for _task, record in pairs:
             done += 1
             on_record(record, done, total)
-    timer = Timer()
-    with timer:
+
+    def run_remaining() -> None:
+        nonlocal done
         for task, record in iter_suite(remaining, n_jobs=n_jobs, timeout=timeout):
             pairs.append((task, record))
             done += 1
@@ -640,6 +639,8 @@ def run_suite(
                 pairs[slots[task.index]] = (task, record)
                 if on_record is not None:
                     on_record(record, done, total)
+
+    _, wall_time_s = time_call(run_remaining)
     pairs.sort(key=lambda pair: pair[0].index)
     records = [record for _task, record in pairs]
     if not keep_orderings:
@@ -654,7 +655,7 @@ def run_suite(
         n_jobs=n_jobs,
         base_seed=base_seed,
         records=records,
-        wall_time_s=float(timer.elapsed),
+        wall_time_s=wall_time_s,
         shard=shard,
         backend=backends.backend_summary(),
     )

@@ -17,7 +17,7 @@ from typing import Any, Callable
 __all__ = ["time_call", "measure"]
 
 
-def time_call(func: Callable[..., Any], *args, **kwargs) -> tuple[Any, float]:
+def time_call(func: Callable[..., Any], /, *args, **kwargs) -> tuple[Any, float]:
     """Call ``func(*args, **kwargs)`` once and return ``(result, seconds)``."""
     start = time.perf_counter()
     result = func(*args, **kwargs)

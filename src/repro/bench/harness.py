@@ -70,6 +70,15 @@ def _requested_backend() -> str:
     return backends.requested_backend()
 
 
+def _artifact_backend(artifact: dict) -> str:
+    """The backend tier an artifact was recorded on.
+
+    Artifacts written before the backend registry carry no
+    ``config.backend``; every kernel in them ran the numpy code.
+    """
+    return (artifact.get("config") or {}).get("backend", "numpy")
+
+
 @dataclass(frozen=True)
 class KernelBench:
     """One named micro-benchmark of the pinned suite.
@@ -502,10 +511,7 @@ def diff_bench(baseline: dict, current: dict, *, threshold: float = 0.25) -> dic
             (baseline.get("config") or {}).get("fiedler_policy", "default"),
             (current.get("config") or {}).get("fiedler_policy", "default"),
         ),
-        "backends": (
-            (baseline.get("config") or {}).get("backend", "auto"),
-            (current.get("config") or {}).get("backend", "auto"),
-        ),
+        "backends": (_artifact_backend(baseline), _artifact_backend(current)),
         "threshold": threshold,
         "rows": rows,
         "regressions": regressions,
@@ -573,10 +579,7 @@ def trend_bench(artifacts: list[dict]) -> dict:
         steps.append({
             "base_rev": base.get("rev", "?"),
             "new_rev": new.get("rev", "?"),
-            "backends": (
-                (base.get("config") or {}).get("backend", "auto"),
-                (new.get("config") or {}).get("backend", "auto"),
-            ),
+            "backends": (_artifact_backend(base), _artifact_backend(new)),
             "speedups": speedups,
             "cumulative": dict(cumulative),
             "common": {group: len(values) for group, values in logs.items()},
@@ -632,7 +635,7 @@ def format_diff(diff: dict) -> str:
     if policies[0] != policies[1]:
         lines.append(f"WARNING: fiedler policies differ (baseline {policies[0]}, "
                      f"current {policies[1]}) — timings are not like-for-like")
-    tiers = diff.get("backends", ("auto", "auto"))
+    tiers = diff.get("backends", ("numpy", "numpy"))
     if tiers[0] != tiers[1]:
         # Deliberately a NOTE, not a gate failure: diffing a numpy artifact
         # against a numba artifact is how backend speedups get measured.

@@ -355,11 +355,11 @@ def _activate_backend(backend_arg) -> "int | None":
     from repro import backends
 
     if backend_arg is None:
-        # No flag: an inherited REPRO_BACKEND still applies; validate it the
-        # same way so a typo'd explicit tier fails loudly here rather than
-        # being silently treated as auto inside workers.
+        # No flag: an inherited REPRO_BACKEND still applies; an unavailable
+        # tier fails loudly here rather than silently falling back to numpy
+        # inside workers.
         inherited = os.environ.get("REPRO_BACKEND", "").strip().lower()
-        if inherited and inherited in backends.REQUESTABLE:
+        if inherited in backends.BACKENDS:
             try:
                 backends.require_backend(inherited)
             except backends.BackendUnavailableError as exc:
@@ -368,16 +368,12 @@ def _activate_backend(backend_arg) -> "int | None":
         return None
     try:
         choice = backends.require_backend(backend_arg)
-    except ValueError as exc:
-        print(f"--backend: {exc}", file=sys.stderr)
-        return 2
-    except backends.BackendUnavailableError as exc:
+    except (ValueError, backends.BackendUnavailableError) as exc:
         print(f"--backend: {exc}", file=sys.stderr)
         return 2
     os.environ["REPRO_BACKEND"] = choice
     backends.set_backend(choice)
-    if choice != "auto":
-        print(f"kernel backend: {choice}", file=sys.stderr)
+    print(f"kernel backend: {choice}", file=sys.stderr)
     return None
 
 
@@ -1345,13 +1341,13 @@ def build_parser() -> argparse.ArgumentParser:
                                    "REPRO_STORE; results are byte-identical with "
                                    "the store on or off)")
     suite_parser.add_argument("--backend", default=None,
-                              choices=["auto", "numpy", "python", "numba"],
-                              help="kernel backend tier (exported as "
-                                   "REPRO_BACKEND so workers inherit it): "
-                                   "'auto' engages the compiled tier above the "
-                                   "cost-model size threshold when numba is "
-                                   "installed; 'numba' without numba exits 2; "
-                                   "results are bit-identical across tiers")
+                              choices=["numpy", "python", "numba"],
+                              help="kernel backend tier (default: numpy; "
+                                   "exported as REPRO_BACKEND so workers "
+                                   "inherit it): 'python' runs the loop "
+                                   "reference kernels, 'numba' compiles them "
+                                   "and exits 2 without numba; results are "
+                                   "bit-identical across tiers")
     suite_parser.add_argument("--baseline", default=None,
                               help="diff against a saved results.json (exit 1 on drift)")
     suite_parser.add_argument("--progress", default=None, action=argparse.BooleanOptionalAction,
@@ -1419,11 +1415,11 @@ def build_parser() -> argparse.ArgumentParser:
                                    "timed kernel measures, so compare like against "
                                    "like")
     bench_parser.add_argument("--backend", default=None,
-                              choices=["auto", "numpy", "python", "numba"],
-                              help="kernel backend tier to time (recorded in the "
-                                   "artifact config; diff a numpy artifact "
-                                   "--against a numba one to measure the "
-                                   "compiled-tier speedup)")
+                              choices=["numpy", "python", "numba"],
+                              help="kernel backend tier to time (default: "
+                                   "numpy; recorded in the artifact config; "
+                                   "diff a numpy artifact --against a numba "
+                                   "one to measure the compiled-tier speedup)")
     bench_parser.add_argument("--trend", default=None, nargs="+",
                               metavar="BENCH.json",
                               help="no bench run: chart the kernel-group geomean "
@@ -1642,10 +1638,11 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(exported as REPRO_FAULTS; see "
                                    "docs/robustness.md)")
     serve_parser.add_argument("--backend", default=None,
-                              choices=["auto", "numpy", "python", "numba"],
+                              choices=["numpy", "python", "numba"],
                               help="kernel backend tier for served orderings "
-                                   "(exported as REPRO_BACKEND so subprocess "
-                                   "workers inherit it; reported by /statsz)")
+                                   "(default: numpy; exported as REPRO_BACKEND "
+                                   "so subprocess workers inherit it; reported "
+                                   "by /statsz)")
     serve_parser.set_defaults(func=_cmd_serve)
 
     order_parser = sub.add_parser(

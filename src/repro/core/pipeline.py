@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.runner import ExperimentResult, run_comparison
+from repro.bench.core import time_call
 from repro.envelope.metrics import EnvelopeStatistics, envelope_statistics
 from repro.orderings.base import Ordering
 from repro.orderings.registry import PAPER_ALGORITHMS, get_ordering_algorithm
 from repro.sparse.ops import permute_symmetric, structure_from_matrix
 from repro.sparse.pattern import SymmetricPattern
-from repro.utils.timing import Timer
 
 __all__ = ["EnvelopeReport", "reorder", "compare_orderings"]
 
@@ -87,16 +87,14 @@ def reorder(matrix, algorithm: str = "spectral", **options) -> EnvelopeReport:
     """
     pattern = structure_from_matrix(matrix)
     func = get_ordering_algorithm(algorithm)
-    timer = Timer()
-    with timer:
-        ordering = func(pattern, **options)
+    ordering, run_time = time_call(func, pattern, **options)
     original = envelope_statistics(pattern)
     stats = envelope_statistics(pattern, ordering.perm)
     return EnvelopeReport(
         ordering=ordering,
         original=original,
         statistics=stats,
-        run_time=timer.elapsed,
+        run_time=run_time,
     )
 
 

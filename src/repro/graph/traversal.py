@@ -8,14 +8,13 @@ operations over CSR neighbor slabs
 (:meth:`repro.sparse.pattern.SymmetricPattern.neighbor_slab`): each BFS step
 expands the entire frontier with one gather + mask + first-occurrence dedupe
 instead of a Python loop over vertices.  The discovery order is identical to
-the vertex-at-a-time scan (see :mod:`repro.reference` and the property tests
-in ``tests/test_kernels_reference.py``), so orderings built on these
-primitives are bit-for-bit unchanged.
+the vertex-at-a-time queue scan of :mod:`repro.backends.kernels`, the
+reference these primitives are tested against (``tests/test_backends.py``),
+so orderings built on them are bit-for-bit unchanged.
 
 Both entry points are backend-dispatched (:mod:`repro.backends`): when the
-registry selects a compiled (or loop-``python``) tier for the call's size,
-the queue-scan kernel runs instead of the frontier expansion below — with
-the identical discovery order, pinned by ``tests/test_backends.py``.
+``python`` or ``numba`` tier is selected, that queue-scan kernel runs
+instead of the frontier expansion below.
 """
 
 from __future__ import annotations
@@ -124,7 +123,7 @@ def breadth_first_levels(
 
     allowed = np.ones(n, dtype=bool) if restrict_to is None else np.asarray(restrict_to, dtype=bool)
 
-    impl = backends.kernel_impl("bfs_levels", n + pattern.indices.size)
+    impl = backends.kernel_impl("bfs_levels")
     if impl is not None:
         roots_arr = np.asarray(root_list, dtype=np.intp)
         level_of, order, level_starts, num_levels = impl(
@@ -197,7 +196,7 @@ def bfs_order(
         raise ValueError(f"root {root} out of range for n={n}")
     degrees = pattern.degree()
 
-    impl = backends.kernel_impl("bfs_order", n + pattern.indices.size)
+    impl = backends.kernel_impl("bfs_order")
     if impl is not None:
         order, tail = impl(
             pattern.indptr, pattern.indices, degrees, int(root),

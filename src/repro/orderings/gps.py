@@ -132,7 +132,7 @@ def number_by_levels(
     n = pattern.n
     degrees = pattern.degree()
 
-    impl = backends.kernel_impl("number_by_levels", n + pattern.indices.size)
+    impl = backends.kernel_impl("number_by_levels")
     if impl is not None:
         return impl(
             pattern.indptr, pattern.indices, degrees,

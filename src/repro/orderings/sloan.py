@@ -73,7 +73,7 @@ def _sloan_component(pattern: SymmetricPattern, w1: int, w2: int) -> np.ndarray:
     # Backend dispatch: the loop-form kernel replicates the heapq
     # lazy-deletion semantics below exactly (same push counters, same
     # dedupe rule), so the numbering is bit-identical on every tier.
-    impl = backends.kernel_impl("sloan", n + pattern.indices.size)
+    impl = backends.kernel_impl("sloan")
     if impl is not None:
         return impl(
             pattern.indptr, pattern.indices, degrees, dist_to_end,

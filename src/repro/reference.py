@@ -1,14 +1,18 @@
-"""Naive reference implementations of the hot-path graph kernels.
+"""Naive reference implementations of the vectorized kernels with no loop kernel.
 
-The production kernels (:mod:`repro.graph.traversal`,
-:mod:`repro.graph.coarsen`, :mod:`repro.orderings.gps`,
-:mod:`repro.orderings.sloan`, ...) are vectorized over whole frontiers and
-neighbor slabs for speed.  This module retains the original vertex-at-a-time
-implementations **verbatim** as the behavioural contract: every vectorized
-kernel must produce bit-identical output to its reference twin, on every
-input.  ``tests/test_kernels_reference.py`` enforces that equivalence with
-property tests on random (including disconnected) graphs, and the golden
-suite artifact (``tests/golden/suite_small.json``) pins it end to end.
+The production kernels (:mod:`repro.graph.components`,
+:mod:`repro.graph.coarsen`, :meth:`repro.sparse.pattern.SymmetricPattern.subpattern`)
+are vectorized over whole frontiers and neighbor slabs for speed.  This
+module retains the original vertex-at-a-time implementations **verbatim** as
+the behavioural contract: every vectorized kernel must produce bit-identical
+output to its reference twin, on every input.  ``tests/test_kernels_reference.py``
+enforces that equivalence with property tests on random (including
+disconnected) graphs, and the golden suite artifact
+(``tests/golden/suite_small.json``) pins it end to end.
+
+The BFS, Cuthill-McKee, GPS/GK numbering and Sloan kernels have no twin
+here: their reference is the loop form in :mod:`repro.backends.kernels`,
+reached through the ``python`` backend tier.
 
 These functions are *not* exported through the package API and are not meant
 for production use — they exist so the equivalence guarantee stays testable
@@ -17,101 +21,17 @@ forever, not just against a frozen artifact.
 
 from __future__ import annotations
 
-import heapq
-from typing import Sequence
-
 import numpy as np
 
-from repro.graph.traversal import RootedLevelStructure
 from repro.sparse.pattern import SymmetricPattern
 from repro.utils.rng import default_rng
 
 __all__ = [
-    "breadth_first_levels_reference",
-    "bfs_order_reference",
     "connected_components_reference",
     "subpattern_reference",
     "maximal_independent_set_reference",
     "grow_domains_reference",
-    "number_by_levels_reference",
-    "sloan_component_reference",
 ]
-
-
-def breadth_first_levels_reference(
-    pattern: SymmetricPattern,
-    roots: int | Sequence[int],
-    restrict_to: np.ndarray | None = None,
-) -> RootedLevelStructure:
-    """Vertex-at-a-time BFS level structure (reference for
-    :func:`repro.graph.traversal.breadth_first_levels`)."""
-    n = pattern.n
-    if np.isscalar(roots):
-        root_list = [int(roots)]
-    else:
-        root_list = [int(r) for r in roots]
-    for r in root_list:
-        if r < 0 or r >= n:
-            raise ValueError(f"root {r} out of range for n={n}")
-
-    level_of = np.full(n, -1, dtype=np.intp)
-    allowed = np.ones(n, dtype=bool) if restrict_to is None else np.asarray(restrict_to, dtype=bool)
-    levels: list[np.ndarray] = []
-
-    frontier = np.array([r for r in root_list if allowed[r]], dtype=np.intp)
-    if frontier.size == 0:
-        return RootedLevelStructure(tuple(root_list), level_of, [])
-    level_of[frontier] = 0
-    levels.append(frontier.copy())
-
-    indptr, indices = pattern.indptr, pattern.indices
-    current_level = 0
-    while frontier.size:
-        next_nodes: list[int] = []
-        for v in frontier:
-            row = indices[indptr[v] : indptr[v + 1]]
-            for w in row:
-                if level_of[w] < 0 and allowed[w]:
-                    level_of[w] = current_level + 1
-                    next_nodes.append(int(w))
-        if not next_nodes:
-            break
-        frontier = np.array(next_nodes, dtype=np.intp)
-        levels.append(frontier.copy())
-        current_level += 1
-
-    return RootedLevelStructure(tuple(root_list), level_of, levels)
-
-
-def bfs_order_reference(
-    pattern: SymmetricPattern,
-    root: int,
-    sort_by_degree: bool = False,
-) -> np.ndarray:
-    """Queue-based BFS visitation order (reference for
-    :func:`repro.graph.traversal.bfs_order`)."""
-    n = pattern.n
-    if root < 0 or root >= n:
-        raise ValueError(f"root {root} out of range for n={n}")
-    degrees = pattern.degree()
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.intp)
-    order[0] = root
-    visited[root] = True
-    head, tail = 0, 1
-    indptr, indices = pattern.indptr, pattern.indices
-    while head < tail:
-        v = order[head]
-        head += 1
-        nbrs = indices[indptr[v] : indptr[v + 1]]
-        unvisited = nbrs[~visited[nbrs]]
-        if unvisited.size:
-            if sort_by_degree:
-                unvisited = unvisited[np.argsort(degrees[unvisited], kind="stable")]
-            visited[unvisited] = True
-            order[tail : tail + unvisited.size] = unvisited
-            tail += unvisited.size
-    return order[:tail]
 
 
 def connected_components_reference(pattern: SymmetricPattern) -> tuple[int, np.ndarray]:
@@ -214,133 +134,3 @@ def grow_domains_reference(pattern: SymmetricPattern, mis: np.ndarray) -> np.nda
                 next_frontier.extend(int(w) for w in fresh)
         frontier = np.asarray(next_frontier, dtype=np.intp)
     return domain_of
-
-
-def number_by_levels_reference(
-    pattern: SymmetricPattern,
-    levels: np.ndarray,
-    start: int,
-    tie_break: str = "degree",
-) -> np.ndarray:
-    """Set-scan level numbering (reference for
-    :func:`repro.orderings.gps.number_by_levels`)."""
-    n = pattern.n
-    degrees = pattern.degree()
-    numbered = np.zeros(n, dtype=bool)
-    best_neighbor_number = np.full(n, np.inf)
-    order = np.empty(n, dtype=np.intp)
-    count = 0
-    height = int(levels.max(initial=0))
-
-    def _touch_neighbors(v: int, number: int) -> None:
-        nbrs = pattern.neighbors(v)
-        np.minimum.at(best_neighbor_number, nbrs, number)
-
-    order[count] = start
-    numbered[start] = True
-    _touch_neighbors(start, 0)
-    count += 1
-
-    for lvl in range(height + 1):
-        members = np.flatnonzero(levels == lvl)
-        remaining = set(int(v) for v in members if not numbered[v])
-        while remaining:
-            candidates = [v for v in remaining if np.isfinite(best_neighbor_number[v])]
-            if not candidates:
-                candidates = list(remaining)
-            if tie_break == "degree":
-                key = lambda v: (best_neighbor_number[v], degrees[v], v)
-            elif tie_break == "king":
-                def key(v):
-                    nbrs = pattern.neighbors(v)
-                    unnumbered = nbrs[~numbered[nbrs]]
-                    new_front = int(np.sum(~np.isfinite(best_neighbor_number[unnumbered])))
-                    return (new_front, best_neighbor_number[v], degrees[v], v)
-            else:
-                raise ValueError(f"unknown tie_break {tie_break!r}")
-            chosen = min(candidates, key=key)
-            remaining.discard(chosen)
-            order[count] = chosen
-            numbered[chosen] = True
-            _touch_neighbors(chosen, count)
-            count += 1
-
-    if count != n:  # pragma: no cover - defensive
-        raise AssertionError("level numbering did not cover the component")
-    return order
-
-
-# Sloan vertex states (mirrors repro.orderings.sloan).
-_INACTIVE, _PREACTIVE, _ACTIVE, _NUMBERED = 0, 1, 2, 3
-
-
-def sloan_component_reference(pattern: SymmetricPattern, w1: int, w2: int) -> np.ndarray:
-    """Per-push heap maintenance (reference for the vectorized
-    ``_sloan_component`` in :mod:`repro.orderings.sloan`)."""
-    from repro.graph.peripheral import pseudo_diameter
-    from repro.graph.traversal import distance_from
-
-    n = pattern.n
-    if n == 1:
-        return np.zeros(1, dtype=np.intp)
-    start, end, _su, _sv = pseudo_diameter(pattern)
-    dist_to_end = distance_from(pattern, end)
-    degrees = pattern.degree()
-
-    status = np.full(n, _INACTIVE, dtype=np.int8)
-    priority = (-w1 * (degrees + 1) + w2 * dist_to_end).astype(np.int64)
-
-    order = np.empty(n, dtype=np.intp)
-    count = 0
-    heap: list[tuple[int, int, int]] = []
-    counter = 0
-
-    def push(v: int) -> None:
-        nonlocal counter
-        heapq.heappush(heap, (-int(priority[v]), counter, int(v)))
-        counter += 1
-
-    status[start] = _PREACTIVE
-    push(start)
-
-    while count < n:
-        while heap:
-            neg_prio, _tie, v = heapq.heappop(heap)
-            if status[v] != _NUMBERED and -neg_prio == priority[v]:
-                break
-        else:  # pragma: no cover - defensive; component is connected
-            remaining = np.flatnonzero(status != _NUMBERED)
-            v = int(remaining[0])
-
-        if status[v] == _PREACTIVE:
-            for w in pattern.neighbors(v):
-                if status[w] == _NUMBERED:
-                    continue
-                priority[w] += w1
-                if status[w] == _INACTIVE:
-                    status[w] = _PREACTIVE
-                push(int(w))
-        else:
-            for w in pattern.neighbors(v):
-                if status[w] != _NUMBERED:
-                    priority[w] += w1
-                    push(int(w))
-
-        order[count] = v
-        status[v] = _NUMBERED
-        count += 1
-
-        for w in pattern.neighbors(v):
-            if status[w] == _NUMBERED:
-                continue
-            if status[w] == _PREACTIVE:
-                status[w] = _ACTIVE
-                for x in pattern.neighbors(int(w)):
-                    if status[x] == _NUMBERED:
-                        continue
-                    priority[x] += w1
-                    if status[x] == _INACTIVE:
-                        status[x] = _PREACTIVE
-                    push(int(x))
-
-    return order

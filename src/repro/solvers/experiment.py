@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro.bench.core import time_call
 from repro.orderings.base import Ordering
 from repro.solvers.cg import CGResult, conjugate_gradient
 from repro.solvers.ic import incomplete_cholesky, jacobi_preconditioner
-from repro.utils.timing import Timer
 from repro.utils.validation import check_square
 
 __all__ = ["PcgExperimentResult", "preconditioned_cg_experiment"]
@@ -102,27 +102,22 @@ def preconditioned_cg_experiment(
         b_permuted = b[perm]
         name = ordering.algorithm
 
-    setup_timer = Timer()
+    setup_time = 0.0
     ic_shift = 0.0
     if preconditioner == "ic0":
-        with setup_timer:
-            ic = incomplete_cholesky(permuted)
+        ic, setup_time = time_call(incomplete_cholesky, permuted)
         apply_m = ic.apply
         ic_shift = ic.shifted
     elif preconditioner == "jacobi":
-        with setup_timer:
-            apply_m = jacobi_preconditioner(permuted)
+        apply_m, setup_time = time_call(jacobi_preconditioner, permuted)
     elif preconditioner == "none":
         apply_m = None
-        setup_timer.elapsed = 0.0
     else:
         raise ValueError(f"preconditioner must be 'ic0', 'jacobi' or 'none', got {preconditioner!r}")
 
-    solve_timer = Timer()
-    with solve_timer:
-        cg = conjugate_gradient(
-            permuted, b_permuted, preconditioner=apply_m, tol=tol, max_iter=max_iter
-        )
+    cg, solve_time = time_call(
+        conjugate_gradient, permuted, b_permuted, preconditioner=apply_m, tol=tol, max_iter=max_iter
+    )
 
     if ordering is None:
         x = cg.x
@@ -135,7 +130,7 @@ def preconditioned_cg_experiment(
         preconditioner=preconditioner,
         cg=cg,
         x=x,
-        setup_time=setup_timer.elapsed,
-        solve_time=solve_timer.elapsed,
+        setup_time=setup_time,
+        solve_time=solve_time,
         ic_shift=ic_shift,
     )

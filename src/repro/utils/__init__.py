@@ -1,4 +1,4 @@
-"""Shared utilities: argument validation, timing, and deterministic RNG helpers.
+"""Shared utilities: argument validation, atomic writes, and deterministic RNG helpers.
 
 These helpers are deliberately small and dependency free so that every other
 subpackage (``repro.sparse``, ``repro.graph``, ``repro.eigen`` ...) can use
@@ -12,7 +12,6 @@ from repro.utils.validation import (
     require_positive_int,
 )
 from repro.utils.atomic import atomic_output_file, atomic_write_bytes, atomic_write_text
-from repro.utils.timing import Timer, timed
 from repro.utils.rng import default_rng
 
 __all__ = [
@@ -23,7 +22,5 @@ __all__ = [
     "atomic_output_file",
     "atomic_write_bytes",
     "atomic_write_text",
-    "Timer",
-    "timed",
     "default_rng",
 ]

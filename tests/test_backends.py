@@ -1,11 +1,12 @@
 """Tests of the per-kernel backend registry (:mod:`repro.backends`).
 
-Covers the registry semantics (request resolution, env precedence, auto
-threshold, fallback accounting), bit-identity of the loop kernels against
-the vectorized production paths, the no-numba environment contract (silent
-recorded fallback everywhere, structured exit 2 from the CLI flag), the
-backend block of suite artifacts, the bench trend/diff backend dimension,
-the threshold-calibration policy, and external-problem registration
+Covers the registry semantics (request resolution, env precedence,
+fallback accounting), bit-identity of the vectorized production paths
+against the loop kernels — the reference implementations of BFS levels,
+the Cuthill-McKee enqueue, GPS/GK numbering and Sloan — the no-numba
+environment contract (silent recorded fallback everywhere, structured exit
+2 from the CLI flag), the backend block of suite artifacts, the bench
+trend/diff backend dimension, and external-problem registration
 (``repro fetch --register``).
 
 The compiled ``numba`` tier is exercised when numba is importable
@@ -23,11 +24,14 @@ import pytest
 
 from repro import backends
 from repro.backends import kernels as loop_kernels
-from repro.backends.policy import fit_threshold
 from repro.cli import main
 from repro.collections.meshes import grid2d_pattern
+from repro.graph.traversal import bfs_order, breadth_first_levels
+from repro.orderings.gps import number_by_levels
+from repro.orderings.sloan import _sloan_component
 from repro.sparse.pattern import SymmetricPattern
 from repro.utils.rng import default_rng
+from tests.test_kernels_reference import CONNECTED, CORPUS
 
 HAS_NUMBA = backends.numba_available()
 
@@ -41,12 +45,10 @@ def _clean_backend_state(monkeypatch):
     (having seen the var absent at setup) would not undo.
     """
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    monkeypatch.delenv("REPRO_BACKEND_THRESHOLD", raising=False)
     backends.set_backend(None)
     backends.reset_events()
     yield
     os.environ.pop("REPRO_BACKEND", None)
-    os.environ.pop("REPRO_BACKEND_THRESHOLD", None)
     backends.set_backend(None)
     backends.reset_events()
 
@@ -73,13 +75,16 @@ PATTERNS = _patterns()
 # --------------------------------------------------------------------- #
 class TestRegistry:
     def test_requestable_names_normalize(self):
-        assert backends.normalize_backend(" Auto ") == "auto"
+        assert backends.normalize_backend(" Python ") == "python"
         assert backends.normalize_backend("NUMPY") == "numpy"
-        with pytest.raises(ValueError, match="unknown backend"):
-            backends.normalize_backend("cython")
+        for name in ("cython", "auto"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                backends.normalize_backend(name)
 
-    def test_default_request_is_auto(self):
-        assert backends.requested_backend() == "auto"
+    def test_default_request_is_numpy(self):
+        assert backends.requested_backend() == "numpy"
+        assert backends.resolve_backend("spmv") == "numpy"
+        assert backends.backend_status()["fallbacks"] == 0
 
     def test_env_sets_request_and_override_outranks_it(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "python")
@@ -89,18 +94,14 @@ class TestRegistry:
         backends.set_backend(None)
         assert backends.requested_backend() == "python"
 
-    def test_invalid_env_is_auto_and_surfaced(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "warp-drive")
-        assert backends.requested_backend() == "auto"
-        assert backends.backend_status()["ignored_invalid_env"] == "warp-drive"
-
-    def test_auto_threshold_env_override(self, monkeypatch):
-        assert backends.auto_threshold() == backends.DEFAULT_AUTO_THRESHOLD
-        monkeypatch.setenv("REPRO_BACKEND_THRESHOLD", "123")
-        assert backends.auto_threshold() == 123
-        monkeypatch.setenv("REPRO_BACKEND_THRESHOLD", "soon")
-        with pytest.raises(ValueError, match="REPRO_BACKEND_THRESHOLD"):
-            backends.auto_threshold()
+    @pytest.mark.parametrize("value", ["warp-drive", "auto"])
+    def test_invalid_env_is_numpy_and_surfaced(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_BACKEND", value)
+        assert backends.requested_backend() == "numpy"
+        assert backends.kernel_impl("sloan") is None
+        status = backends.backend_status()
+        assert status["ignored_invalid_env"] == value
+        assert status["fallbacks"] == 0
 
     def test_available_backends_always_has_numpy_and_python(self):
         available = backends.available_backends()
@@ -109,28 +110,34 @@ class TestRegistry:
 
     def test_resolve_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
-            backends.resolve_backend("fft", 10_000)
+            backends.resolve_backend("fft")
 
     def test_numpy_tier_returns_no_impl(self):
         backends.set_backend("numpy")
         for kernel in backends.KERNELS:
-            assert backends.kernel_impl(kernel, 10**9) is None
+            assert backends.kernel_impl(kernel) is None
 
-    def test_python_tier_returns_loop_kernels_regardless_of_size(self):
+    @pytest.mark.parametrize("kernel, loop_kernel", [
+        ("bfs_levels", loop_kernels.bfs_levels_kernel),
+        ("bfs_order", loop_kernels.bfs_order_kernel),
+        ("number_by_levels", loop_kernels.number_by_levels_kernel),
+        ("sloan", loop_kernels.sloan_kernel),
+        ("spmv", loop_kernels.csr_matvec_kernel),
+    ])
+    def test_python_tier_returns_loop_kernels(self, kernel, loop_kernel):
         backends.set_backend("python")
-        assert backends.kernel_impl("sloan", 1) is loop_kernels.sloan_kernel
-        assert backends.kernel_impl("spmv", 1) is loop_kernels.csr_matvec_kernel
+        assert backends.kernel_impl(kernel) is loop_kernel
 
-    def test_auto_below_threshold_is_numpy(self):
-        backends.set_backend("auto")
-        assert backends.resolve_backend("bfs_levels",
-                                        backends.auto_threshold() - 1) == "numpy"
+    def test_status_keys_carry_no_threshold(self):
+        status = backends.backend_status()
+        assert set(status) - set(backends.numba_versions()) == {
+            "requested", "available", "numba_available", "events", "fallbacks"}
 
     def test_events_count_per_kernel_choice(self):
         backends.set_backend("python")
-        backends.kernel_impl("sloan", 10)
-        backends.kernel_impl("sloan", 10)
-        backends.kernel_impl("bfs_order", 10)
+        backends.kernel_impl("sloan")
+        backends.kernel_impl("sloan")
+        backends.kernel_impl("bfs_order")
         events = backends.backend_events()
         assert events["sloan:python"] == 2
         assert events["bfs_order:python"] == 1
@@ -146,23 +153,18 @@ class TestNoNumbaEnvironment:
         err = excinfo.value
         assert err.backend == "numba"
         assert "available backends: numpy, python" in str(err)
-        assert "--backend auto" in str(err)
+        assert "auto" not in str(err)
 
     @pytest.mark.skipif(HAS_NUMBA, reason="numba is installed here")
     def test_explicit_numba_request_falls_back_and_is_counted(self, monkeypatch):
         # An *inherited* env request (worker process) must not crash — it
         # serves numpy and records the fallback.
         monkeypatch.setenv("REPRO_BACKEND", "numba")
-        assert backends.resolve_backend("sloan", 10**9) == "numpy"
+        assert backends.resolve_backend("sloan") == "numpy"
         status = backends.backend_status()
         assert status["fallbacks"] == 1
         assert status["numba_available"] is False
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba is installed here")
-    def test_auto_never_tries_numba(self):
-        backends.set_backend("auto")
-        assert backends.resolve_backend("spmv", 10**9) == "numpy"
-        assert backends.backend_status()["fallbacks"] == 0
+        assert "ignored_invalid_env" not in status
 
     @pytest.mark.skipif(HAS_NUMBA, reason="numba is installed here")
     def test_backend_summary_records_fallback(self, monkeypatch):
@@ -171,9 +173,9 @@ class TestNoNumbaEnvironment:
         assert summary == {"requested": "numba", "numba_available": False,
                            "fallback": True}
 
-    def test_backend_summary_no_fallback_for_auto(self):
+    def test_backend_summary_default_is_numpy_without_fallback(self):
         summary = backends.backend_summary()
-        assert summary["requested"] == "auto"
+        assert summary["requested"] == "numpy"
         assert summary["fallback"] is False
 
 
@@ -193,19 +195,19 @@ class TestCompiledTier:
         roots = np.asarray([0], dtype=np.intp)
         allowed = np.ones(n, dtype=bool)
         backends.set_backend("python")
-        py = backends.kernel_impl("bfs_levels", 1)(
+        py = backends.kernel_impl("bfs_levels")(
             pattern.indptr, pattern.indices, roots, allowed, n)
         backends.set_backend("numba")
-        jit = backends.kernel_impl("bfs_levels", 1)(
+        jit = backends.kernel_impl("bfs_levels")(
             pattern.indptr, pattern.indices, roots, allowed, n)
         for a, b in zip(py[:3], jit[:3]):
             assert np.array_equal(a, b)
         assert py[3] == jit[3]
         backends.set_backend("python")
-        py_order, py_tail = backends.kernel_impl("bfs_order", 1)(
+        py_order, py_tail = backends.kernel_impl("bfs_order")(
             pattern.indptr, pattern.indices, degrees, 0, True, n)
         backends.set_backend("numba")
-        jit_order, jit_tail = backends.kernel_impl("bfs_order", 1)(
+        jit_order, jit_tail = backends.kernel_impl("bfs_order")(
             pattern.indptr, pattern.indices, degrees, 0, True, n)
         assert py_tail == jit_tail
         assert np.array_equal(py_order[:py_tail], jit_order[:jit_tail])
@@ -218,8 +220,16 @@ class TestCompiledTier:
 
 
 # --------------------------------------------------------------------- #
-# kernel bit-identity against the production numpy paths
+# kernel bit-identity: the production numpy paths against the loop kernels
+# (the ``python`` tier is the reference; ``numba`` compiles the same code)
 # --------------------------------------------------------------------- #
+def assert_structure_equal(a, b):
+    assert np.array_equal(a.level_of, b.level_of)
+    assert len(a.levels) == len(b.levels)
+    for la, lb in zip(a.levels, b.levels):
+        assert np.array_equal(np.asarray(la), np.asarray(lb))
+
+
 @pytest.mark.parametrize(
     "backend", [b for b in backends.available_backends() if b != "numpy"]
 )
@@ -231,25 +241,63 @@ class TestKernelIdentity:
         finally:
             backends.set_backend(None)
 
-    def test_breadth_first_levels(self, backend):
-        from repro.graph.traversal import breadth_first_levels
+    @pytest.mark.parametrize("index", range(len(CORPUS)), ids=lambda i: f"graph{i}")
+    def test_bfs_kernels_on_corpus(self, backend, index):
+        """A random root, a two-root restricted BFS (the GPS combined
+        structure shape) and both Cuthill-McKee enqueue rules."""
+        pattern = CORPUS[index]
+        rng = np.random.default_rng(index)
+        root = int(rng.integers(0, pattern.n))
+        roots = rng.integers(0, pattern.n, size=2)
+        mask = rng.random(pattern.n) < 0.8
+        for args in [(root, None), (roots, mask)]:
+            assert_structure_equal(
+                breadth_first_levels(pattern, *args),
+                self._with_backend(backend, lambda: breadth_first_levels(pattern, *args)),
+            )
+        for sort_by_degree in (False, True):
+            assert np.array_equal(
+                bfs_order(pattern, root, sort_by_degree),
+                self._with_backend(backend, lambda: bfs_order(pattern, root, sort_by_degree)),
+            )
 
+    @pytest.mark.parametrize("tie_break", ["degree", "king"])
+    @pytest.mark.parametrize("index", range(len(CONNECTED)), ids=lambda i: f"conn{i}")
+    def test_number_by_levels_on_corpus(self, backend, index, tie_break):
+        pattern = CONNECTED[index]
+        rng = np.random.default_rng(2000 + index)
+        root = int(rng.integers(0, pattern.n))
+        levels = breadth_first_levels(pattern, root).level_of.copy()
+        levels[levels < 0] = int(levels.max(initial=0)) + 1
+
+        def number():
+            return number_by_levels(pattern, levels, root, tie_break=tie_break)
+
+        assert np.array_equal(number(), self._with_backend(backend, number))
+
+    @pytest.mark.parametrize("weights", [(2, 1), (1, 2), (0, 1), (16, 1), (1, 0)])
+    @pytest.mark.parametrize("index", range(len(CONNECTED)), ids=lambda i: f"conn{i}")
+    def test_sloan_component_on_corpus(self, backend, index, weights):
+        pattern = CONNECTED[index]
+        w1, w2 = weights
+        assert np.array_equal(
+            _sloan_component(pattern, w1, w2),
+            self._with_backend(backend, lambda: _sloan_component(pattern, w1, w2)),
+        )
+
+    def test_breadth_first_levels(self, backend):
         for pattern in PATTERNS:
             rng = default_rng(pattern.n)
             mask = rng.random(pattern.n) < 0.8
             for roots, restrict in [(0, None), ([0, pattern.n - 1], None),
                                     (1, mask)]:
-                base = breadth_first_levels(pattern, roots, restrict)
-                tier = self._with_backend(
-                    backend, lambda: breadth_first_levels(pattern, roots, restrict))
-                assert np.array_equal(base.level_of, tier.level_of)
-                assert len(base.levels) == len(tier.levels)
-                for lv_a, lv_b in zip(base.levels, tier.levels):
-                    assert np.array_equal(lv_a, lv_b)
+                assert_structure_equal(
+                    breadth_first_levels(pattern, roots, restrict),
+                    self._with_backend(
+                        backend, lambda: breadth_first_levels(pattern, roots, restrict)),
+                )
 
     def test_bfs_order_both_enqueue_rules(self, backend):
-        from repro.graph.traversal import bfs_order
-
         for pattern in PATTERNS:
             for sort_by_degree in (False, True):
                 base = bfs_order(pattern, 0, sort_by_degree)
@@ -369,9 +417,12 @@ class TestSuiteArtifactBackend:
 # bench: machine info, diff dimension, trend
 # --------------------------------------------------------------------- #
 def _bench_artifact(rev, created_s, backend, times):
+    """A minimal bench artifact; ``backend=None`` omits ``config.backend``,
+    like the artifacts recorded before the backend registry existed."""
     return {
         "kind": "repro-bench", "schema_version": 1, "rev": rev,
-        "created_s": created_s, "config": {"backend": backend},
+        "created_s": created_s,
+        "config": {} if backend is None else {"backend": backend},
         "kernels": [{"name": name, "group": name.split("/")[0], "best_s": t}
                     for name, t in times.items()],
     }
@@ -416,6 +467,38 @@ class TestBenchBackendDimension:
         text = format_trend(trend)
         assert "cumulative" in text and "[numpy->numba]" in text
 
+    def test_legacy_artifact_without_backend_reads_as_numpy(self):
+        from repro.bench import diff_bench, format_diff, format_trend, trend_bench
+
+        legacy = _bench_artifact("r1", 1.0, None, {"graph/bfs/X": 1.0})
+        current = _bench_artifact("r2", 2.0, "numpy", {"graph/bfs/X": 0.9})
+        diff = diff_bench(legacy, current)
+        assert diff["backends"] == ("numpy", "numpy")
+        assert "backend tiers differ" not in format_diff(diff)
+        trend = trend_bench([legacy, current])
+        assert trend["steps"][0]["backends"] == ("numpy", "numpy")
+        assert "->numpy]" not in format_trend(trend)
+
+    def test_artifact_without_config_reads_as_numpy(self):
+        from repro.bench import diff_bench, format_diff
+
+        legacy = _bench_artifact("r1", 1.0, None, {"graph/bfs/X": 1.0})
+        del legacy["config"]
+        current = _bench_artifact("r2", 2.0, "numpy", {"graph/bfs/X": 0.9})
+        diff = diff_bench(legacy, current)
+        assert diff["backends"] == ("numpy", "numpy")
+        assert "backend tiers differ" not in format_diff(diff)
+
+    def test_legacy_artifact_against_numba_still_notes_the_tiers(self):
+        from repro.bench import diff_bench, format_diff, format_trend, trend_bench
+
+        legacy = _bench_artifact("r1", 1.0, None, {"graph/bfs/X": 1.0})
+        compiled = _bench_artifact("r2", 2.0, "numba", {"graph/bfs/X": 0.5})
+        diff = diff_bench(legacy, compiled)
+        assert diff["backends"] == ("numpy", "numba")
+        assert "NOTE: backend tiers differ (baseline numpy, current numba)" in format_diff(diff)
+        assert "[numpy->numba]" in format_trend(trend_bench([legacy, compiled]))
+
     def test_trend_requires_two_artifacts(self):
         from repro.bench import trend_bench
 
@@ -430,63 +513,6 @@ class TestBenchBackendDimension:
         trend = trend_bench([a, b])
         assert trend["steps"][0]["speedups"]["graph"] is None
         assert trend["steps"][0]["cumulative"]["graph"] == pytest.approx(1.0)
-
-
-class TestThresholdPolicy:
-    def _suite_artifact(self, backend, cells):
-        return {"kind": "repro-bench", "schema_version": 1, "rev": backend,
-                "config": {"backend": backend}, "suite": {"cells": cells}}
-
-    def _cell(self, name, n, nnz, best, status="ok"):
-        return {"problem": name, "algorithm": "rcm", "status": status,
-                "n": n, "nnz": nnz, "best_s": best}
-
-    def test_fits_the_crossover_work_size(self):
-        base = self._suite_artifact("numpy", [
-            self._cell("A", 100, 400, 0.001),
-            self._cell("B", 1_000, 4_000, 0.010),
-            self._cell("C", 10_000, 40_000, 0.100),
-        ])
-        comp = self._suite_artifact("numba", [
-            self._cell("A", 100, 400, 0.002),
-            self._cell("B", 1_000, 4_000, 0.005),
-            self._cell("C", 10_000, 40_000, 0.020),
-        ])
-        calibration = fit_threshold(base, comp)
-        assert calibration.threshold == 5_000
-        assert calibration.loss_s == pytest.approx(0.0)
-        assert not calibration.fallback
-        assert "3 matched cell(s)" in calibration.describe()
-
-    def test_no_matched_cells_falls_back_to_default(self):
-        empty = self._suite_artifact("numpy", [])
-        calibration = fit_threshold(empty, empty)
-        assert calibration.fallback
-        assert calibration.threshold == backends.DEFAULT_AUTO_THRESHOLD
-        assert fit_threshold(empty, empty, default=777).threshold == 777
-
-    def test_failed_and_sizeless_cells_are_ignored(self):
-        base = self._suite_artifact("numpy", [
-            self._cell("A", 100, 400, 0.001, status="failed"),
-            {"problem": "B", "algorithm": "rcm", "status": "ok", "best_s": 0.01},
-        ])
-        comp = self._suite_artifact("numba", [
-            self._cell("A", 100, 400, 0.002),
-            {"problem": "B", "algorithm": "rcm", "status": "ok", "best_s": 0.01},
-        ])
-        assert fit_threshold(base, comp).fallback
-
-    def test_compiled_always_slower_pushes_threshold_past_everything(self):
-        base = self._suite_artifact("numpy", [
-            self._cell("A", 100, 400, 0.001),
-            self._cell("B", 1_000, 4_000, 0.010),
-        ])
-        comp = self._suite_artifact("numba", [
-            self._cell("A", 100, 400, 0.010),
-            self._cell("B", 1_000, 4_000, 0.100),
-        ])
-        calibration = fit_threshold(base, comp)
-        assert calibration.threshold > 5_000  # above the largest work size
 
 
 # --------------------------------------------------------------------- #
@@ -506,6 +532,29 @@ class TestCliBackend:
         code = main(["suite", "POW9", "--scale", "0.05", "--algorithms", "rcm"])
         assert code == 2
         assert "REPRO_BACKEND" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["suite", "POW9"], ["bench"], ["serve"]],
+                             ids=lambda argv: argv[0])
+    def test_auto_flag_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--backend", "auto"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["suite", "bench", "serve"])
+    def test_help_lists_the_three_tiers(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        assert "--backend {numpy,python,numba}" in capsys.readouterr().out
+
+    def test_inherited_auto_env_runs_numpy(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("REPRO_BACKEND", "auto")
+        out = tmp_path / "results.json"
+        code = main(["suite", "POW9", "--scale", "0.05", "--algorithms", "rcm",
+                     "--output", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["backend"]["requested"] == "numpy"
 
     def test_backend_flag_exported_and_announced(self, monkeypatch, capsys):
         code = main(["suite", "POW9", "--scale", "0.05",
@@ -622,4 +671,3 @@ class TestServeStatsz:
         status = _backend_status()
         assert status["requested"] == "python"
         assert status["numba_available"] == HAS_NUMBA
-        assert "auto_threshold" in status

@@ -3,10 +3,16 @@ round-trip, regression diffing, and the CLI subcommand."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import repro.bench.core as bench_core
 from repro.bench import (
     BENCH_SCHEMA_VERSION,
     diff_bench,
@@ -28,6 +34,85 @@ def test_time_call_returns_result_and_elapsed():
     result, seconds = time_call(lambda x: x * 2, 21)
     assert result == 42
     assert seconds >= 0.0
+
+
+def test_time_call_reads_perf_counter_around_the_call(monkeypatch):
+    ticks = itertools.count(10.0, 2.5)
+    monkeypatch.setattr(bench_core, "time",
+                        SimpleNamespace(perf_counter=lambda: next(ticks)))
+    assert time_call(lambda: "done") == ("done", 2.5)
+
+
+def test_time_call_measures_the_whole_call():
+    _, seconds = time_call(time.sleep, 0.002)
+    assert seconds > 0.001
+
+
+def test_time_call_forwards_positional_and_keyword_arguments():
+    assert time_call(divmod, 17, 5)[0] == (3, 2)
+    assert time_call(sorted, [3, 1, 2], reverse=True)[0] == [3, 2, 1]
+
+
+def test_time_call_passes_a_func_keyword_to_the_callee():
+    # ``func`` is positional-only, so the timed callable may take its own.
+    assert time_call(dict, func=1)[0] == {"func": 1}
+
+
+def test_time_call_propagates_exceptions():
+    def boom():
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError, match="boom"):
+        time_call(boom)
+
+
+class _FixedDurations:
+    """Stands in for ``time_call`` at one call site: runs the call and
+    reports the next of a fixed list of durations, so a timing field can be
+    traced back to the measurement that produced it."""
+
+    def __init__(self, *seconds):
+        self.seconds = list(seconds)
+
+    def __call__(self, func, /, *args, **kwargs):
+        result = func(*args, **kwargs)
+        return result, self.seconds.pop(0)
+
+
+def test_suite_cell_and_wall_times_come_from_time_call(monkeypatch):
+    import repro.batch.engine as engine
+
+    # the cell is timed inside the suite's wall-clock call, so it ends first
+    monkeypatch.setattr(engine, "time_call", _FixedDurations(1.25, 7.5))
+    suite = engine.run_suite(["POW9"], ["rcm"], scale=0.05)
+    (record,) = suite.records
+    assert record.status == "ok"
+    assert record.time_s == 1.25
+    assert suite.wall_time_s == 7.5
+
+
+def test_reorder_run_time_comes_from_time_call(monkeypatch):
+    import repro.core.pipeline as pipeline
+    from repro.collections.meshes import grid2d_pattern
+
+    monkeypatch.setattr(pipeline, "time_call", _FixedDurations(0.75))
+    assert pipeline.reorder(grid2d_pattern(4, 4), "rcm").run_time == 0.75
+
+
+@pytest.mark.parametrize("preconditioner, setup_s, solve_s",
+                         [("ic0", 0.5, 2.0), ("jacobi", 0.5, 2.0), ("none", 0.0, 0.5)])
+def test_pcg_setup_and_solve_times_come_from_time_call(monkeypatch, preconditioner,
+                                                        setup_s, solve_s):
+    import repro.solvers.experiment as experiment
+    from repro.collections.meshes import grid2d_pattern
+    from repro.graph.laplacian import laplacian_matrix
+
+    matrix = laplacian_matrix(grid2d_pattern(4, 4)) + 0.1 * sp.identity(16)
+    monkeypatch.setattr(experiment, "time_call", _FixedDurations(0.5, 2.0))
+    result = experiment.preconditioned_cg_experiment(
+        matrix, np.ones(16), preconditioner=preconditioner)
+    assert result.cg.converged
+    assert (result.setup_time, result.solve_time) == (setup_s, solve_s)
 
 
 def test_measure_statistics():

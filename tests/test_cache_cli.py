@@ -19,7 +19,15 @@ from repro.store import ArtifactStore, reset_default_store
 
 @pytest.fixture(autouse=True)
 def _isolated(monkeypatch):
-    monkeypatch.delenv("REPRO_STORE", raising=False)
+    """Run without an ambient store, and leave none behind.
+
+    ``--store`` exports ``REPRO_STORE``.  ``delenv`` on an absent variable
+    records nothing to restore, so ``setenv`` first records the variable's
+    state before the test; undoing it drops the export — otherwise later
+    tests would load cached Laplacians from this test's directory.
+    """
+    monkeypatch.setenv("REPRO_STORE", "")
+    monkeypatch.delenv("REPRO_STORE")
     reset_default_store()
     clear_problem_cache()
     yield

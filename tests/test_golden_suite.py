@@ -2,8 +2,9 @@
 
 ``tests/golden/suite_small.json`` is the canonical (timing-free) JSON
 artifact of a suite run over three tiny registered problems with the paper's
-four algorithms at scale 0.02.  A fresh run — serial or over two worker
-processes — must reproduce it *byte for byte*: any drift in envelope size,
+four algorithms at scale 0.02.  A fresh run — serial, over two worker
+processes, or on the loop reference kernels (the ``python`` backend tier) —
+must reproduce it *byte for byte*: any drift in envelope size,
 bandwidth, frontwidth statistics, seeding or the schema itself fails here.
 
 ``tests/golden/suite_random.json`` pins the same contract for the five
@@ -33,6 +34,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import backends
 from repro.batch import SuiteResult, merge_results, run_suite
 from repro.orderings.registry import PAPER_ALGORITHMS
 
@@ -44,6 +46,16 @@ SCALE = 0.02
 def _fresh_suite(n_jobs: int, shard: tuple | None = None) -> SuiteResult:
     return run_suite(PROBLEMS, PAPER_ALGORITHMS, scale=SCALE, n_jobs=n_jobs,
                      base_seed=0, shard=shard)
+
+
+def _on_loop_kernels(run):
+    """Run a suite with every dispatched kernel on the ``python`` tier: the
+    loop kernels every vectorized path is held to."""
+    backends.set_backend("python")
+    try:
+        return run()
+    finally:
+        backends.set_backend(None)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +79,11 @@ def test_serial_run_matches_golden_byte_for_byte(golden_text):
 
 def test_two_worker_run_matches_golden_byte_for_byte(golden_text):
     assert _fresh_suite(n_jobs=2).to_json(include_timing=False) == golden_text
+
+
+def test_loop_kernel_run_matches_golden_byte_for_byte(golden_text):
+    suite = _on_loop_kernels(lambda: _fresh_suite(n_jobs=1))
+    assert suite.to_json(include_timing=False) == golden_text
 
 
 def test_fresh_run_diffs_clean_against_golden(golden_text):
@@ -114,6 +131,10 @@ class TestRandomFamiliesGolden:
 
     def test_two_worker_run_matches_golden_byte_for_byte(self, golden_random_text):
         assert self._fresh(n_jobs=2).to_json(include_timing=False) == golden_random_text
+
+    def test_loop_kernel_run_matches_golden_byte_for_byte(self, golden_random_text):
+        suite = _on_loop_kernels(lambda: self._fresh(n_jobs=1))
+        assert suite.to_json(include_timing=False) == golden_random_text
 
     def test_three_way_shard_merge_matches_golden_byte_for_byte(self, golden_random_text):
         shards = [self._fresh(n_jobs=1, shard=(k, 3)) for k in (1, 2, 3)]

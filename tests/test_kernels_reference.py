@@ -1,15 +1,19 @@
-"""Equivalence of the vectorized hot-path kernels with their naive references.
+"""Equivalence of the vectorized hot-path kernels with their references.
 
 The vectorized kernels (whole-frontier BFS, round-based MIS, slab-reduced
 level numbering, batched Sloan updates, ...) promise **bit-identical** output
-to the vertex-at-a-time implementations retained in :mod:`repro.reference`.
+to a vertex-at-a-time reference: the loop kernels of
+:mod:`repro.backends.kernels` (run through the ``python`` backend tier) for
+BFS, Cuthill-McKee, GPS/GK numbering and Sloan, and the twins retained in
+:mod:`repro.reference` for components, subpatterns, MIS and domain growth.
 These property tests enforce the promise two ways:
 
 * kernel by kernel, on a corpus of random graphs (connected, disconnected,
-  edgeless, path/star shapes);
+  edgeless, path/star shapes) — here for the :mod:`repro.reference` twins,
+  in ``tests/test_backends.py::TestKernelIdentity`` for the loop kernels;
 * end to end: every registered ordering algorithm is run once normally and
-  once with the reference kernels monkeypatched in, and the permutations must
-  match exactly — including on disconnected patterns.
+  once with every reference patched in, and the permutations must match
+  exactly — including on disconnected patterns.
 """
 
 from __future__ import annotations
@@ -19,21 +23,12 @@ import pytest
 
 import repro.graph.components
 import repro.graph.coarsen
-import repro.graph.peripheral
-import repro.graph.traversal
-import repro.orderings.base
-import repro.orderings.cuthill_mckee
-import repro.orderings.gibbs_king
 import repro.orderings.gps
-import repro.orderings.king
-import repro.orderings.sloan
-from repro import reference
+from repro import backends, reference
+from repro.collections.meshes import grid2d_pattern
 from repro.graph.coarsen import _grow_domains, maximal_independent_set
 from repro.graph.components import connected_components
-from repro.graph.traversal import bfs_order, breadth_first_levels
-from repro.orderings.gps import number_by_levels
 from repro.orderings.registry import ORDERING_ALGORITHMS
-from repro.orderings.sloan import _sloan_component
 from repro.sparse.pattern import SymmetricPattern
 
 
@@ -62,36 +57,6 @@ def corpus() -> list[SymmetricPattern]:
 
 CORPUS = corpus()
 CONNECTED = [p for p in CORPUS if p.n and connected_components(p)[0] == 1]
-
-
-def assert_structure_equal(a, b):
-    assert np.array_equal(a.level_of, b.level_of)
-    assert len(a.levels) == len(b.levels)
-    for la, lb in zip(a.levels, b.levels):
-        assert np.array_equal(np.asarray(la), np.asarray(lb))
-
-
-@pytest.mark.parametrize("index", range(len(CORPUS)), ids=lambda i: f"graph{i}")
-def test_bfs_kernels_match_reference(index):
-    pattern = CORPUS[index]
-    rng = np.random.default_rng(index)
-    root = int(rng.integers(0, pattern.n))
-    assert_structure_equal(
-        breadth_first_levels(pattern, root),
-        reference.breadth_first_levels_reference(pattern, root),
-    )
-    # multi-rooted + restricted variant (the GPS combined-structure shape)
-    roots = rng.integers(0, pattern.n, size=2)
-    mask = rng.random(pattern.n) < 0.8
-    assert_structure_equal(
-        breadth_first_levels(pattern, roots, restrict_to=mask),
-        reference.breadth_first_levels_reference(pattern, roots, restrict_to=mask),
-    )
-    for sort_by_degree in (False, True):
-        assert np.array_equal(
-            bfs_order(pattern, root, sort_by_degree=sort_by_degree),
-            reference.bfs_order_reference(pattern, root, sort_by_degree=sort_by_degree),
-        )
 
 
 @pytest.mark.parametrize("index", range(len(CORPUS)), ids=lambda i: f"graph{i}")
@@ -136,52 +101,22 @@ def test_mis_greedy_tail_matches_reference_on_adversarial_rank():
     assert np.array_equal(mis, np.arange(0, n, 2))
 
 
-@pytest.mark.parametrize("tie_break", ["degree", "king"])
-@pytest.mark.parametrize("index", range(len(CONNECTED)), ids=lambda i: f"conn{i}")
-def test_number_by_levels_matches_reference(index, tie_break):
-    pattern = CONNECTED[index]
-    rng = np.random.default_rng(2000 + index)
-    root = int(rng.integers(0, pattern.n))
-    levels = breadth_first_levels(pattern, root).level_of.copy()
-    levels[levels < 0] = int(levels.max(initial=0)) + 1
-    assert np.array_equal(
-        number_by_levels(pattern, levels, root, tie_break=tie_break),
-        reference.number_by_levels_reference(pattern, levels, root, tie_break=tie_break),
-    )
-
-
-@pytest.mark.parametrize("weights", [(2, 1), (1, 2), (0, 1), (16, 1), (1, 0)])
-@pytest.mark.parametrize("index", range(len(CONNECTED)), ids=lambda i: f"conn{i}")
-def test_sloan_component_matches_reference(index, weights):
-    pattern = CONNECTED[index]
-    if pattern.n < 2:
-        pytest.skip("component kernels need n >= 2")
-    w1, w2 = weights
-    assert np.array_equal(
-        _sloan_component(pattern, w1, w2),
-        reference.sloan_component_reference(pattern, w1, w2),
-    )
-
-
 # --------------------------------------------------------------------- #
 # end-to-end: all registered algorithms with the reference kernels
 # patched in must reproduce the production orderings exactly
 # --------------------------------------------------------------------- #
 def _patch_reference_kernels(monkeypatch) -> None:
+    """Route every kernel to its reference for the life of *monkeypatch*.
+
+    The BFS, Cuthill-McKee, GPS/GK numbering, Sloan and matvec sites run
+    their loop kernels through the ``python`` tier; the rest are replaced by
+    their :mod:`repro.reference` twins.
+    """
     def grow_domains_inplace(pattern, mis, domain_of):
         domain_of[:] = reference.grow_domains_reference(pattern, mis)
 
-    monkeypatch.setattr(repro.graph.traversal, "breadth_first_levels",
-                        reference.breadth_first_levels_reference)
-    monkeypatch.setattr(repro.graph.peripheral, "breadth_first_levels",
-                        reference.breadth_first_levels_reference)
-    monkeypatch.setattr(repro.orderings.cuthill_mckee, "bfs_order",
-                        reference.bfs_order_reference)
-    for module in (repro.orderings.gps, repro.orderings.king, repro.orderings.gibbs_king):
-        monkeypatch.setattr(module, "number_by_levels",
-                            reference.number_by_levels_reference)
-    monkeypatch.setattr(repro.orderings.sloan, "_sloan_component",
-                        reference.sloan_component_reference)
+    # backends.set_backend("python"), undone when the patch context closes.
+    monkeypatch.setattr(backends, "_override", "python")
     monkeypatch.setattr(repro.graph.coarsen, "maximal_independent_set",
                         reference.maximal_independent_set_reference)
     monkeypatch.setattr(repro.graph.coarsen, "_grow_domains", grow_domains_inplace)
@@ -194,10 +129,30 @@ def _patch_reference_kernels(monkeypatch) -> None:
     monkeypatch.setattr(SymmetricPattern, "subpattern", reference.subpattern_reference)
 
 
+@pytest.mark.parametrize("kernel, algorithm", [
+    ("bfs_levels", "rcm"),
+    ("bfs_order", "rcm"),
+    ("number_by_levels", "gps"),
+    ("sloan", "sloan"),
+    ("spmv", "spectral"),
+])
+def test_reference_patch_runs_the_loop_kernels(kernel, algorithm):
+    """Under the patch each dispatched kernel really runs its loop form, so
+    the end-to-end comparisons cannot pass by comparing numpy with numpy."""
+    pattern = grid2d_pattern(12, 10)  # past the dense eigensolver cutoff
+    backends.reset_events()
+    with pytest.MonkeyPatch.context() as context:
+        _patch_reference_kernels(context)
+        ORDERING_ALGORITHMS[algorithm](pattern)
+    events = backends.backend_events()
+    assert events.get(f"{kernel}:python", 0) >= 1
+    assert not any(key.endswith(":numpy") for key in events)
+
+
 @pytest.mark.parametrize("algorithm", sorted(ORDERING_ALGORITHMS))
 def test_registered_algorithms_unchanged_by_kernel_vectorization(algorithm):
     """Every registered ordering — on connected *and* disconnected patterns —
-    is bit-identical whether built on the vectorized or the naive kernels."""
+    is bit-identical whether built on the vectorized or the reference kernels."""
     func = ORDERING_ALGORITHMS[algorithm]
     rng = np.random.default_rng(99)
     patterns = [
