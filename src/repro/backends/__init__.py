@@ -1,7 +1,7 @@
 """Per-kernel backend registry: vectorized numpy, loop ``python``, JIT ``numba``.
 
-The envelope pipeline is dominated by a handful of inner loops — BFS frontier
-expansion, the Cuthill-McKee queue, the GPS/GK level numbering, Sloan's
+The envelope pipeline is dominated by a handful of inner loops — BFS level
+sweeps, the Cuthill-McKee queue, the GPS/GK level numbering, Sloan's
 priority heap, and the CSR matvec under Lanczos/RQI — and each of those hot
 sites asks this registry which implementation to run:
 

@@ -16,15 +16,16 @@ Identity contracts (pinned by ``tests/test_backends.py`` kernel by kernel and
 by the whole-ordering differential sweep, both run against the ``python``
 tier):
 
-* :func:`bfs_levels_kernel` reproduces the discovery order of
-  ``SymmetricPattern.frontier_expand`` — the queue scan appends, for each
-  frontier vertex in turn, its still-fresh neighbours in adjacency order,
-  which is exactly the first-occurrence dedupe of the concatenated slab.
+* :func:`bfs_levels_kernel` is the queue BFS that
+  ``scipy.sparse.csgraph.breadth_first_order`` also runs: each dequeued
+  vertex appends its undiscovered neighbours in adjacency order, so levels,
+  their internal order and ``level_of`` match the numpy path exactly.
 * :func:`bfs_order_kernel` is the vertex-at-a-time Cuthill-McKee queue scan
   (stable insertion sort by degree replicates the stable lexsort).
 * :func:`number_by_levels_kernel` transcribes the GPS/GK level numbering:
-  the "touched candidates first" rule becomes a leading 0/1 key in a single
-  lexicographic argmin scan.
+  the "touched candidates first" rule becomes a leading 0/1 key in a plain
+  lexicographic argmin scan over the level, the reference for the numpy
+  path's lazy-deletion heap.
 * :func:`sloan_kernel` replicates the heapq lazy-deletion max-heap: entries
   are ordered by ``(negated priority, push counter)`` with unique counters,
   so the pop sequence of *any* correct binary min-heap is identical to
@@ -51,44 +52,30 @@ __all__ = [
 ]
 
 
-def bfs_levels_kernel(indptr, indices, roots, allowed, n):
-    """Queue BFS producing level structure arrays.
+def bfs_levels_kernel(indptr, indices, root, n):
+    """Queue BFS from ``root`` producing level structure arrays.
 
-    Returns ``(level_of, order, level_starts, num_levels)``: vertices in
-    discovery order with ``order[level_starts[k]:level_starts[k+1]]`` the
-    ``k``-th level.  Vertices outside ``allowed`` (or unreachable) keep
-    ``level_of == -1``.  Duplicate roots are kept in level 0, matching the
-    frontier-based production path.
+    Returns ``(level_of, order, level_starts, num_levels)``: reached vertices
+    in discovery order with ``order[level_starts[k]:level_starts[k+1]]`` the
+    ``k``-th level.  Unreachable vertices keep ``level_of == -1``.
     """
     level_of = np.full(n, -1, dtype=np.intp)
-    order = np.empty(n + roots.shape[0], dtype=np.intp)
-    level_starts = np.zeros(n + 2, dtype=np.intp)
+    order = np.empty(n, dtype=np.intp)
+    level_starts = np.zeros(n + 1, dtype=np.intp)
 
-    tail = 0
-    for i in range(roots.shape[0]):
-        r = roots[i]
-        if allowed[r]:
-            order[tail] = r
-            level_of[r] = 0
-            tail += 1
-    if tail == 0:
-        return level_of, order, level_starts, 0
-
-    fresh = allowed.copy()
-    for i in range(tail):
-        fresh[order[i]] = False
-
-    level_starts[1] = tail
+    order[0] = root
+    level_of[root] = 0
+    tail = 1
+    level_starts[1] = 1
     num_levels = 1
     start = 0
-    end = tail
+    end = 1
     while end > start:
         for i in range(start, end):
             v = order[i]
             for jj in range(indptr[v], indptr[v + 1]):
                 w = indices[jj]
-                if fresh[w]:
-                    fresh[w] = False
+                if level_of[w] < 0:
                     level_of[w] = num_levels
                     order[tail] = w
                     tail += 1
@@ -153,13 +140,24 @@ def number_by_levels_kernel(indptr, indices, degrees, levels, start, king, n):
     # n encodes "no numbered neighbour yet": every real number is < n.
     bnn = np.full(n, n, dtype=np.intp)
     order = np.empty(n, dtype=np.intp)
-    members = np.empty(n, dtype=np.intp)
     front_growth = degrees.astype(np.intp).copy()
 
     height = 0
     for v in range(n):
         if levels[v] > height:
             height = levels[v]
+    # Counting sort by level: members[level_start[k]:level_start[k+1]] are
+    # the vertices of level k in increasing order.
+    level_start = np.zeros(height + 2, dtype=np.intp)
+    for v in range(n):
+        level_start[levels[v] + 1] += 1
+    for k in range(height + 1):
+        level_start[k + 1] += level_start[k]
+    fill = level_start.copy()
+    members = np.empty(n, dtype=np.intp)
+    for v in range(n):
+        members[fill[levels[v]]] = v
+        fill[levels[v]] += 1
 
     def _number_vertex(v, number):
         if king:
@@ -182,12 +180,13 @@ def number_by_levels_kernel(indptr, indices, degrees, levels, start, king, n):
     count = 1
 
     for lvl in range(height + 1):
-        msize = 0
-        for v in range(n):
-            if levels[v] == lvl and not numbered[v]:
-                members[msize] = v
-                msize += 1
-        for _ in range(msize):
+        lo = level_start[lvl]
+        hi = level_start[lvl + 1]
+        remaining = 0
+        for i in range(lo, hi):
+            if not numbered[members[i]]:
+                remaining += 1
+        for _ in range(remaining):
             # Lexicographic argmin over the still-unnumbered members with
             # keys (touched?, [front growth,] best neighbour number, degree,
             # vertex id).  The leading 0/1 "touched" key reproduces the
@@ -197,7 +196,7 @@ def number_by_levels_kernel(indptr, indices, degrees, levels, start, king, n):
             b1 = np.intp(0)
             b2 = np.intp(0)
             b3 = np.intp(0)
-            for i in range(msize):
+            for i in range(lo, hi):
                 v = members[i]
                 if numbered[v]:
                     continue

@@ -175,8 +175,13 @@ def _graph_bench(problem: str, scale: float, kernel: str) -> KernelBench:
         from repro.graph.coarsen import coarsen_graph, maximal_independent_set
         from repro.graph.peripheral import pseudo_diameter
         from repro.graph.traversal import breadth_first_levels
+        from repro.orderings.gps import combined_level_structure, number_by_levels
 
         pattern, _spec = load_problem(problem, scale=scale)
+        if kernel == "number_by_levels":
+            # GK's numbering phase alone, on the GPS combined levels.
+            levels, _height, start, _end = combined_level_structure(pattern)
+            return lambda: number_by_levels(pattern, levels, start, tie_break="king")
         kernels = {
             "bfs_levels": lambda: breadth_first_levels(pattern, 0),
             "pseudo_diameter": lambda: pseudo_diameter(pattern),
@@ -230,12 +235,14 @@ def pinned_micro_suite(quick: bool = False,
         powerlaw_cases = [("RANDOM/BA", 0.002), ("RANDOM/RMAT", 0.002)]
         powerlaw_algorithms = ("rcm", "gk")
         graph_problem, graph_scale = "PWT", 0.03
+        numbering_scale = 0.002
     else:
         ordering_cases = [("CAN1072", 0.5), ("DWT2680", 0.2)]
         ordering_algorithms = ("rcm", "gps", "gk", "sloan", "king", "spectral")
         powerlaw_cases = [("RANDOM/BA", 0.004), ("RANDOM/RMAT", 0.004)]
         powerlaw_algorithms = ("rcm", "gk", "sloan")
         graph_problem, graph_scale = "PWT", 0.1
+        numbering_scale = 0.01
 
     benches = [
         _ordering_bench(problem, scale, algorithm, fiedler_policy)
@@ -254,6 +261,8 @@ def pinned_micro_suite(quick: bool = False,
         _graph_bench(graph_problem, graph_scale, kernel)
         for kernel in ("bfs_levels", "pseudo_diameter", "mis", "coarsen")
     ]
+    # PWT's levels are narrow; small-world levels are wide and tie-heavy.
+    benches.append(_graph_bench("RANDOM/WS", numbering_scale, "number_by_levels"))
     benches += [
         _eigen_bench(graph_problem, graph_scale, kernel, fiedler_policy)
         for kernel in ("lanczos", "multilevel_fiedler")

@@ -30,12 +30,6 @@ __all__ = [
 ]
 
 
-def _min_degree_vertex(pattern: SymmetricPattern, candidates: np.ndarray) -> int:
-    degrees = pattern.degree()
-    candidates = np.asarray(candidates, dtype=np.intp)
-    return int(candidates[np.argmin(degrees[candidates], axis=0)])
-
-
 def pseudo_peripheral_node(
     pattern: SymmetricPattern,
     start: int | None = None,

@@ -3,26 +3,27 @@
 The baseline orderings (Cuthill-McKee, reverse Cuthill-McKee, GPS, GK) are all
 built on *rooted level structures*: the partition of the vertex set into BFS
 levels ``L_0 = {r}, L_1 = adj(L_0), ...`` from a root ``r`` (George & Liu,
-1981, Ch. 4).  This module provides those primitives as whole-frontier array
-operations over CSR neighbor slabs
-(:meth:`repro.sparse.pattern.SymmetricPattern.neighbor_slab`): each BFS step
-expands the entire frontier with one gather + mask + first-occurrence dedupe
-instead of a Python loop over vertices.  The discovery order is identical to
-the vertex-at-a-time queue scan of :mod:`repro.backends.kernels`, the
-reference these primitives are tested against (``tests/test_backends.py``),
-so orderings built on them are bit-for-bit unchanged.
+1981, Ch. 4).  :func:`breadth_first_levels` runs one compiled queue BFS
+(``scipy.sparse.csgraph.breadth_first_order``) and cuts its visit order into
+levels by parent position; :func:`bfs_order` expands whole levels over CSR
+neighbor slabs (:meth:`repro.sparse.pattern.SymmetricPattern.claim_frontier`).
+Both reproduce the discovery order of the vertex-at-a-time queue scans of
+:mod:`repro.backends.kernels`, the reference they are tested against
+(``tests/test_backends.py``), so orderings built on them are bit-for-bit
+unchanged.
 
 Both entry points are backend-dispatched (:mod:`repro.backends`): when the
-``python`` or ``numba`` tier is selected, that queue-scan kernel runs
-instead of the frontier expansion below.
+``python`` or ``numba`` tier is selected, the loop kernel runs instead.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 from repro import backends
 from repro.sparse.pattern import SymmetricPattern
@@ -43,17 +44,16 @@ class RootedLevelStructure:
     Attributes
     ----------
     root:
-        The root vertex ``r`` (or a tuple of roots for multi-rooted
-        structures, as used by GPS's combined structure).
+        The root vertex ``r``.
     level_of:
         Array of length ``n`` giving the level index of every vertex, or
-        ``-1`` for vertices unreachable from the root(s).
+        ``-1`` for vertices unreachable from the root.
     levels:
         List of arrays; ``levels[k]`` holds the vertices at level ``k``
         in order of discovery.
     """
 
-    root: tuple[int, ...]
+    root: int
     level_of: np.ndarray
     levels: list = field(default_factory=list)
 
@@ -81,7 +81,7 @@ class RootedLevelStructure:
 
     @property
     def num_reached(self) -> int:
-        """Number of vertices reachable from the root(s)."""
+        """Number of vertices reachable from the root."""
         return int(sum(len(level) for level in self.levels))
 
     def vertices(self) -> np.ndarray:
@@ -91,76 +91,66 @@ class RootedLevelStructure:
         return np.concatenate([np.asarray(level, dtype=np.intp) for level in self.levels])
 
 
-def breadth_first_levels(
-    pattern: SymmetricPattern,
-    roots: int | Sequence[int],
-    restrict_to: np.ndarray | None = None,
-) -> RootedLevelStructure:
-    """Breadth-first level structure rooted at *roots*.
+def breadth_first_levels(pattern: SymmetricPattern, root: int) -> RootedLevelStructure:
+    """Breadth-first level structure rooted at *root*.
 
     Parameters
     ----------
     pattern:
         Adjacency structure of the graph.
-    roots:
-        A single root vertex or a sequence of roots (all placed in level 0).
-    restrict_to:
-        Optional boolean mask of length ``n``; vertices where the mask is
-        ``False`` are treated as absent from the graph.
+    root:
+        The root vertex (an integer; a sequence raises ``TypeError``).
 
     Returns
     -------
     RootedLevelStructure
+        Only the component containing *root* is leveled; every other vertex
+        has ``level_of == -1``.
     """
     n = pattern.n
-    if np.isscalar(roots):
-        root_list = [int(roots)]
-    else:
-        root_list = [int(r) for r in roots]
-    for r in root_list:
-        if r < 0 or r >= n:
-            raise ValueError(f"root {r} out of range for n={n}")
-
-    allowed = np.ones(n, dtype=bool) if restrict_to is None else np.asarray(restrict_to, dtype=bool)
+    root = operator.index(root)
+    if root < 0 or root >= n:
+        raise ValueError(f"root {root} out of range for n={n}")
 
     impl = backends.kernel_impl("bfs_levels")
     if impl is not None:
-        roots_arr = np.asarray(root_list, dtype=np.intp)
         level_of, order, level_starts, num_levels = impl(
-            pattern.indptr, pattern.indices, roots_arr,
-            np.ascontiguousarray(allowed), n,
+            pattern.indptr, pattern.indices, root, n
         )
         levels = [
             order[level_starts[k] : level_starts[k + 1]].copy()
             for k in range(num_levels)
         ]
-        return RootedLevelStructure(tuple(root_list), level_of, levels)
+        return RootedLevelStructure(root, level_of, levels)
 
+    # scipy's directed BFS is the same queue scan as bfs_levels_kernel: each
+    # dequeued vertex appends its undiscovered neighbors in row order.  The
+    # float64 CSR is built per call on purpose: cached on the pattern it
+    # would keep ~12 bytes per stored nonzero (float64 data, int32 indices)
+    # alive in every worker's problem cache.
+    graph = sp.csr_matrix(
+        (np.ones(pattern.indices.size), pattern.indices, pattern.indptr), shape=(n, n)
+    )
+    order, predecessors = breadth_first_order(
+        graph, root, directed=True, return_predecessors=True
+    )
+    order = order.astype(np.intp)
+    reached = order.size
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(reached, dtype=np.intp)
+    parent_position = np.empty(reached, dtype=np.intp)
+    parent_position[0] = -1
+    parent_position[1:] = position[predecessors[order[1:]]]
+    # Parent positions never decrease along a queue BFS, so level k + 1
+    # starts at the first vertex whose parent sits at or after the start of
+    # level k.
+    starts = [0, 1]
+    while starts[-1] < reached:
+        starts.append(int(np.searchsorted(parent_position, starts[-1])))
+    levels = [order[a:b] for a, b in zip(starts, starts[1:])]
     level_of = np.full(n, -1, dtype=np.intp)
-    levels: list[np.ndarray] = []
-
-    frontier = np.array([r for r in root_list if allowed[r]], dtype=np.intp)
-    if frontier.size == 0:
-        return RootedLevelStructure(tuple(root_list), level_of, [])
-    level_of[frontier] = 0
-    levels.append(frontier.copy())
-
-    # Whole-frontier expansion: vertices where `fresh` is true are still
-    # undiscovered; frontier_expand returns the next level in the discovery
-    # order of the vertex-at-a-time scan.
-    fresh = allowed.copy()
-    fresh[frontier] = False
-    current_level = 0
-    while frontier.size:
-        frontier = pattern.frontier_expand(frontier, fresh)
-        if frontier.size == 0:
-            break
-        current_level += 1
-        level_of[frontier] = current_level
-        fresh[frontier] = False
-        levels.append(frontier)
-
-    return RootedLevelStructure(tuple(root_list), level_of, levels)
+    level_of[order] = np.repeat(np.arange(len(levels), dtype=np.intp), np.diff(starts))
+    return RootedLevelStructure(root, level_of, levels)
 
 
 def rooted_level_structure(pattern: SymmetricPattern, root: int) -> RootedLevelStructure:

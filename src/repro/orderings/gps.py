@@ -28,6 +28,8 @@ The implementation follows the three phases of the original algorithm:
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from repro import backends
@@ -67,10 +69,8 @@ def combined_level_structure(pattern: SymmetricPattern) -> tuple[np.ndarray, int
     if unassigned.size:
         # Current level widths from the already-fixed vertices.
         width_u = np.bincount(levels[agree], minlength=height + 1).astype(np.int64)
-        width_v = width_u.copy()
         # Connected components of the subgraph induced on unassigned vertices,
         # processed in order of decreasing size (as GPS specifies).
-        mask = ~agree
         sub = pattern.subpattern(unassigned)
         num_comp, labels = connected_components(sub)
         comp_vertices = [unassigned[labels == c] for c in range(num_comp)]
@@ -88,7 +88,6 @@ def combined_level_structure(pattern: SymmetricPattern) -> tuple[np.ndarray, int
             else:
                 levels[comp] = lv
                 width_u += add_v
-        del mask, width_v
     # Fallback for vertices unreachable from u (cannot happen on a connected
     # component, kept for safety): give them the deepest level.
     levels[levels < 0] = height
@@ -146,7 +145,6 @@ def number_by_levels(
     best_neighbor_number = np.full(n, n, dtype=np.intp)
     order = np.empty(n, dtype=np.intp)
     count = 0
-    height = int(levels.max(initial=0))
 
     # King's criterion ranks candidates by their active-front growth: the
     # number of unnumbered neighbors not yet adjacent to a numbered vertex.
@@ -156,18 +154,35 @@ def number_by_levels(
     # touch), so total maintenance is O(nnz) for the whole numbering.
     front_growth = degrees.copy() if king else None
 
-    def _number_vertex(v: int, number: int) -> None:
+    def _number_vertex(v: int, number: int) -> np.ndarray:
+        """Number *v*; return the vertices whose selection key changed."""
         nbrs = indices[indptr[v] : indptr[v + 1]]
+        # Numbers only grow, so a neighbor's lowest numbered neighbor changes
+        # exactly on its first touch.
+        newly_touched = nbrs[(~numbered[nbrs]) & (best_neighbor_number[nbrs] >= n)]
+        best_neighbor_number[newly_touched] = number
+        if not king:
+            return newly_touched
+        if best_neighbor_number[v] >= n:
+            # v was counted as an untouched unnumbered neighbor; it is
+            # numbered now (its own bnn never changes — v is not in nbrs).
+            # Only newly touched keys change in v's level: v was chosen
+            # untouched, so no member of its level was touched yet.
+            front_growth[nbrs] -= 1
+        if not newly_touched.size:
+            return newly_touched
+        slab, _offsets = pattern.neighbor_slab(newly_touched)
+        np.subtract.at(front_growth, slab, 1)
+        return np.concatenate((newly_touched, slab))
+
+    def _keys(vertices: np.ndarray):
+        """Selection keys: the touched (bnn < n) candidates first, then
+        [front growth,] bnn, degree and the vertex id itself."""
+        bnn = best_neighbor_number[vertices]
         if king:
-            if best_neighbor_number[v] >= n:
-                # v was counted as an untouched unnumbered neighbor; it is
-                # numbered now (its own bnn never changes — v is not in nbrs).
-                front_growth[nbrs] -= 1
-            newly_touched = nbrs[(~numbered[nbrs]) & (best_neighbor_number[nbrs] >= n)]
-            if newly_touched.size:
-                slab, _offsets = pattern.neighbor_slab(newly_touched)
-                np.subtract.at(front_growth, slab, 1)
-        best_neighbor_number[nbrs] = np.minimum(best_neighbor_number[nbrs], number)
+            return zip((bnn >= n).tolist(), front_growth[vertices].tolist(),
+                       bnn.tolist(), degrees[vertices].tolist(), vertices.tolist())
+        return zip(bnn.tolist(), degrees[vertices].tolist(), vertices.tolist())
 
     # Number the start vertex first.
     order[count] = start
@@ -175,51 +190,35 @@ def number_by_levels(
     _number_vertex(start, 0)
     count += 1
 
-    # The selection rule is a lexicographic argmin over the remaining level
-    # members; evaluate it with whole-array reductions over the member slab
-    # instead of a Python min() over per-vertex key tuples.
-    for lvl in range(height + 1):
-        members = np.flatnonzero(levels == lvl)
-        members = members[~numbered[members]].astype(np.intp)
-        alive = np.ones(members.size, dtype=bool)
-        for _ in range(members.size):
-            pool = members[alive]
-            bnn = best_neighbor_number[pool]
-            touched = bnn < n
-            candidates = pool[touched] if touched.any() else pool
-            if king:
-                chosen = _lex_argmin(
-                    candidates, front_growth[candidates],
-                    best_neighbor_number[candidates], degrees[candidates],
-                )
-            else:
-                chosen = _lex_argmin(
-                    candidates, best_neighbor_number[candidates], degrees[candidates]
-                )
-            alive[np.searchsorted(members, chosen)] = False
+    # Within a level the next vertex is the lexicographic key minimum.  No
+    # key part ever increases (bnn is set once, front growth only drops, a
+    # vertex never becomes untouched again), so a lazy-deletion heap that
+    # re-pushes a vertex whenever its key changes pops each vertex first
+    # with its current key: a pop of an already numbered vertex is stale.
+    by_level = np.argsort(levels, kind="stable")
+    level_start = np.zeros(int(levels.max(initial=0)) + 2, dtype=np.intp)
+    np.cumsum(np.bincount(levels), out=level_start[1:])
+    pop, push = heapq.heappop, heapq.heappush
+    for lvl in range(level_start.size - 1):
+        members = by_level[level_start[lvl] : level_start[lvl + 1]]
+        heap = list(_keys(members[~numbered[members]]))
+        heapq.heapify(heap)
+        while heap:
+            chosen = pop(heap)[-1]
+            if numbered[chosen]:
+                continue
             order[count] = chosen
             numbered[chosen] = True
-            _number_vertex(chosen, count)
+            changed = _number_vertex(chosen, count)
             count += 1
+            if changed.size:
+                changed = changed[(levels[changed] == lvl) & ~numbered[changed]]
+                for key in _keys(changed):
+                    push(heap, key)
 
     if count != n:  # pragma: no cover - defensive
         raise AssertionError("level numbering did not cover the component")
     return order
-
-
-def _lex_argmin(vertices: np.ndarray, *keys: np.ndarray) -> int:
-    """The vertex minimizing ``(*keys, vertex)`` lexicographically.
-
-    Each key column narrows the tie set in turn; the vertex id itself is the
-    final tie-break, so the minimum is unique.
-    """
-    selection = np.arange(vertices.size)
-    for key in keys:
-        if selection.size == 1:
-            return int(vertices[selection[0]])
-        narrowed = key[selection]
-        selection = selection[narrowed == narrowed.min()]
-    return int(vertices[selection].min())
 
 
 def _gps_component(pattern: SymmetricPattern) -> np.ndarray:

@@ -270,26 +270,16 @@ class SymmetricPattern:
         slab, _offsets = self.neighbor_slab(vertices)
         return np.unique(slab)
 
-    def frontier_expand(self, frontier, fresh: np.ndarray) -> np.ndarray:
-        """One whole-frontier BFS expansion step.
-
-        Returns the vertices of ``fresh`` (a boolean mask of length ``n``,
-        true = not yet discovered) adjacent to *frontier*, **in discovery
-        order**: the order a vertex-at-a-time scan over the frontier (rows in
-        frontier order, each row sorted) would first encounter them.  That
-        ordering contract is what keeps the vectorized BFS bit-identical to
-        the naive one.
-        """
-        slab, _offsets = self.neighbor_slab(frontier)
-        candidates, _positions = _first_claims(slab[fresh[slab]])
-        return candidates
-
     def claim_frontier(self, frontier, fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`frontier_expand` plus parent attribution.
+        """One whole-frontier BFS expansion step, with parent attribution.
 
-        Returns ``(candidates, parents)`` where ``parents[i]`` is the index
-        *into frontier* of the first frontier vertex whose row discovers
-        ``candidates[i]`` — the claiming parent the Cuthill-McKee enqueue and
+        Returns ``(candidates, parents)``: the vertices of ``fresh`` (a
+        boolean mask of length ``n``, true = not yet discovered) adjacent to
+        *frontier*, **in discovery order** — the order a vertex-at-a-time
+        scan over the frontier (rows in frontier order, each row sorted)
+        would first encounter them — and ``parents[i]``, the index *into
+        frontier* of the first frontier vertex whose row discovers
+        ``candidates[i]``: the claiming parent the Cuthill-McKee enqueue and
         the coarsening domain growth tie-break on.
         """
         slab, offsets = self.neighbor_slab(frontier)

@@ -27,7 +27,7 @@ from repro.backends import kernels as loop_kernels
 from repro.cli import main
 from repro.collections.meshes import grid2d_pattern
 from repro.graph.traversal import bfs_order, breadth_first_levels
-from repro.orderings.gps import number_by_levels
+from repro.orderings.gps import combined_level_structure, number_by_levels
 from repro.orderings.sloan import _sloan_component
 from repro.sparse.pattern import SymmetricPattern
 from repro.utils.rng import default_rng
@@ -68,6 +68,25 @@ def _patterns() -> list[SymmetricPattern]:
 
 
 PATTERNS = _patterns()
+
+
+def _wide_level_patterns() -> list[SymmetricPattern]:
+    """Wide, tie-heavy levels: power-law and small-world graphs at n ~ 2k,
+    a complete bipartite K_{30,30} and a star of stars."""
+    from repro.collections.registry import load_problem
+
+    out = [load_problem(name, scale=0.002)[0] for name in ("RANDOM/WS", "RANDOM/BA")]
+    out.append(SymmetricPattern.from_edges(60, [(i, 30 + j) for i in range(30)
+                                                for j in range(30)]))
+    hubs = range(1, 13)
+    leaves = [(h, 13 + 12 * (h - 1) + k) for h in hubs for k in range(12)]
+    out.append(SymmetricPattern.from_edges(157, [(0, h) for h in hubs] + leaves))
+    return out
+
+
+#: Inputs of the level-numbering identity test: the small connected corpus
+#: plus the wide-level graphs above.
+NUMBERING_INPUTS = CONNECTED + _wide_level_patterns()
 
 
 # --------------------------------------------------------------------- #
@@ -192,14 +211,10 @@ class TestCompiledTier:
         pattern = PATTERNS[0]
         degrees = pattern.degree()
         n = pattern.n
-        roots = np.asarray([0], dtype=np.intp)
-        allowed = np.ones(n, dtype=bool)
         backends.set_backend("python")
-        py = backends.kernel_impl("bfs_levels")(
-            pattern.indptr, pattern.indices, roots, allowed, n)
+        py = backends.kernel_impl("bfs_levels")(pattern.indptr, pattern.indices, 0, n)
         backends.set_backend("numba")
-        jit = backends.kernel_impl("bfs_levels")(
-            pattern.indptr, pattern.indices, roots, allowed, n)
+        jit = backends.kernel_impl("bfs_levels")(pattern.indptr, pattern.indices, 0, n)
         for a, b in zip(py[:3], jit[:3]):
             assert np.array_equal(a, b)
         assert py[3] == jit[3]
@@ -243,18 +258,14 @@ class TestKernelIdentity:
 
     @pytest.mark.parametrize("index", range(len(CORPUS)), ids=lambda i: f"graph{i}")
     def test_bfs_kernels_on_corpus(self, backend, index):
-        """A random root, a two-root restricted BFS (the GPS combined
-        structure shape) and both Cuthill-McKee enqueue rules."""
+        """A random root and both Cuthill-McKee enqueue rules."""
         pattern = CORPUS[index]
         rng = np.random.default_rng(index)
         root = int(rng.integers(0, pattern.n))
-        roots = rng.integers(0, pattern.n, size=2)
-        mask = rng.random(pattern.n) < 0.8
-        for args in [(root, None), (roots, mask)]:
-            assert_structure_equal(
-                breadth_first_levels(pattern, *args),
-                self._with_backend(backend, lambda: breadth_first_levels(pattern, *args)),
-            )
+        assert_structure_equal(
+            breadth_first_levels(pattern, root),
+            self._with_backend(backend, lambda: breadth_first_levels(pattern, root)),
+        )
         for sort_by_degree in (False, True):
             assert np.array_equal(
                 bfs_order(pattern, root, sort_by_degree),
@@ -262,18 +273,25 @@ class TestKernelIdentity:
             )
 
     @pytest.mark.parametrize("tie_break", ["degree", "king"])
-    @pytest.mark.parametrize("index", range(len(CONNECTED)), ids=lambda i: f"conn{i}")
+    @pytest.mark.parametrize(
+        "index", range(len(NUMBERING_INPUTS)),
+        ids=lambda i: f"conn{i}" if i < len(CONNECTED) else f"wide{i - len(CONNECTED)}")
     def test_number_by_levels_on_corpus(self, backend, index, tie_break):
-        pattern = CONNECTED[index]
+        """On rooted BFS levels (king_ordering's) and on the GPS combined
+        levels (gps/gk's), where a level can mix touched and untouched
+        vertices."""
+        pattern = NUMBERING_INPUTS[index]
         rng = np.random.default_rng(2000 + index)
         root = int(rng.integers(0, pattern.n))
         levels = breadth_first_levels(pattern, root).level_of.copy()
         levels[levels < 0] = int(levels.max(initial=0)) + 1
+        combined, _height, start, _end = combined_level_structure(pattern)
 
-        def number():
-            return number_by_levels(pattern, levels, root, tie_break=tie_break)
+        for level_of, first in ((levels, root), (combined, start)):
+            def number():
+                return number_by_levels(pattern, level_of, first, tie_break=tie_break)
 
-        assert np.array_equal(number(), self._with_backend(backend, number))
+            assert np.array_equal(number(), self._with_backend(backend, number))
 
     @pytest.mark.parametrize("weights", [(2, 1), (1, 2), (0, 1), (16, 1), (1, 0)])
     @pytest.mark.parametrize("index", range(len(CONNECTED)), ids=lambda i: f"conn{i}")
@@ -286,16 +304,19 @@ class TestKernelIdentity:
         )
 
     def test_breadth_first_levels(self, backend):
-        for pattern in PATTERNS:
-            rng = default_rng(pattern.n)
-            mask = rng.random(pattern.n) < 0.8
-            for roots, restrict in [(0, None), ([0, pattern.n - 1], None),
-                                    (1, mask)]:
-                assert_structure_equal(
-                    breadth_first_levels(pattern, roots, restrict),
-                    self._with_backend(
-                        backend, lambda: breadth_first_levels(pattern, roots, restrict)),
-                )
+        """Both ends of each pattern, plus n = 1, an isolated root, a root in
+        the last component of a disconnected pattern and an edgeless graph."""
+        split = SymmetricPattern.from_edges(
+            9, [(0, 1), (1, 2), (4, 5), (6, 7), (7, 8), (6, 8)])
+        cases = [(pattern, root) for pattern in PATTERNS
+                 for root in (0, pattern.n - 1)]
+        cases += [(SymmetricPattern.empty(1), 0), (split, 3), (split, 8),
+                  (SymmetricPattern.empty(7), 3)]
+        for pattern, root in cases:
+            assert_structure_equal(
+                breadth_first_levels(pattern, root),
+                self._with_backend(backend, lambda: breadth_first_levels(pattern, root)),
+            )
 
     def test_bfs_order_both_enqueue_rules(self, backend):
         for pattern in PATTERNS:

@@ -146,6 +146,16 @@ def test_pinned_micro_suite_names_are_stable_and_unique():
         "orderings", "graph", "eigen", "powerlaw"}
 
 
+def test_numbering_entry_times_king_rule_on_wide_levels():
+    artifact = run_bench(quick=True, repeats=1, name_filter="number_by_levels",
+                         rev="test-rev")
+    (kernel,) = artifact["kernels"]
+    assert kernel["name"] == "graph/number_by_levels/RANDOM/WS@0.002"
+    assert kernel["group"] == "graph" and kernel["best_s"] > 0.0
+    full = [b.name for b in pinned_micro_suite(False) if "number_by_levels" in b.name]
+    assert full == ["graph/number_by_levels/RANDOM/WS@0.01"]
+
+
 def _tiny_artifact(tmp_path, name="bench.json", **overrides):
     """A real (but minimal) run: one filtered kernel, no suite section."""
     artifact = run_bench(quick=True, repeats=1, name_filter="mis", rev="test-rev")

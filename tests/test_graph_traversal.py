@@ -33,23 +33,16 @@ class TestBreadthFirstLevels:
         assert structure.height == 1
         assert structure.width == 8
 
-    def test_multi_root(self, path10):
-        structure = breadth_first_levels(path10, [0, 9])
-        assert structure.height == 5 or structure.height == 4
-        assert structure.level_of[0] == 0 and structure.level_of[9] == 0
-
     def test_unreachable_vertices_marked(self, disconnected_pattern):
         structure = breadth_first_levels(disconnected_pattern, 0)
         assert structure.level_of[8] == -1
         assert structure.level_of[16] == -1
         assert structure.num_reached == 8
 
-    def test_restrict_to_mask(self, path10):
-        mask = np.ones(10, dtype=bool)
-        mask[5] = False  # cut the path at vertex 5
-        structure = breadth_first_levels(path10, 0, restrict_to=mask)
-        assert structure.num_reached == 5
-        assert structure.level_of[6] == -1
+    def test_sequence_root_rejected(self, path10):
+        for roots in ([0, 9], (0,), np.array([0, 9])):
+            with pytest.raises(TypeError):
+                breadth_first_levels(path10, roots)
 
     def test_level_widths_sum_to_reached(self, grid_8x6):
         structure = breadth_first_levels(grid_8x6, 0)
