@@ -26,11 +26,12 @@ tier):
   the "touched candidates first" rule becomes a leading 0/1 key in a plain
   lexicographic argmin scan over the level, the reference for the numpy
   path's lazy-deletion heap.
-* :func:`sloan_kernel` replicates the heapq lazy-deletion max-heap: entries
-  are ordered by ``(negated priority, push counter)`` with unique counters,
-  so the pop sequence of *any* correct binary min-heap is identical to
-  ``heapq``'s.  Push batches are deduplicated with the same keep-first
-  (``w1 == 0``) / keep-last (``w1 != 0``) rule as ``_dedupe_batch``.
+* :func:`sloan_kernel` keeps a lazy-deletion binary heap of ``(negated
+  priority, push counter)`` entries.  Counters are unique, so it pops in
+  (highest priority, earliest push) order: the order of the numpy path's
+  bucket queue, which pops the front of a FIFO per priority value.  Push
+  batches are deduplicated with the same keep-first (``w1 == 0``) /
+  keep-last (``w1 != 0``) rule as ``_dedupe_batch``.
 * :func:`csr_matvec_kernel` accumulates each row left to right, matching
   scipy's in-order CSR row summation bit for bit.
 
@@ -230,8 +231,8 @@ def sloan_kernel(indptr, indices, degrees, dist_to_end, start, w1, w2, n):
     """Sloan's numbering loop over one connected component.
 
     Array-based binary min-heap keyed ``(negated priority, push counter)``
-    with lazy deletion; counters are unique so the pop sequence is exactly
-    ``heapq``'s.  Returns the new-to-old permutation.
+    with lazy deletion; counters are unique, so vertices pop in (highest
+    priority, earliest push) order.  Returns the new-to-old permutation.
     """
     inactive = np.int8(0)
     preactive = np.int8(1)

@@ -235,14 +235,16 @@ def pinned_micro_suite(quick: bool = False,
         powerlaw_cases = [("RANDOM/BA", 0.002), ("RANDOM/RMAT", 0.002)]
         powerlaw_algorithms = ("rcm", "gk")
         graph_problem, graph_scale = "PWT", 0.03
-        numbering_scale = 0.002
+        ws_scale = 0.002
+        sweep_scale = 0.05
     else:
         ordering_cases = [("CAN1072", 0.5), ("DWT2680", 0.2)]
         ordering_algorithms = ("rcm", "gps", "gk", "sloan", "king", "spectral")
         powerlaw_cases = [("RANDOM/BA", 0.004), ("RANDOM/RMAT", 0.004)]
         powerlaw_algorithms = ("rcm", "gk", "sloan")
         graph_problem, graph_scale = "PWT", 0.1
-        numbering_scale = 0.01
+        ws_scale = 0.01
+        sweep_scale = 0.1
 
     benches = [
         _ordering_bench(problem, scale, algorithm, fiedler_policy)
@@ -262,7 +264,12 @@ def pinned_micro_suite(quick: bool = False,
         for kernel in ("bfs_levels", "pseudo_diameter", "mis", "coarsen")
     ]
     # PWT's levels are narrow; small-world levels are wide and tie-heavy.
-    benches.append(_graph_bench("RANDOM/WS", numbering_scale, "number_by_levels"))
+    benches.append(_graph_bench("RANDOM/WS", ws_scale, "number_by_levels"))
+    # PWT's sweeps are cheap; a stiff 3-D problem's pseudo-diameter search
+    # runs ~150-200 costly ones.  Sloan on a small-world graph spreads its
+    # priorities over many values.
+    benches.append(_graph_bench("BCSSTK30", sweep_scale, "pseudo_diameter"))
+    benches.append(_ordering_bench("RANDOM/WS", ws_scale, "sloan", fiedler_policy))
     benches += [
         _eigen_bench(graph_problem, graph_scale, kernel, fiedler_policy)
         for kernel in ("lanczos", "multilevel_fiedler")

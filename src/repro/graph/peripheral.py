@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.traversal import RootedLevelStructure, breadth_first_levels
+from repro.graph.traversal import RootedLevelStructure, bfs_graph, breadth_first_levels
 from repro.sparse.pattern import SymmetricPattern
 
 __all__ = [
@@ -34,6 +34,8 @@ def pseudo_peripheral_node(
     pattern: SymmetricPattern,
     start: int | None = None,
     max_iterations: int = 20,
+    *,
+    graph=None,
 ) -> tuple[int, RootedLevelStructure]:
     """Find a pseudo-peripheral node with the George-Liu shrinking strategy.
 
@@ -46,6 +48,9 @@ def pseudo_peripheral_node(
     max_iterations:
         Safety cap on the number of re-rooting rounds (the strategy converges
         in a handful of rounds in practice).
+    graph:
+        :func:`repro.graph.traversal.bfs_graph` of *pattern*; built once here
+        when omitted and shared by every sweep of the search.
 
     Returns
     -------
@@ -59,7 +64,9 @@ def pseudo_peripheral_node(
     if start is None:
         start = int(np.argmin(degrees))
     node = int(start)
-    structure = breadth_first_levels(pattern, node)
+    if graph is None:
+        graph = bfs_graph(pattern)
+    structure = breadth_first_levels(pattern, node, graph=graph)
 
     for _ in range(max_iterations):
         last_level = structure.levels[-1]
@@ -71,7 +78,7 @@ def pseudo_peripheral_node(
         improved = False
         best_width = structure.width
         for candidate in order:
-            trial = breadth_first_levels(pattern, int(candidate))
+            trial = breadth_first_levels(pattern, int(candidate), graph=graph)
             if trial.height > structure.height or (
                 trial.height == structure.height and trial.width < best_width
             ):
@@ -90,32 +97,38 @@ def pseudo_peripheral_node(
 def pseudo_diameter(
     pattern: SymmetricPattern,
     start: int | None = None,
+    *,
+    graph=None,
 ) -> tuple[int, int, RootedLevelStructure, RootedLevelStructure]:
     """Find a pseudo-diameter (pair of mutually distant vertices).
 
     Implements the endpoint search of the Gibbs-Poole-Stockmeyer algorithm:
     find a pseudo-peripheral node ``u``; among the minimum-degree vertices of
     the last level of ``L(u)``, pick the one ``v`` whose level structure has
-    the smallest width.
+    the smallest width.  Every sweep, including those of a restart from a
+    deeper vertex, reads one :func:`repro.graph.traversal.bfs_graph`
+    (*graph*, or built here when omitted).
 
     Returns
     -------
     (u, v, structure_u, structure_v)
     """
-    u, structure_u = pseudo_peripheral_node(pattern, start=start)
+    if graph is None:
+        graph = bfs_graph(pattern)
+    u, structure_u = pseudo_peripheral_node(pattern, start=start, graph=graph)
     degrees = pattern.degree()
     last = np.asarray(structure_u.levels[-1], dtype=np.intp)
     # GPS examines the last level sorted by degree, keeping the structure of
     # minimum width among those with eccentricity equal to that of u.
     candidates = last[np.argsort(degrees[last], kind="stable")]
     best_v = int(candidates[0])
-    best_structure = breadth_first_levels(pattern, best_v)
+    best_structure = breadth_first_levels(pattern, best_v, graph=graph)
     best_width = best_structure.width
     for candidate in candidates[1:]:
-        trial = breadth_first_levels(pattern, int(candidate))
+        trial = breadth_first_levels(pattern, int(candidate), graph=graph)
         if trial.height > structure_u.height:
             # Found a deeper structure: restart the whole search from there.
-            return pseudo_diameter(pattern, start=int(candidate))
+            return pseudo_diameter(pattern, start=int(candidate), graph=graph)
         if trial.width < best_width:
             best_v, best_structure, best_width = int(candidate), trial, trial.width
     return u, best_v, structure_u, best_structure

@@ -4,9 +4,10 @@ The baseline orderings (Cuthill-McKee, reverse Cuthill-McKee, GPS, GK) are all
 built on *rooted level structures*: the partition of the vertex set into BFS
 levels ``L_0 = {r}, L_1 = adj(L_0), ...`` from a root ``r`` (George & Liu,
 1981, Ch. 4).  :func:`breadth_first_levels` runs one compiled queue BFS
-(``scipy.sparse.csgraph.breadth_first_order``) and cuts its visit order into
-levels by parent position; :func:`bfs_order` expands whole levels over CSR
-neighbor slabs (:meth:`repro.sparse.pattern.SymmetricPattern.claim_frontier`).
+(``scipy.sparse.csgraph.breadth_first_order``) over the float64 CSR of
+:func:`bfs_graph` and cuts its visit order into levels by parent position;
+:func:`bfs_order` expands whole levels over CSR neighbor slabs
+(:meth:`repro.sparse.pattern.SymmetricPattern.claim_frontier`).
 Both reproduce the discovery order of the vertex-at-a-time queue scans of
 :mod:`repro.backends.kernels`, the reference they are tested against
 (``tests/test_backends.py``), so orderings built on them are bit-for-bit
@@ -30,6 +31,7 @@ from repro.sparse.pattern import SymmetricPattern
 
 __all__ = [
     "RootedLevelStructure",
+    "bfs_graph",
     "breadth_first_levels",
     "rooted_level_structure",
     "bfs_order",
@@ -91,7 +93,24 @@ class RootedLevelStructure:
         return np.concatenate([np.asarray(level, dtype=np.intp) for level in self.levels])
 
 
-def breadth_first_levels(pattern: SymmetricPattern, root: int) -> RootedLevelStructure:
+def bfs_graph(pattern: SymmetricPattern) -> sp.csr_matrix:
+    """The float64 CSR of *pattern* that the compiled BFS reads.
+
+    A caller that sweeps one pattern many times (the pseudo-peripheral
+    searches of :mod:`repro.graph.peripheral`) builds it once and passes it
+    as ``graph=`` to every :func:`breadth_first_levels` call.  It is never
+    cached on the pattern: there it would keep ~12 bytes per stored nonzero
+    (float64 data, int32 indices) alive in every worker's problem cache.
+    """
+    n = pattern.n
+    return sp.csr_matrix(
+        (np.ones(pattern.indices.size), pattern.indices, pattern.indptr), shape=(n, n)
+    )
+
+
+def breadth_first_levels(
+    pattern: SymmetricPattern, root: int, *, graph: sp.csr_matrix | None = None
+) -> RootedLevelStructure:
     """Breadth-first level structure rooted at *root*.
 
     Parameters
@@ -100,6 +119,9 @@ def breadth_first_levels(pattern: SymmetricPattern, root: int) -> RootedLevelStr
         Adjacency structure of the graph.
     root:
         The root vertex (an integer; a sequence raises ``TypeError``).
+    graph:
+        :func:`bfs_graph` of *pattern*, built per call when omitted.  Only
+        the numpy tier reads it.
 
     Returns
     -------
@@ -124,13 +146,9 @@ def breadth_first_levels(pattern: SymmetricPattern, root: int) -> RootedLevelStr
         return RootedLevelStructure(root, level_of, levels)
 
     # scipy's directed BFS is the same queue scan as bfs_levels_kernel: each
-    # dequeued vertex appends its undiscovered neighbors in row order.  The
-    # float64 CSR is built per call on purpose: cached on the pattern it
-    # would keep ~12 bytes per stored nonzero (float64 data, int32 indices)
-    # alive in every worker's problem cache.
-    graph = sp.csr_matrix(
-        (np.ones(pattern.indices.size), pattern.indices, pattern.indptr), shape=(n, n)
-    )
+    # dequeued vertex appends its undiscovered neighbors in row order.
+    if graph is None:
+        graph = bfs_graph(pattern)
     order, predecessors = breadth_first_order(
         graph, root, directed=True, return_predecessors=True
     )

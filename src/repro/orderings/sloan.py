@@ -22,12 +22,13 @@ are the defaults.
 from __future__ import annotations
 
 import heapq
+import operator
+from collections import deque
 
 import numpy as np
 
 from repro import backends
 from repro.graph.peripheral import pseudo_diameter
-from repro.graph.traversal import distance_from
 from repro.orderings.base import Ordering, order_by_components
 from repro.sparse.pattern import SymmetricPattern
 
@@ -44,35 +45,29 @@ def _dedupe_batch(targets: list, keep_first: bool) -> list:
     increment, so only its **last** push of the numbering step can match the
     final priority — earlier entries are dead weight the lazy-deletion pop
     discards anyway.  With ``w1 == 0`` nothing ever invalidates, so the
-    **first** push is the one whose heap counter governs tie-breaking.  The
+    **first** push is the one whose queue position governs tie-breaking.  The
     surviving entries keep their original relative order, which preserves the
-    counter ordering (and therefore the exact output) of the per-push code.
-    Batches are small (a couple of neighborhoods), so a dict/set sweep beats
-    array machinery.
+    push order (and therefore the exact output) of the per-push code.
+    Keeping the last occurrences is keeping the first ones of the reversed
+    batch and reversing back.
     """
     if keep_first:
         return list(dict.fromkeys(targets))
-    seen: set = set()
-    out: list = []
-    for v in reversed(targets):
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    out.reverse()
-    return out
+    return list(dict.fromkeys(reversed(targets)))[::-1]
 
 
 def _sloan_component(pattern: SymmetricPattern, w1: int, w2: int) -> np.ndarray:
     n = pattern.n
     if n == 1:
         return np.zeros(1, dtype=np.intp)
-    start, end, _su, _sv = pseudo_diameter(pattern)
-    dist_to_end = distance_from(pattern, end)
+    start, _end, _su, end_structure = pseudo_diameter(pattern)
+    dist_to_end = end_structure.level_of
     degrees = pattern.degree()
 
-    # Backend dispatch: the loop-form kernel replicates the heapq
-    # lazy-deletion semantics below exactly (same push counters, same
-    # dedupe rule), so the numbering is bit-identical on every tier.
+    # Backend dispatch: the loop kernel's heap of (negated priority, push
+    # counter) entries pops in exactly the bucket order below and dedupes
+    # push batches by the same rule, so the numbering is bit-identical on
+    # every tier.
     impl = backends.kernel_impl("sloan")
     if impl is not None:
         return impl(
@@ -80,74 +75,84 @@ def _sloan_component(pattern: SymmetricPattern, w1: int, w2: int) -> np.ndarray:
             int(start), int(w1), int(w2), n,
         )
 
-    status = np.full(n, _INACTIVE, dtype=np.int8)
+    # Python lists: the loop touches single entries, where list indexing
+    # beats numpy scalar access.  Rows are converted when scanned.
+    indptr, indices = pattern.indptr.tolist(), pattern.indices
+    status = [_INACTIVE] * n
     # current degree = number of unnumbered, inactive/preactive neighbours + self if inactive
-    priority = (-w1 * (degrees + 1) + w2 * dist_to_end).astype(np.int64)
-
-    order = np.empty(n, dtype=np.intp)
-    count = 0
-    # Max-heap via negated priorities; lazy deletion with an entry counter.
-    # The heap handles only the argmax; all priority maintenance below is
-    # batched array arithmetic over neighbor slabs.
-    heap: list[tuple[int, int, int]] = []
-    counter = 0
-    push = heapq.heappush
+    priority = (-w1 * (degrees + 1) + w2 * dist_to_end).astype(np.int64).tolist()
+    order: list[int] = []
     keep_first = w1 == 0
 
-    status[start] = _PREACTIVE
-    push(heap, (-int(priority[start]), counter, int(start)))
-    counter += 1
+    # Bucket queue with lazy deletion: a FIFO deque of pushed vertices per
+    # priority value, and a heap of the (negated) values that have a live
+    # bucket.  Popping the front of the highest bucket is the (highest
+    # priority, earliest push) order of a heap of (-priority, counter, v)
+    # entries, the order sloan_kernel pops in.
+    buckets: dict[int, deque] = {}
+    tops: list[int] = []
 
-    indptr, indices = pattern.indptr, pattern.indices
-    while count < n:
+    def push(vertices) -> None:
+        for v in vertices:
+            p = priority[v]
+            bucket = buckets.get(p)
+            if bucket is None:
+                buckets[p] = deque((v,))
+                heapq.heappush(tops, -p)
+            else:
+                bucket.append(v)
+
+    status[start] = _PREACTIVE
+    push((start,))
+    while len(order) < n:
         # Pop until we find a vertex that is still unnumbered and whose
-        # priority has not been superseded by a later push.
-        while heap:
-            neg_prio, _tie, v = heapq.heappop(heap)
-            if status[v] != _NUMBERED and -neg_prio == priority[v]:
+        # priority has not changed since it was pushed.
+        while tops:
+            p = -tops[0]
+            bucket = buckets[p]
+            v = bucket.popleft()
+            if not bucket:
+                del buckets[p]
+                heapq.heappop(tops)
+            if status[v] != _NUMBERED and p == priority[v]:
                 break
         else:  # pragma: no cover - defensive; component is connected
-            remaining = np.flatnonzero(status != _NUMBERED)
-            v = int(remaining[0])
+            v = next(u for u in range(n) if status[u] != _NUMBERED)
 
         # First ring: every unnumbered neighbour loses v from its unnumbered
         # count; numbering a preactive vertex additionally activates them.
-        nbrs = indices[indptr[v] : indptr[v + 1]]
-        ring1 = nbrs[status[nbrs] != _NUMBERED]
-        priority[ring1] += w1  # rows are duplicate-free: plain fancy-index add
+        ring1 = [w for w in indices[indptr[v] : indptr[v + 1]].tolist()
+                 if status[w] != _NUMBERED]
+        for w in ring1:
+            priority[w] += w1
         if status[v] == _PREACTIVE:
-            status[ring1[status[ring1] == _INACTIVE]] = _PREACTIVE
-        for w, prio in zip(ring1.tolist(), priority[ring1].tolist()):
-            push(heap, (-prio, counter, w))
-            counter += 1
-
-        order[count] = v
+            for w in ring1:
+                if status[w] == _INACTIVE:
+                    status[w] = _PREACTIVE
+        push(ring1)
+        order.append(v)
         status[v] = _NUMBERED
-        count += 1
 
         # Second ring: neighbours of newly preactive vertices gain priority
-        # because their future front growth shrinks.  The per-vertex loop is
-        # replaced by one scatter-add over the concatenated neighbor slab;
-        # pushes are deduplicated to one governing heap entry per vertex.
-        newly_active = ring1[status[ring1] == _PREACTIVE]
-        if newly_active.size:
-            status[newly_active] = _ACTIVE
-            slab, _offsets = pattern.neighbor_slab(newly_active)
-            targets = slab[status[slab] != _NUMBERED]
-            if newly_active.size == 1:
-                # one duplicate-free row: plain fancy-index add, no dedupe
-                priority[targets] += w1
-                batch = targets.tolist()
-            else:
-                np.add.at(priority, targets, w1)
-                batch = _dedupe_batch(targets.tolist(), keep_first)
-            if batch:
-                status[targets[status[targets] == _INACTIVE]] = _PREACTIVE
-                for x, prio in zip(batch, priority[batch].tolist()):
-                    push(heap, (-prio, counter, x))
-                    counter += 1
+        # because their future front growth shrinks.  Pushes are deduplicated
+        # to one governing queue entry per vertex; a single row is
+        # duplicate-free already.
+        newly_active = [w for w in ring1 if status[w] == _PREACTIVE]
+        if newly_active:
+            targets: list[int] = []
+            for w in newly_active:
+                status[w] = _ACTIVE
+                targets += [x for x in indices[indptr[w] : indptr[w + 1]].tolist()
+                            if status[x] != _NUMBERED]
+            for x in targets:
+                priority[x] += w1
+                if status[x] == _INACTIVE:
+                    status[x] = _PREACTIVE
+            if len(newly_active) > 1:
+                targets = _dedupe_batch(targets, keep_first)
+            push(targets)
 
-    return order
+    return np.array(order, dtype=np.intp)
 
 
 def sloan_ordering(pattern, *, w1: int = 2, w2: int = 1) -> Ordering:
@@ -160,12 +165,15 @@ def sloan_ordering(pattern, *, w1: int = 2, w2: int = 1) -> Ordering:
     w1, w2:
         Sloan's weights for the front-growth and distance-to-end terms
         (defaults 2 and 1, the values recommended in the original paper).
+        Both must be integers: a float raises ``TypeError`` on every backend
+        tier.
 
     Returns
     -------
     Ordering
         ``algorithm == "sloan"``.
     """
+    w1, w2 = operator.index(w1), operator.index(w2)
     ordering = order_by_components(
         pattern, lambda sub: _sloan_component(sub, w1, w2), algorithm="sloan",
         metadata={"w1": w1, "w2": w2},

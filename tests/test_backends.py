@@ -26,7 +26,7 @@ from repro import backends
 from repro.backends import kernels as loop_kernels
 from repro.cli import main
 from repro.collections.meshes import grid2d_pattern
-from repro.graph.traversal import bfs_order, breadth_first_levels
+from repro.graph.traversal import bfs_graph, bfs_order, breadth_first_levels
 from repro.orderings.gps import combined_level_structure, number_by_levels
 from repro.orderings.sloan import _sloan_component
 from repro.sparse.pattern import SymmetricPattern
@@ -84,9 +84,13 @@ def _wide_level_patterns() -> list[SymmetricPattern]:
     return out
 
 
-#: Inputs of the level-numbering identity test: the small connected corpus
-#: plus the wide-level graphs above.
+#: Inputs of the level-numbering and Sloan identity tests: the small
+#: connected corpus plus the wide-level graphs above.
 NUMBERING_INPUTS = CONNECTED + _wide_level_patterns()
+
+
+def _numbering_id(index: int) -> str:
+    return f"conn{index}" if index < len(CONNECTED) else f"wide{index - len(CONNECTED)}"
 
 
 # --------------------------------------------------------------------- #
@@ -273,9 +277,7 @@ class TestKernelIdentity:
             )
 
     @pytest.mark.parametrize("tie_break", ["degree", "king"])
-    @pytest.mark.parametrize(
-        "index", range(len(NUMBERING_INPUTS)),
-        ids=lambda i: f"conn{i}" if i < len(CONNECTED) else f"wide{i - len(CONNECTED)}")
+    @pytest.mark.parametrize("index", range(len(NUMBERING_INPUTS)), ids=_numbering_id)
     def test_number_by_levels_on_corpus(self, backend, index, tie_break):
         """On rooted BFS levels (king_ordering's) and on the GPS combined
         levels (gps/gk's), where a level can mix touched and untouched
@@ -293,10 +295,12 @@ class TestKernelIdentity:
 
             assert np.array_equal(number(), self._with_backend(backend, number))
 
-    @pytest.mark.parametrize("weights", [(2, 1), (1, 2), (0, 1), (16, 1), (1, 0)])
-    @pytest.mark.parametrize("index", range(len(CONNECTED)), ids=lambda i: f"conn{i}")
+    @pytest.mark.parametrize("weights", [(2, 1), (1, 2), (0, 1), (16, 1), (1, 0), (1, 16)])
+    @pytest.mark.parametrize("index", range(len(NUMBERING_INPUTS)), ids=_numbering_id)
     def test_sloan_component_on_corpus(self, backend, index, weights):
-        pattern = CONNECTED[index]
+        """The wide-level graphs spread priorities over many buckets of the
+        numpy tier's bucket queue."""
+        pattern = NUMBERING_INPUTS[index]
         w1, w2 = weights
         assert np.array_equal(
             _sloan_component(pattern, w1, w2),
@@ -305,7 +309,8 @@ class TestKernelIdentity:
 
     def test_breadth_first_levels(self, backend):
         """Both ends of each pattern, plus n = 1, an isolated root, a root in
-        the last component of a disconnected pattern and an edgeless graph."""
+        the last component of a disconnected pattern and an edgeless graph;
+        the numpy tier both with a per-call and with a prebuilt graph."""
         split = SymmetricPattern.from_edges(
             9, [(0, 1), (1, 2), (4, 5), (6, 7), (7, 8), (6, 8)])
         cases = [(pattern, root) for pattern in PATTERNS
@@ -313,10 +318,10 @@ class TestKernelIdentity:
         cases += [(SymmetricPattern.empty(1), 0), (split, 3), (split, 8),
                   (SymmetricPattern.empty(7), 3)]
         for pattern, root in cases:
+            tier = self._with_backend(backend, lambda: breadth_first_levels(pattern, root))
+            assert_structure_equal(breadth_first_levels(pattern, root), tier)
             assert_structure_equal(
-                breadth_first_levels(pattern, root),
-                self._with_backend(backend, lambda: breadth_first_levels(pattern, root)),
-            )
+                breadth_first_levels(pattern, root, graph=bfs_graph(pattern)), tier)
 
     def test_bfs_order_both_enqueue_rules(self, backend):
         for pattern in PATTERNS:

@@ -156,6 +156,15 @@ def test_numbering_entry_times_king_rule_on_wide_levels():
     assert full == ["graph/number_by_levels/RANDOM/WS@0.01"]
 
 
+def test_sweep_and_sloan_entries_run_on_wide_inputs():
+    """A stiff problem's costly pseudo-diameter sweeps and Sloan on a
+    small-world graph, in both suites."""
+    for quick, sweep_scale, ws_scale in ((True, 0.05, 0.002), (False, 0.1, 0.01)):
+        names = {b.name for b in pinned_micro_suite(quick)}
+        assert f"graph/pseudo_diameter/BCSSTK30@{sweep_scale:g}" in names
+        assert f"orderings/sloan/RANDOM/WS@{ws_scale:g}" in names
+
+
 def _tiny_artifact(tmp_path, name="bench.json", **overrides):
     """A real (but minimal) run: one filtered kernel, no suite section."""
     artifact = run_bench(quick=True, repeats=1, name_filter="mis", rev="test-rev")

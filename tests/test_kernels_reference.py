@@ -1,7 +1,7 @@
 """Equivalence of the vectorized hot-path kernels with their references.
 
 The fast kernels (compiled BFS levels, round-based MIS, heap-based level
-numbering, batched Sloan updates, ...) promise **bit-identical** output
+numbering, Sloan's bucket queue, ...) promise **bit-identical** output
 to a vertex-at-a-time reference: the loop kernels of
 :mod:`repro.backends.kernels` (run through the ``python`` backend tier) for
 BFS, Cuthill-McKee, GPS/GK numbering and Sloan, and the twins retained in

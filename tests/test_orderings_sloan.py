@@ -1,8 +1,10 @@
 """Unit tests for Sloan's ordering (repro.orderings.sloan)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
+from repro import backends
 from repro.collections.meshes import grid2d_pattern, path_pattern
 from repro.envelope.metrics import envelope_size, frontwidths
 from repro.orderings.base import random_ordering
@@ -40,6 +42,20 @@ class TestSloan:
         ordering = sloan_ordering(path10, w1=3, w2=2)
         assert ordering.metadata["w1"] == 3
         assert ordering.metadata["w2"] == 2
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_weights_must_be_integers(self, backend, geometric200):
+        backends.set_backend(backend)
+        try:
+            for weights in ({"w1": 1.5}, {"w2": 0.5}):
+                with pytest.raises(TypeError):
+                    sloan_ordering(geometric200, **weights)
+            plain = sloan_ordering(geometric200, w1=3, w2=2)
+            numpy_ints = sloan_ordering(geometric200, w1=np.int64(3), w2=np.int64(2))
+        finally:
+            backends.set_backend(None)
+        np.testing.assert_array_equal(plain.perm, numpy_ints.perm)
+        assert type(numpy_ints.metadata["w1"]) is int
 
     def test_disconnected_handled(self, disconnected_pattern):
         ordering = sloan_ordering(disconnected_pattern)
