@@ -161,7 +161,10 @@ def _ordering_bench(problem: str, scale: float, algorithm: str,
         options = task_options(func, task)
         if algorithm in ("spectral", "hybrid"):
             options.update(_fiedler_policy_options(fiedler_policy))
-        return lambda: func(pattern, **options)
+            # Repeats share the pattern's spectral workspace: a warm plan.
+            return lambda: func(pattern, **options)
+        # A fresh copy per call, so no repeat reads a memoized search.
+        return lambda: func(pattern.copy(), **options)
 
     return KernelBench(
         name=f"{group}/{algorithm}/{problem}@{scale:g}",
@@ -184,7 +187,7 @@ def _graph_bench(problem: str, scale: float, kernel: str) -> KernelBench:
             return lambda: number_by_levels(pattern, levels, start, tie_break="king")
         kernels = {
             "bfs_levels": lambda: breadth_first_levels(pattern, 0),
-            "pseudo_diameter": lambda: pseudo_diameter(pattern),
+            "pseudo_diameter": lambda: pseudo_diameter(pattern.copy()),  # cold search
             "mis": lambda: maximal_independent_set(pattern),
             "coarsen": lambda: coarsen_graph(pattern),
         }
@@ -193,6 +196,18 @@ def _graph_bench(problem: str, scale: float, kernel: str) -> KernelBench:
     return KernelBench(
         name=f"graph/{kernel}/{problem}@{scale:g}",
         group="graph", setup=setup, problem=problem,
+    )
+
+
+def _load_problem_bench(problem: str, scale: float) -> KernelBench:
+    def setup():
+        from repro.collections.registry import load_problem
+
+        return lambda: load_problem(problem, scale=scale)
+
+    return KernelBench(
+        name=f"collections/load_problem/{problem}@{scale:g}",
+        group="collections", setup=setup, problem=problem,
     )
 
 
@@ -237,6 +252,7 @@ def pinned_micro_suite(quick: bool = False,
         graph_problem, graph_scale = "PWT", 0.03
         ws_scale = 0.002
         sweep_scale = 0.05
+        build_case = ("BCSSTK30", 0.05)
     else:
         ordering_cases = [("CAN1072", 0.5), ("DWT2680", 0.2)]
         ordering_algorithms = ("rcm", "gps", "gk", "sloan", "king", "spectral")
@@ -245,6 +261,7 @@ def pinned_micro_suite(quick: bool = False,
         graph_problem, graph_scale = "PWT", 0.1
         ws_scale = 0.01
         sweep_scale = 0.1
+        build_case = ("FLAP", 0.25)
 
     benches = [
         _ordering_bench(problem, scale, algorithm, fiedler_policy)
@@ -274,6 +291,8 @@ def pinned_micro_suite(quick: bool = False,
         _eigen_bench(graph_problem, graph_scale, kernel, fiedler_policy)
         for kernel in ("lanczos", "multilevel_fiedler")
     ]
+    # One surrogate build per call: a dense multi-dof 3-D solid.
+    benches.append(_load_problem_bench(*build_case))
     return benches
 
 

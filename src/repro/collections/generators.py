@@ -19,7 +19,9 @@ matrices (see :mod:`repro.collections.registry` for the mapping):
 
 All generators are deterministic given a seed and always return a *connected*
 :class:`repro.sparse.SymmetricPattern` (the largest component is extracted if
-the construction leaves stragglers).
+the construction leaves stragglers).  Each assembles its edges as numpy
+endpoint arrays for :meth:`repro.sparse.SymmetricPattern.from_edge_arrays`;
+only the power network draws its random numbers one vertex at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
+from repro.collections.meshes import grid2d_pattern, grid3d_pattern, multi_dof_pattern
 from repro.graph.components import largest_component
 from repro.sparse.pattern import SymmetricPattern
 from repro.utils.rng import default_rng
@@ -46,14 +49,40 @@ __all__ = [
 
 def _pattern_from_triangulation(points: np.ndarray) -> SymmetricPattern:
     """Delaunay-triangulate *points* and return the edge graph."""
-    tri = Delaunay(points)
-    edges = set()
-    for simplex in tri.simplices:
-        a, b, c = (int(v) for v in simplex)
-        edges.add((min(a, b), max(a, b)))
-        edges.add((min(a, c), max(a, c)))
-        edges.add((min(b, c), max(b, c)))
-    return SymmetricPattern.from_edges(points.shape[0], edges)
+    a, b, c = Delaunay(points).simplices.T
+    return SymmetricPattern.from_edge_arrays(
+        points.shape[0], np.concatenate([a, a, b]), np.concatenate([b, c, c])
+    )
+
+
+def _shell_edges(
+    n_axial: int, n_around: int, stiffener_every: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays of a quadrilateral mesh that is periodic around.
+
+    Vertex ``(i, a)`` is ``i * n_around + a``.  It joins ``(i, a + 1)``
+    (around, modulo ``n_around``), ``(i + 1, a)`` and the cell diagonal
+    ``(i + 1, a + 1)``.  If *stiffener_every* is nonzero, each station ``i``
+    with ``i % stiffener_every == 0`` also joins ``(i, a)`` to the vertex a
+    quarter turn away.
+    """
+    index = np.arange(n_axial * n_around, dtype=np.intp).reshape(n_axial, n_around)
+    turned = np.roll(index, -1, axis=1)
+    rows = [index, index[:-1], index[:-1]]
+    cols = [turned, index[1:], turned[1:]]
+    if stiffener_every:
+        rings = index[np.arange(n_axial) % stiffener_every == 0]
+        rows.append(rings)
+        cols.append(np.roll(rings, -max(1, n_around // 4), axis=1))
+    return np.concatenate([r.ravel() for r in rows]), np.concatenate([c.ravel() for c in cols])
+
+
+def _kept_edges(rows: np.ndarray, cols: np.ndarray, keep: np.ndarray):
+    """The edges whose endpoints are both kept, each endpoint renumbered by
+    its rank among the kept vertices."""
+    rank = np.cumsum(keep) - 1
+    both = keep[rows] & keep[cols]
+    return rank[rows[both]], rank[cols[both]]
 
 
 def _ensure_connected(pattern: SymmetricPattern) -> SymmetricPattern:
@@ -108,15 +137,9 @@ def annulus_pattern(n_rings: int = 20, n_around: int = 134) -> SymmetricPattern:
     """
     n_rings = require_positive_int(n_rings, "n_rings", minimum=2)
     n_around = require_positive_int(n_around, "n_around", minimum=3)
-    idx = lambda r, a: r * n_around + a
-    edges = []
-    for r in range(n_rings):
-        for a in range(n_around):
-            edges.append((idx(r, a), idx(r, (a + 1) % n_around)))
-            if r + 1 < n_rings:
-                edges.append((idx(r, a), idx(r + 1, a)))
-                edges.append((idx(r, a), idx(r + 1, (a + 1) % n_around)))
-    return SymmetricPattern.from_edges(n_rings * n_around, edges)
+    return SymmetricPattern.from_edge_arrays(
+        n_rings * n_around, *_shell_edges(n_rings, n_around)
+    )
 
 
 def cylinder_shell_pattern(
@@ -143,22 +166,10 @@ def cylinder_shell_pattern(
     """
     n_axial = require_positive_int(n_axial, "n_axial", minimum=2)
     n_around = require_positive_int(n_around, "n_around", minimum=3)
-    idx = lambda i, a: i * n_around + a
-    edges = []
-    for i in range(n_axial):
-        for a in range(n_around):
-            edges.append((idx(i, a), idx(i, (a + 1) % n_around)))
-            if i + 1 < n_axial:
-                edges.append((idx(i, a), idx(i + 1, a)))
-                edges.append((idx(i, a), idx(i + 1, (a + 1) % n_around)))
-        if stiffener_every and i % stiffener_every == 0:
-            quarter = max(1, n_around // 4)
-            for a in range(n_around):
-                edges.append((idx(i, a), idx(i, (a + quarter) % n_around)))
-    base = SymmetricPattern.from_edges(n_axial * n_around, edges)
+    base = SymmetricPattern.from_edge_arrays(
+        n_axial * n_around, *_shell_edges(n_axial, n_around, stiffener_every)
+    )
     if dofs_per_node > 1:
-        from repro.collections.meshes import multi_dof_pattern
-
         return multi_dof_pattern(base, dofs_per_node)
     return base
 
@@ -177,19 +188,8 @@ def plate_with_holes_pattern(
         radius = rng.uniform(0.08, 0.16) * min(nx, ny)
         ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
         keep &= (ii - cx) ** 2 + (jj - cy) ** 2 > radius**2
-    index = -np.ones((nx, ny), dtype=np.intp)
-    index[keep] = np.arange(int(keep.sum()), dtype=np.intp)
-    edges = []
-    for i in range(nx):
-        for j in range(ny):
-            if not keep[i, j]:
-                continue
-            for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < nx and 0 <= jj < ny and keep[ii, jj]:
-                    edges.append((int(index[i, j]), int(index[ii, jj])))
-    pattern = SymmetricPattern.from_edges(int(keep.sum()), edges)
-    return _ensure_connected(pattern)
+    plate = grid2d_pattern(nx, ny, stencil=9)
+    return _ensure_connected(plate.subpattern(np.flatnonzero(keep)))
 
 
 def power_network_pattern(n: int = 1723, extra_edge_fraction: float = 0.18, seed=None) -> SymmetricPattern:
@@ -202,23 +202,29 @@ def power_network_pattern(n: int = 1723, extra_edge_fraction: float = 0.18, seed
     """
     n = require_positive_int(n, "n", minimum=2)
     rng = default_rng(seed)
-    edges = []
+    parents = np.empty(n - 1, dtype=np.intp)
     for v in range(1, n):
         # Attach to a recent vertex most of the time (stringy feeders), to a
         # uniformly random earlier vertex occasionally (subtransmission ties).
         if rng.random() < 0.75:
             lo = max(0, v - 20)
-            parent = int(rng.integers(lo, v))
+            parents[v - 1] = rng.integers(lo, v)
         else:
-            parent = int(rng.integers(0, v))
-        edges.append((parent, v))
-    n_extra = int(extra_edge_fraction * n)
-    for _ in range(n_extra):
+            parents[v - 1] = rng.integers(0, v)
+    # Loop-closing edges; a draw with b == a is a self-loop, which the
+    # constructor drops.
+    n_extra = max(0, int(extra_edge_fraction * n))
+    loop_a = np.empty(n_extra, dtype=np.intp)
+    loop_b = np.empty(n_extra, dtype=np.intp)
+    for e in range(n_extra):
         a = int(rng.integers(0, n))
-        b = int(rng.integers(max(0, a - 50), min(n, a + 50)))
-        if a != b:
-            edges.append((a, b))
-    return _ensure_connected(SymmetricPattern.from_edges(n, edges))
+        loop_a[e] = a
+        loop_b[e] = rng.integers(max(0, a - 50), min(n, a + 50))
+    return _ensure_connected(SymmetricPattern.from_edge_arrays(
+        n,
+        np.concatenate([parents, loop_a]),
+        np.concatenate([np.arange(1, n, dtype=np.intp), loop_b]),
+    ))
 
 
 def random_geometric_pattern(n: int = 500, radius: float | None = None, seed=None) -> SymmetricPattern:
@@ -234,7 +240,7 @@ def random_geometric_pattern(n: int = 500, radius: float | None = None, seed=Non
         radius = float(np.sqrt(7.0 / (np.pi * n)))
     tree = cKDTree(points)
     pairs = tree.query_pairs(radius, output_type="ndarray")
-    pattern = SymmetricPattern.from_edges(n, [(int(a), int(b)) for a, b in pairs])
+    pattern = SymmetricPattern.from_edge_arrays(n, pairs[:, 0], pairs[:, 1])
     return _ensure_connected(pattern)
 
 
@@ -275,39 +281,30 @@ def shell_assembly_pattern(
         Deterministic seed for cutout/panel placement.
     """
     rng = default_rng(seed)
-    edges: list[tuple[int, int]] = []
-    removed: set[int] = set()
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
     offset = 0
     segment_meta = []  # (offset, n_axial, n_around)
 
     for n_axial, n_around in segments:
         n_axial = require_positive_int(n_axial, "n_axial", minimum=2)
         n_around = require_positive_int(n_around, "n_around", minimum=3)
-        idx = lambda i, a, off=offset, na=n_around: off + i * na + a
-        for i in range(n_axial):
-            for a in range(n_around):
-                edges.append((idx(i, a), idx(i, (a + 1) % n_around)))
-                if i + 1 < n_axial:
-                    edges.append((idx(i, a), idx(i + 1, a)))
-                    edges.append((idx(i, a), idx(i + 1, (a + 1) % n_around)))
-            if stiffener_every and i % stiffener_every == 0:
-                quarter = max(1, n_around // 4)
-                for a in range(n_around):
-                    edges.append((idx(i, a), idx(i, (a + quarter) % n_around)))
+        u, v = _shell_edges(n_axial, n_around, stiffener_every)
+        rows.append(u + offset)
+        cols.append(v + offset)
         segment_meta.append((offset, n_axial, n_around))
         offset += n_axial * n_around
 
     # Join consecutive segments ring-to-ring by nearest angle.
-    for (off_a, ax_a, around_a), (off_b, ax_b, around_b) in zip(segment_meta, segment_meta[1:]):
-        last_ring = [off_a + (ax_a - 1) * around_a + a for a in range(around_a)]
-        first_ring = [off_b + a for a in range(around_b)]
-        for b_pos, b_vertex in enumerate(first_ring):
-            angle = b_pos / around_b
-            a_pos = int(round(angle * around_a)) % around_a
-            edges.append((last_ring[a_pos], b_vertex))
-            edges.append((last_ring[(a_pos + 1) % around_a], b_vertex))
+    for (off_a, ax_a, around_a), (off_b, _ax_b, around_b) in zip(segment_meta, segment_meta[1:]):
+        last_ring = off_a + (ax_a - 1) * around_a
+        b_pos = np.arange(around_b, dtype=np.intp)
+        a_pos = np.round(b_pos / around_b * around_a).astype(np.intp) % around_a
+        rows += [last_ring + a_pos, last_ring + (a_pos + 1) % around_a]
+        cols += [off_b + b_pos, off_b + b_pos]
 
     # Rectangular cutouts inside segments (never touching the joining rings).
+    keep = np.ones(offset, dtype=bool)
     for _ in range(max(0, cutouts)):
         off, n_axial, n_around = segment_meta[int(rng.integers(0, len(segment_meta)))]
         if n_axial < 6 or n_around < 8:
@@ -316,9 +313,8 @@ def shell_assembly_pattern(
         ax1 = min(n_axial - 2, ax0 + int(rng.integers(2, max(3, n_axial // 3))))
         an0 = int(rng.integers(0, n_around))
         width = int(rng.integers(2, max(3, n_around // 4)))
-        for i in range(ax0, ax1):
-            for da in range(width):
-                removed.add(off + i * n_around + (an0 + da) % n_around)
+        stations = np.arange(ax0, ax1, dtype=np.intp)[:, None]
+        keep[off + stations * n_around + (an0 + np.arange(width)) % n_around] = False
 
     # Attached panels: small grids glued along one edge to consecutive ring nodes.
     extra_offset = offset
@@ -328,31 +324,18 @@ def shell_assembly_pattern(
         py = int(rng.integers(3, 7))
         ring = int(rng.integers(0, n_axial))
         start_angle = int(rng.integers(0, n_around))
-        panel_idx = lambda i, j, off2=extra_offset, w=py: off2 + i * w + j
-        for i in range(px):
-            for j in range(py):
-                if i + 1 < px:
-                    edges.append((panel_idx(i, j), panel_idx(i + 1, j)))
-                if j + 1 < py:
-                    edges.append((panel_idx(i, j), panel_idx(i, j + 1)))
-        for j in range(py):
-            shell_vertex = off + ring * n_around + (start_angle + j) % n_around
-            edges.append((panel_idx(0, j), shell_vertex))
+        u, v = grid2d_pattern(px, py).edge_arrays()
+        edge_row = np.arange(py, dtype=np.intp)
+        rows += [u + extra_offset, extra_offset + edge_row]
+        cols += [v + extra_offset, off + ring * n_around + (start_angle + edge_row) % n_around]
         extra_offset += px * py
 
-    n_total = extra_offset
-    keep = np.ones(n_total, dtype=bool)
-    keep[list(removed)] = False
-    kept_edges = [(u, v) for u, v in edges if keep[u] and keep[v]]
-    remap = -np.ones(n_total, dtype=np.intp)
-    remap[keep] = np.arange(int(keep.sum()), dtype=np.intp)
-    pattern = SymmetricPattern.from_edges(
-        int(keep.sum()), [(int(remap[u]), int(remap[v])) for u, v in kept_edges]
+    keep = np.concatenate([keep, np.ones(extra_offset - offset, dtype=bool)])
+    pattern = SymmetricPattern.from_edge_arrays(
+        int(keep.sum()), *_kept_edges(np.concatenate(rows), np.concatenate(cols), keep)
     )
     pattern = _ensure_connected(pattern)
     if dofs_per_node > 1:
-        from repro.collections.meshes import multi_dof_pattern
-
         pattern = multi_dof_pattern(pattern, dofs_per_node)
     return pattern
 
@@ -376,17 +359,13 @@ def perforated_solid_pattern(
     removes ellipsoidal cavities from a brick mesh and glues smaller bricks
     onto randomly chosen faces.
     """
-    from repro.collections.meshes import grid3d_pattern, multi_dof_pattern
-
     nx = require_positive_int(nx, "nx", minimum=3)
     ny = require_positive_int(ny, "ny", minimum=3)
     nz = require_positive_int(nz, "nz", minimum=3)
     rng = default_rng(seed)
 
     base = grid3d_pattern(nx, ny, nz, stencil=stencil)
-    coords = np.array(
-        [(i, j, k) for i in range(nx) for j in range(ny) for k in range(nz)], dtype=float
-    )
+    coords = np.column_stack([axis.ravel() for axis in np.indices((nx, ny, nz))]).astype(float)
     keep = np.ones(base.n, dtype=bool)
     dims = np.array([nx, ny, nz], dtype=float)
     for _ in range(max(0, cavities)):
@@ -395,13 +374,9 @@ def perforated_solid_pattern(
         inside = np.sum(((coords - centre) / np.maximum(radii, 1e-9)) ** 2, axis=1) < 1.0
         keep &= ~inside
 
-    kept_index = -np.ones(base.n, dtype=np.intp)
-    kept_index[keep] = np.arange(int(keep.sum()), dtype=np.intp)
-    edges = [
-        (int(kept_index[u]), int(kept_index[v]))
-        for u, v in base.edges()
-        if keep[u] and keep[v]
-    ]
+    kept_index = np.where(keep, np.cumsum(keep) - 1, -1)
+    u, v = _kept_edges(*base.edge_arrays(), keep)
+    rows, cols = [u], [v]
     n_total = int(keep.sum())
 
     # Attach smaller bricks ("appendages") onto the x = nx-1 face.
@@ -411,18 +386,22 @@ def perforated_solid_pattern(
         az = int(rng.integers(3, max(4, nz // 2)))
         sub = grid3d_pattern(ax, ay, az, stencil=stencil)
         offset = n_total
-        for u, v in sub.edges():
-            edges.append((offset + int(u), offset + int(v)))
+        u, v = sub.edge_arrays()
+        rows.append(u + offset)
+        cols.append(v + offset)
         j0 = int(rng.integers(0, max(1, ny - ay)))
         k0 = int(rng.integers(0, max(1, nz - az)))
-        for j in range(ay):
-            for k in range(az):
-                host = kept_index[((nx - 1) * ny + (j0 + j)) * nz + (k0 + k)]
-                if host >= 0:
-                    edges.append((int(host), offset + (0 * ay + j) * az + k))
+        # Glue the appendage's x = 0 face to the host face it overlaps.
+        j, k = (axis.ravel() for axis in np.indices((ay, az)))
+        host = kept_index[((nx - 1) * ny + (j0 + j)) * nz + (k0 + k)]
+        glued = host >= 0
+        rows.append(host[glued])
+        cols.append(offset + j[glued] * az + k[glued])
         n_total += sub.n
 
-    pattern = _ensure_connected(SymmetricPattern.from_edges(n_total, edges))
+    pattern = _ensure_connected(SymmetricPattern.from_edge_arrays(
+        n_total, np.concatenate(rows), np.concatenate(cols)
+    ))
     if dofs_per_node > 1:
         pattern = multi_dof_pattern(pattern, dofs_per_node)
     return pattern

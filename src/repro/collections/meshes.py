@@ -5,7 +5,9 @@ regular 2-D/3-D grids with selectable stencils (the classic finite-difference
 and finite-element discretizations), block expansion to several degrees of
 freedom per node (which reproduces the row densities of structural-analysis
 matrices), and the elementary graphs (paths, cycles, stars, complete graphs,
-binary trees) the unit and property tests reason about analytically.
+binary trees) the unit and property tests reason about analytically.  Every
+builder assembles numpy endpoint arrays for
+:meth:`repro.sparse.SymmetricPattern.from_edge_arrays`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,23 @@ __all__ = [
 ]
 
 
+def _stencil_edges(index: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays of every ``(v, v + offset)`` pair of a regular grid.
+
+    *index* holds the vertex number of every grid point; each offset in
+    *offsets* pairs every point with the point that far away along each
+    axis, wherever both lie inside the grid.  Listing one offset of each
+    ``+d``/``-d`` pair yields every edge once.
+    """
+    rows, cols = [], []
+    for offset in offsets:
+        source = tuple(slice(max(0, -d), size - max(0, d)) for d, size in zip(offset, index.shape))
+        target = tuple(slice(max(0, d), size + min(0, d)) for d, size in zip(offset, index.shape))
+        rows.append(index[source].ravel())
+        cols.append(index[target].ravel())
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def path_pattern(n: int) -> SymmetricPattern:
     """Path graph ``P_n`` (tridiagonal matrix).
 
@@ -34,40 +53,37 @@ def path_pattern(n: int) -> SymmetricPattern:
     ``Esize = n - 1`` and bandwidth 1 — used as an analytic oracle in tests.
     """
     n = require_positive_int(n, "n")
-    edges = [(i, i + 1) for i in range(n - 1)]
-    return SymmetricPattern.from_edges(n, edges)
+    left = np.arange(n - 1, dtype=np.intp)
+    return SymmetricPattern.from_edge_arrays(n, left, left + 1)
 
 
 def cycle_pattern(n: int) -> SymmetricPattern:
     """Cycle graph ``C_n`` (periodic tridiagonal matrix)."""
     n = require_positive_int(n, "n", minimum=3)
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return SymmetricPattern.from_edges(n, edges)
+    left = np.arange(n, dtype=np.intp)
+    return SymmetricPattern.from_edge_arrays(n, left, (left + 1) % n)
 
 
 def star_pattern(n: int) -> SymmetricPattern:
     """Star graph ``S_n``: vertex 0 adjacent to all others (arrowhead matrix)."""
     n = require_positive_int(n, "n", minimum=2)
-    edges = [(0, i) for i in range(1, n)]
-    return SymmetricPattern.from_edges(n, edges)
+    return SymmetricPattern.from_edge_arrays(
+        n, np.zeros(n - 1, dtype=np.intp), np.arange(1, n, dtype=np.intp)
+    )
 
 
 def complete_pattern(n: int) -> SymmetricPattern:
     """Complete graph ``K_n`` (dense matrix); every ordering has the same envelope."""
     n = require_positive_int(n, "n", minimum=1)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return SymmetricPattern.from_edges(n, edges)
+    return SymmetricPattern.from_edge_arrays(n, *np.triu_indices(n, 1))
 
 
 def binary_tree_pattern(depth: int) -> SymmetricPattern:
     """Complete binary tree of the given depth (``2^(depth+1) - 1`` vertices)."""
     depth = require_positive_int(depth, "depth", minimum=0) if depth != 0 else 0
     n = 2 ** (depth + 1) - 1
-    edges = []
-    for child in range(1, n):
-        parent = (child - 1) // 2
-        edges.append((parent, child))
-    return SymmetricPattern.from_edges(n, edges)
+    child = np.arange(1, n, dtype=np.intp)
+    return SymmetricPattern.from_edge_arrays(n, (child - 1) // 2, child)
 
 
 def grid2d_pattern(nx: int, ny: int, stencil: int = 5) -> SymmetricPattern:
@@ -90,20 +106,11 @@ def grid2d_pattern(nx: int, ny: int, stencil: int = 5) -> SymmetricPattern:
     ny = require_positive_int(ny, "ny")
     if stencil not in (5, 9):
         raise ValueError(f"stencil must be 5 or 9, got {stencil}")
-    idx = lambda i, j: i * ny + j
-    edges = []
-    for i in range(nx):
-        for j in range(ny):
-            if i + 1 < nx:
-                edges.append((idx(i, j), idx(i + 1, j)))
-            if j + 1 < ny:
-                edges.append((idx(i, j), idx(i, j + 1)))
-            if stencil == 9:
-                if i + 1 < nx and j + 1 < ny:
-                    edges.append((idx(i, j), idx(i + 1, j + 1)))
-                if i + 1 < nx and j - 1 >= 0:
-                    edges.append((idx(i, j), idx(i + 1, j - 1)))
-    return SymmetricPattern.from_edges(nx * ny, edges)
+    offsets = [(1, 0), (0, 1)]
+    if stencil == 9:
+        offsets += [(1, 1), (1, -1)]
+    index = np.arange(nx * ny, dtype=np.intp).reshape(nx, ny)
+    return SymmetricPattern.from_edge_arrays(nx * ny, *_stencil_edges(index, offsets))
 
 
 def grid3d_pattern(nx: int, ny: int, nz: int, stencil: int = 7) -> SymmetricPattern:
@@ -124,7 +131,6 @@ def grid3d_pattern(nx: int, ny: int, nz: int, stencil: int = 7) -> SymmetricPatt
     nz = require_positive_int(nz, "nz")
     if stencil not in (7, 27):
         raise ValueError(f"stencil must be 7 or 27, got {stencil}")
-    idx = lambda i, j, k: (i * ny + j) * nz + k
     if stencil == 7:
         offsets = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     else:
@@ -135,15 +141,8 @@ def grid3d_pattern(nx: int, ny: int, nz: int, stencil: int = 7) -> SymmetricPatt
             for dk in (-1, 0, 1)
             if (di, dj, dk) > (0, 0, 0)
         ]
-    edges = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                for di, dj, dk in offsets:
-                    ii, jj, kk = i + di, j + dj, k + dk
-                    if 0 <= ii < nx and 0 <= jj < ny and 0 <= kk < nz:
-                        edges.append((idx(i, j, k), idx(ii, jj, kk)))
-    return SymmetricPattern.from_edges(nx * ny * nz, edges)
+    index = np.arange(nx * ny * nz, dtype=np.intp).reshape(nx, ny, nz)
+    return SymmetricPattern.from_edge_arrays(nx * ny * nz, *_stencil_edges(index, offsets))
 
 
 def multi_dof_pattern(pattern: SymmetricPattern, dofs_per_node: int) -> SymmetricPattern:
@@ -160,16 +159,17 @@ def multi_dof_pattern(pattern: SymmetricPattern, dofs_per_node: int) -> Symmetri
     if d == 1:
         return pattern.copy()
     n = pattern.n
-    edges = []
-    for i in range(n):
-        # Intra-node coupling between the d unknowns of node i.
-        for a in range(d):
-            for b in range(a + 1, d):
-                edges.append((i * d + a, i * d + b))
-        for j in pattern.neighbors(i):
-            if j < i:
-                continue
-            for a in range(d):
-                for b in range(d):
-                    edges.append((i * d + a, int(j) * d + b))
-    return SymmetricPattern.from_edges(n * d, edges)
+    dof = np.arange(d, dtype=np.intp)
+    # Intra-node coupling between the d unknowns of each node.
+    first = np.arange(n, dtype=np.intp)[:, None] * d
+    a, b = np.triu_indices(d, 1)
+    intra_rows, intra_cols = (first + a).ravel(), (first + b).ravel()
+    # Every unknown of i couples to every unknown of j, for each edge i < j.
+    i, j = pattern.edge_arrays()
+    inter_rows = np.repeat(i[:, None] * d + dof, d, axis=1).ravel()
+    inter_cols = np.tile(j[:, None] * d + dof, d).ravel()
+    return SymmetricPattern.from_edge_arrays(
+        n * d,
+        np.concatenate([intra_rows, inter_rows]),
+        np.concatenate([intra_cols, inter_cols]),
+    )

@@ -49,7 +49,7 @@ import numpy as np
 from repro.collections.generators import _ensure_connected
 from repro.sparse.pattern import SymmetricPattern
 from repro.utils.rng import default_rng
-from repro.utils.validation import require_positive_int
+from repro.utils.validation import require_positive_int, require_scale
 
 __all__ = [
     "GeneratorSpec",
@@ -299,8 +299,7 @@ class GeneratorSpec:
 
         if scale is None:
             scale = default_scale()
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        require_scale(scale)
         return self.generator(scale)
 
 

@@ -40,6 +40,7 @@ from repro.collections.generators import (
 from repro.collections.meshes import grid2d_pattern, grid3d_pattern, multi_dof_pattern
 from repro.collections.random_graphs import RANDOM_PROBLEMS, GeneratorSpec
 from repro.sparse.pattern import SymmetricPattern
+from repro.utils.validation import require_scale
 
 __all__ = [
     "ProblemSpec",
@@ -96,8 +97,7 @@ class ProblemSpec:
         """Build the surrogate pattern at the given (or default) scale."""
         if scale is None:
             scale = default_scale()
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        require_scale(scale)
         return self.generator(scale)
 
 
@@ -106,10 +106,7 @@ def default_scale() -> float:
     value = os.environ.get("REPRO_BENCH_SCALE", "")
     if not value:
         return 0.125
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ValueError(f"REPRO_BENCH_SCALE must be a float, got {value!r}") from exc
+    return require_scale(value, "REPRO_BENCH_SCALE")
 
 
 def _linear(scale: float, paper_value: int, minimum: int) -> int:

@@ -18,11 +18,15 @@ existing object flow with no new plumbing:
 * :func:`repro.orderings.base.order_by_components` reuses the cached
   component split (and the cached per-component subpatterns) for *every*
   ordering algorithm, and the subpatterns carry their own workspaces, so
-  per-component Laplacians and hierarchies are shared too.
+  per-component Laplacians and hierarchies are shared too;
+* :mod:`repro.graph.peripheral` keeps its start-free pseudo-peripheral and
+  pseudo-diameter searches here (:meth:`SpectralWorkspace.search`), so the
+  GK, GPS, Sloan and RCM cells of a problem share one search.
 
 Everything memoized here is a deterministic pure function of the immutable
-structure: Laplacian assembly, the component split, and the coarsening
-hierarchy under the deterministic MIS strategies (``"degree"``/``"natural"``).
+structure: Laplacian assembly, the component split, the pseudo-peripheral
+searches, and the coarsening hierarchy under the deterministic MIS
+strategies (``"degree"``/``"natural"``).
 The one stochastic case — ``mis_strategy="random"`` — draws from the caller's
 rng, so it is computed fresh on every call and never cached: a warm run must
 consume exactly the random stream a cold run does.  Warm-vs-cold
@@ -41,6 +45,7 @@ server processes share warm state across process boundaries.  Loaded
 artifacts are byte-identical to built ones (deterministic pure functions of
 the structure), so the warm-vs-cold identity above extends across processes;
 store I/O failures and corrupt entries silently fall back to building.
+The searches are the exception: they stay in memory only.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ class SpectralWorkspace:
     """
 
     __slots__ = ("pattern", "info", "_laplacian", "_components", "_split",
-                 "_hierarchies", "_digest")
+                 "_hierarchies", "_searches", "_digest")
 
     def __init__(self, pattern):
         self.pattern = pattern
@@ -73,12 +78,15 @@ class SpectralWorkspace:
             "split_builds": 0, "split_hits": 0,
             "hierarchy_builds": 0, "hierarchy_hits": 0,
             "hierarchy_uncached": 0,
+            "peripheral_builds": 0, "peripheral_hits": 0,
+            "diameter_builds": 0, "diameter_hits": 0,
             "store_loads": 0, "store_spills": 0,
         }
         self._laplacian = None
         self._components = None
         self._split = None
         self._hierarchies = {}
+        self._searches = {}
         self._digest = None
 
     # ------------------------------------------------------------------ #
@@ -255,6 +263,25 @@ class SpectralWorkspace:
                             key[0], key[1], key[2], levels)
         else:
             self.info["hierarchy_hits"] += 1
+        return cached
+
+    # ------------------------------------------------------------------ #
+    # pseudo-peripheral searches
+    # ------------------------------------------------------------------ #
+    def search(self, key: tuple, run):
+        """The memoized result of the start-free search *key*.
+
+        :mod:`repro.graph.peripheral` keys its ``"peripheral"`` and
+        ``"diameter"`` searches by name, parameters and backend tier; *run*
+        searches on a miss.  Results stay in memory: a search is cheaper
+        than a store read, so it is never spilled.
+        """
+        cached = self._searches.get(key)
+        if cached is None:
+            cached = self._searches[key] = run()
+            self.info[f"{key[0]}_builds"] += 1
+        else:
+            self.info[f"{key[0]}_hits"] += 1
         return cached
 
 

@@ -14,12 +14,23 @@ pseudo-peripheral node from the eigenvector of the adjacency matrix for the
 largest eigenvalue; that variant is provided as
 :func:`spectral_pseudo_peripheral_node` for completeness and is exercised by
 the ablation benchmarks.
+
+A search called without ``start`` is a pure function of the structure, so
+its result is memoized on the pattern's
+:class:`~repro.eigen.workspace.SpectralWorkspace`: the GK, GPS, Sloan and
+RCM cells of one cached problem share one search.  The memo is keyed by
+the backend tier that serves ``bfs_levels``, so a run on the reference
+``python`` tier never reuses a numpy-tier search, and its level structures
+hold read-only arrays, so a caller that writes to one raises instead of
+corrupting the next caller's result.  A call with an explicit ``start``
+(a restart included) always searches.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import backends
 from repro.graph.traversal import RootedLevelStructure, bfs_graph, breadth_first_levels
 from repro.sparse.pattern import SymmetricPattern
 
@@ -28,6 +39,31 @@ __all__ = [
     "pseudo_diameter",
     "spectral_pseudo_peripheral_node",
 ]
+
+
+def _read_only(structure: RootedLevelStructure) -> None:
+    structure.level_of.flags.writeable = False
+    for level in structure.levels:
+        level.flags.writeable = False
+
+
+def _memoized(pattern: SymmetricPattern, key: tuple, search):
+    """The memoized result of a start-free search on *pattern*.
+
+    *key* names the search and its parameters; the requested backend tier,
+    read without recording a dispatch event, is appended to it.  *search*
+    runs on a miss.
+    """
+    from repro.eigen.workspace import spectral_workspace
+
+    def run():
+        result = search()
+        for part in result:
+            if isinstance(part, RootedLevelStructure):
+                _read_only(part)
+        return result
+
+    return spectral_workspace(pattern).search((*key, backends.requested_backend()), run)
 
 
 def pseudo_peripheral_node(
@@ -44,7 +80,8 @@ def pseudo_peripheral_node(
     pattern:
         Adjacency structure (only the component containing *start* is explored).
     start:
-        Initial guess; defaults to a vertex of minimum degree.
+        Initial guess; defaults to a vertex of minimum degree.  Without it
+        the result is memoized on the pattern (see the module docstring).
     max_iterations:
         Safety cap on the number of re-rooting rounds (the strategy converges
         in a handful of rounds in practice).
@@ -57,6 +94,15 @@ def pseudo_peripheral_node(
     (node, level_structure):
         The pseudo-peripheral node found and its rooted level structure.
     """
+    if start is None:
+        return _memoized(
+            pattern, ("peripheral", max_iterations),
+            lambda: _pseudo_peripheral_node(pattern, None, max_iterations, graph),
+        )
+    return _pseudo_peripheral_node(pattern, start, max_iterations, graph)
+
+
+def _pseudo_peripheral_node(pattern, start, max_iterations, graph):
     n = pattern.n
     if n == 0:
         raise ValueError("cannot find a pseudo-peripheral node of an empty graph")
@@ -107,12 +153,19 @@ def pseudo_diameter(
     the last level of ``L(u)``, pick the one ``v`` whose level structure has
     the smallest width.  Every sweep, including those of a restart from a
     deeper vertex, reads one :func:`repro.graph.traversal.bfs_graph`
-    (*graph*, or built here when omitted).
+    (*graph*, or built here when omitted).  Without *start* the result is
+    memoized on the pattern (see the module docstring).
 
     Returns
     -------
     (u, v, structure_u, structure_v)
     """
+    if start is None:
+        return _memoized(pattern, ("diameter",), lambda: _pseudo_diameter(pattern, None, graph))
+    return _pseudo_diameter(pattern, start, graph)
+
+
+def _pseudo_diameter(pattern, start, graph):
     if graph is None:
         graph = bfs_graph(pattern)
     u, structure_u = pseudo_peripheral_node(pattern, start=start, graph=graph)

@@ -352,11 +352,16 @@ class SymmetricPattern:
         return [list(map(int, self.neighbors(i))) for i in range(self.n)]
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate undirected edges ``(i, j)`` with ``i < j``."""
-        for i in range(self.n):
-            for j in self.neighbors(i):
-                if i < j:
-                    yield i, int(j)
+        """Iterate undirected edges ``(i, j)`` with ``i < j``, row by row."""
+        rows, cols = self.edge_arrays()
+        return zip(rows.tolist(), cols.tolist())
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges of :meth:`edges` as two endpoint arrays: the CSR upper
+        triangle, row by row."""
+        rows = np.repeat(np.arange(self.n, dtype=np.intp), np.diff(self.indptr))
+        upper = rows < self.indices
+        return rows[upper], self.indices[upper]
 
     # ------------------------------------------------------------------ #
     # structural operations

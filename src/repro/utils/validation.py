@@ -7,11 +7,14 @@ readable diagnostic rather than deep inside a NumPy kernel.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
     "require_positive_int",
+    "require_scale",
     "check_permutation",
     "check_square",
     "check_symmetric_structure",
@@ -55,6 +58,22 @@ def require_positive_int(value, name: str, minimum: int = 1) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def require_scale(value, name: str = "scale") -> float:
+    """Validate a surrogate scale: a positive, finite number.
+
+    Accepts anything :class:`float` parses (numbers and numeric strings) and
+    returns it as a float.  Raises :class:`ValueError` naming the value for
+    non-numeric input, ``nan``, ``±inf``, zero and negative values.
+    """
+    try:
+        scale = float(value)
+    except (TypeError, ValueError):
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return scale
 
 
 def as_int_array(values, name: str) -> np.ndarray:

@@ -143,7 +143,7 @@ def test_pinned_micro_suite_names_are_stable_and_unique():
         assert all("@" in name for name in names)
     # quick mode is a subset-shaped suite, not a rename of the full one
     assert {b.group for b in pinned_micro_suite(True)} == {
-        "orderings", "graph", "eigen", "powerlaw"}
+        "orderings", "graph", "eigen", "powerlaw", "collections"}
 
 
 def test_numbering_entry_times_king_rule_on_wide_levels():
@@ -163,6 +163,42 @@ def test_sweep_and_sloan_entries_run_on_wide_inputs():
         names = {b.name for b in pinned_micro_suite(quick)}
         assert f"graph/pseudo_diameter/BCSSTK30@{sweep_scale:g}" in names
         assert f"orderings/sloan/RANDOM/WS@{ws_scale:g}" in names
+
+
+def test_load_problem_entry_times_one_build_per_call(monkeypatch):
+    for quick, name in ((True, "collections/load_problem/BCSSTK30@0.05"),
+                        (False, "collections/load_problem/FLAP@0.25")):
+        (bench,) = [b for b in pinned_micro_suite(quick) if b.group == "collections"]
+        assert bench.name == name
+    import repro.collections.registry as registry
+
+    builds = []
+    build = registry.ProblemSpec.build
+    monkeypatch.setattr(registry.ProblemSpec, "build",
+                        lambda self, scale=None: builds.append(scale) or build(self, scale))
+    artifact = run_bench(quick=True, repeats=2, name_filter="load_problem", rev="test-rev")
+    (kernel,) = artifact["kernels"]
+    assert kernel["name"] == "collections/load_problem/BCSSTK30@0.05"
+    assert builds == [0.05] * 3  # warm-up plus two timed calls
+
+
+def test_search_entries_time_cold_searches(monkeypatch):
+    """Every repeat of a search-based entry searches: no memo hit."""
+    import repro.graph.peripheral as peripheral
+
+    sweeps = []
+    sweep = peripheral.breadth_first_levels
+    monkeypatch.setattr(peripheral, "breadth_first_levels",
+                        lambda *args, **kwargs: sweeps.append(1) or sweep(*args, **kwargs))
+    for name in ("graph/pseudo_diameter/PWT", "orderings/rcm/CAN1072",
+                 "orderings/gk/CAN1072", "powerlaw/rcm/RANDOM/BA"):
+        counts = []
+        for repeats in (1, 3):
+            sweeps.clear()
+            run_bench(quick=True, repeats=repeats, name_filter=name, rev="test-rev")
+            counts.append(len(sweeps))
+        # warm-up + repeats calls, each sweeping as many times as the first
+        assert counts[1] == 2 * counts[0] > 0, name
 
 
 def _tiny_artifact(tmp_path, name="bench.json", **overrides):

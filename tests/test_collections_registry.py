@@ -208,3 +208,41 @@ class TestDefaultScale:
         monkeypatch.setenv("REPRO_BENCH_SCALE", "huge")
         with pytest.raises(ValueError):
             default_scale()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_env_must_be_positive_and_finite(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", value)
+        with pytest.raises(ValueError, match=f"REPRO_BENCH_SCALE must be positive and finite, got '{value}'"):
+            default_scale()
+
+
+#: Scales every surrogate build rejects, with the repr its error names.
+BAD_SCALES = [
+    (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+    (0.0, "0.0"), (-1, "-1"),
+]
+
+
+class TestScaleValidation:
+    """One positive-and-finite check guards every surrogate build."""
+
+    @pytest.mark.parametrize("problem", ["POW9", "RANDOM/BA"])
+    @pytest.mark.parametrize("scale, shown", BAD_SCALES)
+    def test_build_rejects(self, problem, scale, shown):
+        with pytest.raises(ValueError, match=f"^scale must be positive and finite, got {shown}$"):
+            load_problem(problem, scale=scale)
+
+    @pytest.mark.parametrize("problem", ["POW9", "RANDOM/BA"])
+    def test_build_rejects_a_bad_default(self, monkeypatch, problem):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "nan")
+        with pytest.raises(ValueError, match="REPRO_BENCH_SCALE"):
+            load_problem(problem)
+
+    def test_suite_records_the_scale_error(self):
+        from repro.batch import run_suite
+
+        suite = run_suite(["POW9"], ["rcm"], scale=float("nan"), n_jobs=1)
+        (record,) = suite.records
+        assert record.status == "error"
+        assert record.error["type"] == "ValueError"
+        assert record.error["message"] == "scale must be positive and finite, got nan"

@@ -165,7 +165,9 @@ def test_ordering_differential_sweep(algorithm):
         fast = _call_with_seed(func, pattern, seed)
         with pytest.MonkeyPatch.context() as context:
             _patch_reference_kernels(context)
-            naive = _call_with_seed(func, pattern, seed)
+            # A fresh copy: the fast call's memoized component split and
+            # searches must not stand in for the reference run's.
+            naive = _call_with_seed(func, pattern.copy(), seed)
         assert np.array_equal(fast.perm, naive.perm), (
             f"{algorithm} diverged from the reference kernels on "
             f"pattern #{seed} (n={pattern.n})"

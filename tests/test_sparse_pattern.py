@@ -214,6 +214,16 @@ class TestPatternProperties:
 
     @given(small_patterns())
     @settings(max_examples=40, deadline=None)
+    def test_edges_are_the_upper_triangle_row_by_row(self, pattern):
+        expected = [(i, int(j)) for i in range(pattern.n)
+                    for j in pattern.neighbors(i) if i < j]
+        assert list(pattern.edges()) == expected
+        rows, cols = pattern.edge_arrays()
+        assert list(zip(rows.tolist(), cols.tolist())) == expected
+        assert SymmetricPattern.from_edge_arrays(pattern.n, rows, cols) == pattern
+
+    @given(small_patterns())
+    @settings(max_examples=40, deadline=None)
     def test_double_permutation_roundtrip(self, pattern):
         rng = np.random.default_rng(1)
         perm = rng.permutation(pattern.n)
