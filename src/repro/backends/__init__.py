@@ -1,16 +1,18 @@
-"""Per-kernel backend registry: vectorized numpy, loop ``python``, JIT ``numba``.
+"""Per-kernel backend registry: production numpy, loop ``python``, JIT ``numba``.
 
 The envelope pipeline is dominated by a handful of inner loops — BFS level
 sweeps, the Cuthill-McKee queue, the GPS/GK level numbering, Sloan's
 priority heap, and the CSR matvec under Lanczos/RQI — and each of those hot
 sites asks this registry which implementation to run:
 
-* ``numpy`` — the vectorized production paths (always available, the
-  default).  The registry signals it by returning *no* kernel, so the call
-  site falls through to its own code.
+* ``numpy`` — the production paths (always available, the default):
+  compiled scipy BFS and whole-level array operations, and for the GPS/GK
+  and Sloan numbering loops, heaps over Python lists.  The registry signals
+  it by returning *no* kernel, so the call site falls through to its own
+  code.
 * ``python`` — the loop-form kernels of :mod:`repro.backends.kernels`,
   interpreted.  Slow; these vertex-at-a-time loops are the reference every
-  vectorized path is tested against, and the exact code numba compiles.
+  production path is tested against, and the exact code numba compiles.
 * ``numba`` — the same kernels JIT-compiled
   (:mod:`repro.backends.numba_backend`).  Optional and explicit: when numba
   is absent an inherited request falls back to numpy and the fallback is
@@ -193,7 +195,7 @@ def resolve_backend(kernel: str) -> str:
 def kernel_impl(kernel: str):
     """The loop/compiled implementation serving one call, or ``None``.
 
-    ``None`` means "use the vectorized numpy path at the call site" — the
+    ``None`` means "use the production numpy path at the call site" — the
     hot sites do ``impl = kernel_impl(...); if impl is None: <numpy code>``.
     """
     choice = resolve_backend(kernel)

@@ -5,8 +5,8 @@ scalar loops over preallocated arrays, no Python objects, no fancy indexing —
 so the exact same code object runs two ways:
 
 * interpreted, as the always-available ``python`` backend: the
-  vertex-at-a-time reference that every vectorized numpy path in
-  :mod:`repro.graph.traversal`, :mod:`repro.orderings.gps` and
+  vertex-at-a-time reference that every production (``numpy`` tier) path
+  in :mod:`repro.graph.traversal`, :mod:`repro.orderings.gps` and
   :mod:`repro.orderings.sloan` must reproduce bit for bit;
 * JIT-compiled by :mod:`repro.backends.numba_backend` when numba is present
   (``numba.njit(cache=True)``, **without** ``fastmath`` so floating-point
@@ -24,8 +24,9 @@ tier):
   (stable insertion sort by degree replicates the stable lexsort).
 * :func:`number_by_levels_kernel` transcribes the GPS/GK level numbering:
   the "touched candidates first" rule becomes a leading 0/1 key in a plain
-  lexicographic argmin scan over the level, the reference for the numpy
-  path's lazy-deletion heap.
+  lexicographic argmin scan over the level.  It is the reference for the
+  production path's list-based lazy-deletion heap, whose one-int entries
+  encode the same lexicographic key.
 * :func:`sloan_kernel` keeps a lazy-deletion binary heap of ``(negated
   priority, push counter)`` entries.  Counters are unique, so it pops in
   (highest priority, earliest push) order: the order of the numpy path's

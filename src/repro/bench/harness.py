@@ -252,7 +252,7 @@ def pinned_micro_suite(quick: bool = False,
         graph_problem, graph_scale = "PWT", 0.03
         ws_scale = 0.002
         sweep_scale = 0.05
-        build_case = ("BCSSTK30", 0.05)
+        stiff_case = ("BCSSTK30", 0.05)
     else:
         ordering_cases = [("CAN1072", 0.5), ("DWT2680", 0.2)]
         ordering_algorithms = ("rcm", "gps", "gk", "sloan", "king", "spectral")
@@ -261,7 +261,7 @@ def pinned_micro_suite(quick: bool = False,
         graph_problem, graph_scale = "PWT", 0.1
         ws_scale = 0.01
         sweep_scale = 0.1
-        build_case = ("FLAP", 0.25)
+        stiff_case = ("FLAP", 0.25)
 
     benches = [
         _ordering_bench(problem, scale, algorithm, fiedler_policy)
@@ -280,8 +280,10 @@ def pinned_micro_suite(quick: bool = False,
         _graph_bench(graph_problem, graph_scale, kernel)
         for kernel in ("bfs_levels", "pseudo_diameter", "mis", "coarsen")
     ]
-    # PWT's levels are narrow; small-world levels are wide and tie-heavy.
+    # PWT's levels are narrow; small-world levels are wide and tie-heavy,
+    # and a stiff 3-D solid's are wide and high-degree.
     benches.append(_graph_bench("RANDOM/WS", ws_scale, "number_by_levels"))
+    benches.append(_graph_bench(*stiff_case, "number_by_levels"))
     # PWT's sweeps are cheap; a stiff 3-D problem's pseudo-diameter search
     # runs ~150-200 costly ones.  Sloan on a small-world graph spreads its
     # priorities over many values.
@@ -292,7 +294,7 @@ def pinned_micro_suite(quick: bool = False,
         for kernel in ("lanczos", "multilevel_fiedler")
     ]
     # One surrogate build per call: a dense multi-dof 3-D solid.
-    benches.append(_load_problem_bench(*build_case))
+    benches.append(_load_problem_bench(*stiff_case))
     return benches
 
 

@@ -28,6 +28,8 @@ corrupting the next caller's result.  A call with an explicit ``start``
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro import backends
@@ -80,8 +82,9 @@ def pseudo_peripheral_node(
     pattern:
         Adjacency structure (only the component containing *start* is explored).
     start:
-        Initial guess; defaults to a vertex of minimum degree.  Without it
-        the result is memoized on the pattern (see the module docstring).
+        Initial guess, an integer (a float raises ``TypeError``); defaults
+        to a vertex of minimum degree.  Without it the result is memoized on
+        the pattern (see the module docstring).
     max_iterations:
         Safety cap on the number of re-rooting rounds (the strategy converges
         in a handful of rounds in practice).
@@ -107,9 +110,7 @@ def _pseudo_peripheral_node(pattern, start, max_iterations, graph):
     if n == 0:
         raise ValueError("cannot find a pseudo-peripheral node of an empty graph")
     degrees = pattern.degree()
-    if start is None:
-        start = int(np.argmin(degrees))
-    node = int(start)
+    node = int(np.argmin(degrees)) if start is None else operator.index(start)
     if graph is None:
         graph = bfs_graph(pattern)
     structure = breadth_first_levels(pattern, node, graph=graph)

@@ -188,7 +188,7 @@ def bfs_order(
     pattern:
         Adjacency structure.
     root:
-        Start vertex.
+        Start vertex (an integer; a float raises ``TypeError``).
     sort_by_degree:
         If true, the unvisited neighbours of each dequeued vertex are appended
         in order of nondecreasing degree — this is exactly the enqueuing rule
@@ -200,6 +200,7 @@ def bfs_order(
         Vertices in visitation order (only the component containing *root*).
     """
     n = pattern.n
+    root = operator.index(root)
     if root < 0 or root >= n:
         raise ValueError(f"root {root} out of range for n={n}")
     degrees = pattern.degree()
@@ -207,7 +208,7 @@ def bfs_order(
     impl = backends.kernel_impl("bfs_order")
     if impl is not None:
         order, tail = impl(
-            pattern.indptr, pattern.indices, degrees, int(root),
+            pattern.indptr, pattern.indices, degrees, root,
             bool(sort_by_degree), n,
         )
         return order[:tail]

@@ -18,6 +18,8 @@ orderings are *adjacency orderings* (Section 2.4); RCM orderings are not.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro.graph.peripheral import pseudo_peripheral_node
@@ -34,7 +36,7 @@ def _cm_component(pattern: SymmetricPattern, start: int | None = None) -> np.nda
         return np.zeros(1, dtype=np.intp)
     if start is None:
         start, _ = pseudo_peripheral_node(pattern)
-    order = bfs_order(pattern, int(start), sort_by_degree=True)
+    order = bfs_order(pattern, start, sort_by_degree=True)
     if order.size != pattern.n:  # pragma: no cover - defensive; component is connected
         raise AssertionError("BFS did not reach every vertex of a connected component")
     return order
@@ -48,8 +50,9 @@ def cuthill_mckee_ordering(pattern, start: int | None = None) -> Ordering:
     pattern:
         Matrix structure (pattern, SciPy sparse matrix or dense array).
     start:
-        Optional start vertex.  Only honoured when the graph is connected;
-        otherwise each component starts from its own pseudo-peripheral node.
+        Optional start vertex, an integer (a float raises ``TypeError``).
+        Only honoured when the graph is connected; otherwise each component
+        starts from its own pseudo-peripheral node.
 
     Returns
     -------
@@ -59,9 +62,11 @@ def cuthill_mckee_ordering(pattern, start: int | None = None) -> Ordering:
     from repro.graph.components import is_connected
 
     pattern = structure_from_matrix(pattern)
+    if start is not None:
+        start = operator.index(start)
     if start is not None and is_connected(pattern):
         perm = _cm_component(pattern, start=start)
-        return Ordering(perm, algorithm="cuthill-mckee", metadata={"start": int(start)})
+        return Ordering(perm, algorithm="cuthill-mckee", metadata={"start": start})
     return order_by_components(pattern, _cm_component, algorithm="cuthill-mckee")
 
 

@@ -29,6 +29,7 @@ The implementation follows the three phases of the original algorithm:
 from __future__ import annotations
 
 import heapq
+import operator
 
 import numpy as np
 
@@ -103,6 +104,28 @@ def combined_level_structure(pattern: SymmetricPattern) -> tuple[np.ndarray, int
     return levels.astype(np.intp), int(levels.max()), start, end
 
 
+def _checked_numbering_input(levels, start, n: int) -> tuple[np.ndarray, int]:
+    """*levels* as a contiguous ``intp`` array and *start* as an int.
+
+    Raises ``TypeError`` for a non-integral *start* or non-integer *levels*,
+    and ``ValueError`` for a *start* outside ``0..n-1`` or *levels* that is
+    not 1-D of length *n* or holds a negative value: the same errors on
+    every backend tier.
+    """
+    start = operator.index(start)
+    if not 0 <= start < n:
+        raise ValueError(f"start {start} out of range for n={n}")
+    levels = np.asarray(levels)
+    if levels.shape != (n,):
+        raise ValueError(f"levels must have shape ({n},), got {levels.shape}")
+    if not np.issubdtype(levels.dtype, np.integer):
+        raise TypeError(f"levels must be an integer array, got dtype {levels.dtype}")
+    levels = np.ascontiguousarray(levels, dtype=np.intp)
+    if levels.min() < 0:
+        raise ValueError("levels must be nonnegative")
+    return levels, start
+
+
 def number_by_levels(
     pattern: SymmetricPattern,
     levels: np.ndarray,
@@ -120,6 +143,10 @@ def number_by_levels(
       the candidate introducing the fewest new unnumbered neighbours that are
       not yet adjacent to a numbered vertex.
 
+    *levels* is a 1-D integer array giving every vertex a nonnegative level,
+    and *start*, the vertex numbered first, an integer in ``0..n-1``; other
+    input raises ``TypeError`` or ``ValueError`` on every backend tier.
+
     Returns
     -------
     numpy.ndarray
@@ -129,96 +156,105 @@ def number_by_levels(
         raise ValueError(f"unknown tie_break {tie_break!r}")
     king = tie_break == "king"
     n = pattern.n
+    levels, start = _checked_numbering_input(levels, start, n)
     degrees = pattern.degree()
 
     impl = backends.kernel_impl("number_by_levels")
     if impl is not None:
-        return impl(
-            pattern.indptr, pattern.indices, degrees,
-            np.ascontiguousarray(levels, dtype=np.intp), int(start), king, n,
-        )
+        return impl(pattern.indptr, pattern.indices, degrees, levels, start, king, n)
 
-    indptr, indices = pattern.indptr, pattern.indices
-    numbered = np.zeros(n, dtype=bool)
-    # lowest numbered neighbour's number for each vertex (n as "none yet":
-    # every real number is < n, so n orders exactly like +inf did)
-    best_neighbor_number = np.full(n, n, dtype=np.intp)
-    order = np.empty(n, dtype=np.intp)
-    count = 0
-
+    # Python lists: the loop touches single entries, where list indexing
+    # beats numpy scalar access.  Rows are converted when scanned.
+    indptr, indices = pattern.indptr.tolist(), pattern.indices
+    # A numbered vertex's level becomes -1, so level_of[x] == lvl picks the
+    # unnumbered vertices of level lvl.
+    level_of = levels.tolist()
+    # Lowest numbered neighbour's number for each vertex, n while it has
+    # none: every real number is < n, so n orders exactly like +inf.  A
+    # vertex numbered untouched gets its own number, so bnn == n means
+    # "unnumbered and untouched".
+    bnn = [n] * n
     # King's criterion ranks candidates by their active-front growth: the
-    # number of unnumbered neighbors not yet adjacent to a numbered vertex.
-    # Recomputing that per candidate per step is O(width * degree) every
-    # step; instead maintain it incrementally — a vertex leaves the counts
-    # exactly once (when it is numbered while untouched, or on its first
-    # touch), so total maintenance is O(nnz) for the whole numbering.
-    front_growth = degrees.copy() if king else None
+    # number of unnumbered neighbours not yet adjacent to a numbered vertex.
+    # A vertex leaves the counts exactly once (when it is numbered while
+    # untouched, or on its first touch), so maintaining them is O(nnz) for
+    # the whole numbering.
+    front_growth = degrees.tolist()
 
-    def _number_vertex(v: int, number: int) -> np.ndarray:
-        """Number *v*; return the vertices whose selection key changed."""
-        nbrs = indices[indptr[v] : indptr[v + 1]]
-        # Numbers only grow, so a neighbor's lowest numbered neighbor changes
-        # exactly on its first touch.
-        newly_touched = nbrs[(~numbered[nbrs]) & (best_neighbor_number[nbrs] >= n)]
-        best_neighbor_number[newly_touched] = number
+    # One int per heap entry encodes the lexicographic key
+    # (untouched, front growth, bnn, degree, v) for King and (bnn, degree, v)
+    # for GPS: fields of fixed bit width, v in the lowest.  Front growth and
+    # degree are at most the maximum degree, and bnn at most n.
+    vertex_bits = (n - 1).bit_length()
+    degree_bits = int(degrees.max(initial=0)).bit_length()
+    bnn_bits = n.bit_length()
+    tail_bits = vertex_bits + degree_bits
+    vertex_mask = (1 << vertex_bits) - 1
+    untouched = 1 << degree_bits
+    tail = ((degrees.astype(np.int64) << vertex_bits) + np.arange(n)).tolist()
+
+    def key(x: int) -> int:
+        b = bnn[x]
         if not king:
-            return newly_touched
-        if best_neighbor_number[v] >= n:
-            # v was counted as an untouched unnumbered neighbor; it is
-            # numbered now (its own bnn never changes — v is not in nbrs).
-            # Only newly touched keys change in v's level: v was chosen
-            # untouched, so no member of its level was touched yet.
-            front_growth[nbrs] -= 1
-        if not newly_touched.size:
-            return newly_touched
-        slab, _offsets = pattern.neighbor_slab(newly_touched)
-        np.subtract.at(front_growth, slab, 1)
-        return np.concatenate((newly_touched, slab))
+            return (b << tail_bits) | tail[x]
+        growth = front_growth[x] if b < n else front_growth[x] | untouched
+        return (((growth << bnn_bits) | b) << tail_bits) | tail[x]
 
-    def _keys(vertices: np.ndarray):
-        """Selection keys: the touched (bnn < n) candidates first, then
-        [front growth,] bnn, degree and the vertex id itself."""
-        bnn = best_neighbor_number[vertices]
-        if king:
-            return zip((bnn >= n).tolist(), front_growth[vertices].tolist(),
-                       bnn.tolist(), degrees[vertices].tolist(), vertices.tolist())
-        return zip(bnn.tolist(), degrees[vertices].tolist(), vertices.tolist())
+    def settle(v: int, number: int) -> list:
+        """Give *v* its *number*; return the vertices whose key changed,
+        possibly repeated."""
+        row = indices[indptr[v] : indptr[v + 1]].tolist()
+        if bnn[v] == n:
+            # v leaves its neighbours' front growth.  In v's level only the
+            # ones touched below change key: v was chosen untouched, so no
+            # unnumbered member of its level was touched yet.
+            bnn[v] = number
+            if king:
+                for w in row:
+                    front_growth[w] -= 1
+        # Numbers only grow, so a neighbour's bnn changes on its first touch.
+        touched = [w for w in row if bnn[w] == n]
+        for w in touched:
+            bnn[w] = number
+        if not king:
+            return touched
+        changed = touched.copy()
+        for w in touched:
+            slab = indices[indptr[w] : indptr[w + 1]].tolist()
+            for x in slab:
+                front_growth[x] -= 1
+            changed += slab
+        return changed
 
-    # Number the start vertex first.
-    order[count] = start
-    numbered[start] = True
-    _number_vertex(start, 0)
-    count += 1
+    order = [start]
+    level_of[start] = -1
+    settle(start, 0)
 
-    # Within a level the next vertex is the lexicographic key minimum.  No
-    # key part ever increases (bnn is set once, front growth only drops, a
-    # vertex never becomes untouched again), so a lazy-deletion heap that
-    # re-pushes a vertex whenever its key changes pops each vertex first
-    # with its current key: a pop of an already numbered vertex is stale.
+    # Within a level the next vertex is the key minimum.  No key part ever
+    # increases (bnn is set once, front growth only drops, a vertex never
+    # becomes untouched again), so a lazy-deletion heap that re-pushes each
+    # vertex whose key changed, once per numbering step, pops each vertex
+    # first with its current key: a pop of an already numbered vertex is
+    # stale.
     by_level = np.argsort(levels, kind="stable")
-    level_start = np.zeros(int(levels.max(initial=0)) + 2, dtype=np.intp)
-    np.cumsum(np.bincount(levels), out=level_start[1:])
+    bounds = np.cumsum(np.bincount(levels)).tolist()
     pop, push = heapq.heappop, heapq.heappush
-    for lvl in range(level_start.size - 1):
-        members = by_level[level_start[lvl] : level_start[lvl + 1]]
-        heap = list(_keys(members[~numbered[members]]))
+    for lvl, (lo, hi) in enumerate(zip([0] + bounds, bounds)):
+        heap = [key(x) for x in by_level[lo:hi].tolist() if level_of[x] == lvl]
         heapq.heapify(heap)
         while heap:
-            chosen = pop(heap)[-1]
-            if numbered[chosen]:
+            v = pop(heap) & vertex_mask
+            if level_of[v] != lvl:
                 continue
-            order[count] = chosen
-            numbered[chosen] = True
-            changed = _number_vertex(chosen, count)
-            count += 1
-            if changed.size:
-                changed = changed[(levels[changed] == lvl) & ~numbered[changed]]
-                for key in _keys(changed):
-                    push(heap, key)
+            level_of[v] = -1
+            changed = settle(v, len(order))
+            order.append(v)
+            for x in {x for x in changed if level_of[x] == lvl}:
+                push(heap, key(x))
 
-    if count != n:  # pragma: no cover - defensive
+    if len(order) != n:  # pragma: no cover - defensive
         raise AssertionError("level numbering did not cover the component")
-    return order
+    return np.array(order, dtype=np.intp)
 
 
 def _gps_component(pattern: SymmetricPattern) -> np.ndarray:

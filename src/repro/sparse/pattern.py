@@ -233,23 +233,10 @@ class SymmetricPattern:
         each row in its stored sorted order) and ``offsets`` has length
         ``len(vertices) + 1`` with ``slab[offsets[k]:offsets[k+1]]`` being the
         neighbors of ``vertices[k]``.  This is the gather primitive the
-        whole-frontier BFS, coarsening and numbering kernels are built on:
-        one fancy-index replaces a Python loop over rows.
+        whole-frontier BFS, coarsening and induced-subpattern kernels are
+        built on: one fancy-index replaces a Python loop over rows.
         """
         vertices = np.asarray(vertices, dtype=np.intp)
-        if 0 < vertices.size <= 8:
-            # Small sets (the per-step batches of Sloan / King maintenance):
-            # concatenating row views beats the vectorized gather below, whose
-            # fixed setup cost only amortizes over larger frontiers.
-            indptr, indices = self.indptr, self.indices
-            parts = [indices[indptr[v] : indptr[v + 1]] for v in vertices]
-            offsets = np.zeros(vertices.size + 1, dtype=np.intp)
-            total = 0
-            for i, part in enumerate(parts):
-                total += part.size
-                offsets[i + 1] = total
-            slab = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            return slab, offsets
         starts = self.indptr[vertices]
         counts = self.indptr[vertices + 1] - starts
         offsets = np.zeros(vertices.size + 1, dtype=np.intp)

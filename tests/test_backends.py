@@ -84,13 +84,26 @@ def _wide_level_patterns() -> list[SymmetricPattern]:
     return out
 
 
+def _stiff_patterns() -> list[SymmetricPattern]:
+    """A stiff multi-dof 3-D solid (BCSSTK30@0.02: n = 777, nnz 35.6k),
+    whose high-degree levels are full of front-growth ties."""
+    from repro.collections.registry import load_problem
+
+    return [load_problem("BCSSTK30", scale=0.02)[0]]
+
+
+WIDE = _wide_level_patterns()
+
 #: Inputs of the level-numbering and Sloan identity tests: the small
-#: connected corpus plus the wide-level graphs above.
-NUMBERING_INPUTS = CONNECTED + _wide_level_patterns()
+#: connected corpus, the wide-level graphs and the stiff solid above.
+NUMBERING_INPUTS = CONNECTED + WIDE + _stiff_patterns()
 
 
 def _numbering_id(index: int) -> str:
-    return f"conn{index}" if index < len(CONNECTED) else f"wide{index - len(CONNECTED)}"
+    if index < len(CONNECTED):
+        return f"conn{index}"
+    index -= len(CONNECTED)
+    return f"wide{index}" if index < len(WIDE) else f"stiff{index - len(WIDE)}"
 
 
 # --------------------------------------------------------------------- #
@@ -378,6 +391,81 @@ class TestKernelIdentity:
             backend, lambda: lanczos_smallest_nontrivial(lap, rng=0))
         assert base.eigenvalue == tier.eigenvalue
         assert np.array_equal(base.eigenvector, tier.eigenvector)
+
+
+@pytest.mark.parametrize("backend", backends.available_backends())
+class TestInputChecksOnEveryTier:
+    """Bad roots, starts and levels raise the same error on every tier, and
+    an integer-like root is taken as its index, never as a mask or a
+    truncated float."""
+
+    GRID = grid2d_pattern(5, 4)
+
+    def _levels(self):
+        return combined_level_structure(self.GRID)[0].copy()
+
+    def test_number_by_levels_rejects_a_start_out_of_range(self, backend):
+        levels = self._levels()
+        backends.set_backend(backend)
+        for start in (-1, self.GRID.n):
+            with pytest.raises(ValueError, match="out of range"):
+                number_by_levels(self.GRID, levels, start)
+
+    def test_number_by_levels_rejects_a_float_start(self, backend):
+        levels = self._levels()
+        backends.set_backend(backend)
+        for start in (1.5, 2.0, np.float64(3.0)):
+            with pytest.raises(TypeError):
+                number_by_levels(self.GRID, levels, start)
+
+    def test_number_by_levels_rejects_a_negative_level(self, backend):
+        levels = self._levels()
+        levels[7] = -1
+        backends.set_backend(backend)
+        with pytest.raises(ValueError, match="nonnegative"):
+            number_by_levels(self.GRID, levels, 0)
+
+    def test_number_by_levels_rejects_float_levels(self, backend):
+        levels = self._levels().astype(float)
+        backends.set_backend(backend)
+        with pytest.raises(TypeError, match="integer"):
+            number_by_levels(self.GRID, levels, 0, tie_break="king")
+
+    def test_number_by_levels_rejects_levels_of_the_wrong_shape(self, backend):
+        levels = self._levels()
+        backends.set_backend(backend)
+        for bad in (levels[:-1], levels.reshape(4, 5), np.append(levels, 0)):
+            with pytest.raises(ValueError, match="shape"):
+                number_by_levels(self.GRID, bad, 0)
+
+    def test_number_by_levels_takes_any_integer_type(self, backend):
+        levels = self._levels()
+        expected = number_by_levels(self.GRID, levels, 0, tie_break="king")
+        backends.set_backend(backend)
+        got = number_by_levels(self.GRID, levels.astype(np.int32), np.int64(0),
+                               tie_break="king")
+        assert np.array_equal(got, expected)
+
+    def test_bfs_order_takes_a_bool_root_as_its_index(self, backend):
+        backends.set_backend(backend)
+        for sort_by_degree in (False, True):
+            order = bfs_order(self.GRID, True, sort_by_degree)
+            assert order.size == self.GRID.n
+            assert np.array_equal(order, bfs_order(self.GRID, 1, sort_by_degree))
+
+    def test_float_roots_raise(self, backend):
+        from repro.graph.peripheral import pseudo_diameter, pseudo_peripheral_node
+        from repro.orderings.cuthill_mckee import cuthill_mckee_ordering
+
+        backends.set_backend(backend)
+        with pytest.raises(TypeError):
+            bfs_order(self.GRID, 1.5)
+        with pytest.raises(TypeError):
+            pseudo_peripheral_node(self.GRID, start=1.7)
+        with pytest.raises(TypeError):
+            pseudo_diameter(self.GRID, start=1.7)
+        with pytest.raises(TypeError):
+            cuthill_mckee_ordering(self.GRID, start=1.5)
 
 
 class TestSpmvOperator:
