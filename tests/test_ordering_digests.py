@@ -65,13 +65,13 @@ def _check(problem: str, scale: float) -> None:
     assert computed == {key: recorded[key] for key in computed}
 
 
-@pytest.mark.parametrize("problem,scale", FAST_CASES, ids=lambda v: f"{v}")
+@pytest.mark.parametrize("problem,scale", FAST_CASES)
 def test_orderings_match_recorded_digests(problem, scale):
     _check(problem, scale)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("problem,scale", SLOW_CASES, ids=lambda v: f"{v}")
+@pytest.mark.parametrize("problem,scale", SLOW_CASES)
 def test_orderings_match_recorded_digests_at_quarter_scale(problem, scale):
     _check(problem, scale)
 
