@@ -2,7 +2,7 @@
 """Suite-level speedup of the parallel batch engine (`repro suite --jobs N`).
 
 Runs one paper table's full ``problems x algorithms`` cross-product twice —
-serially (``n_jobs=1``) and over a process pool (``--jobs``, default 4) —
+serially (``n_jobs=1``) and on worker processes (``--jobs``, default 4) —
 verifies that the two runs produce *identical* results modulo timing fields,
 and reports the wall-clock speedup.  A summary is written to
 ``benchmarks/results/suite_speedup.txt``.

@@ -12,7 +12,7 @@ Both are thin adapters over the parallel batch engine
 tasks in-process against an explicit pattern (exceptions propagate, as the
 legacy API always did), while :func:`run_problem_suite` drives a full
 :func:`repro.batch.engine.run_suite` run and accepts ``n_jobs`` to fan the
-cells out over a process pool.  Callers that want structured, savable
+cells out over worker processes.  Callers that want structured, savable
 results (failure records, the JSON artifact) should use
 :func:`repro.batch.run_suite` directly.
 """

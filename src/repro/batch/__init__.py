@@ -2,8 +2,9 @@
 
 The paper's evaluation is a cross-product of ``{problems} x {ordering
 algorithms}``; this package decomposes it into independent tasks
-(:mod:`repro.batch.tasks`), executes them serially, over a process pool, or
-as one shard of a multi-machine run (:mod:`repro.batch.engine`), streams
+(:mod:`repro.batch.tasks`), executes them serially, on long-lived killable
+worker processes (:mod:`repro.batch.workers`), or as one shard of a
+multi-machine run (:mod:`repro.batch.engine`), streams
 records incrementally to a resumable JSONL sink (:mod:`repro.batch.stream`),
 and bundles the outcomes into a versioned JSON artifact that can be saved,
 diffed, regression-compared and merged across shards

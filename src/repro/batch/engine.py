@@ -2,14 +2,16 @@
 
 Executes the ``{problems} x {algorithms}`` cross-product of a suite run as
 independent tasks (see :mod:`repro.batch.tasks`), either in-process
-(``n_jobs=1``) or over a process pool.  Results are identical in both modes:
-every task carries a deterministic seed, and patterns are rebuilt from the
+(``n_jobs=1``) or on long-lived killable worker processes
+(:mod:`repro.batch.workers`).  Results are identical in both modes: every
+task carries a deterministic seed, and patterns are rebuilt from the
 registry inside each worker so no shared mutable state is involved.
 
 One failing task never kills the suite: the exception is captured into a
 structured ``"error"`` record (type, message, traceback) and the remaining
 tasks keep running.  With a per-task ``timeout``, a task that overruns is
-terminated and captured as a ``"timeout"`` record the same way.
+killed and captured as a ``"timeout"`` record the same way, and a worker
+that dies costs exactly its own cell.
 
 Streaming
 ---------
@@ -37,13 +39,9 @@ The equivalent CLI invocation::
 from __future__ import annotations
 
 import inspect
-import math
-import multiprocessing
-import multiprocessing.connection
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import replace
 from functools import lru_cache
 
@@ -198,7 +196,7 @@ def execute_task(task: BatchTask, pattern=None, capture_errors: bool = True) -> 
 
 
 def timeout_record(task: BatchTask, timeout: float) -> TaskRecord:
-    """The structured record of a task terminated by the per-task timeout."""
+    """The structured record of a task killed at the per-task timeout."""
     return TaskRecord(
         problem=task.problem,
         algorithm=task.algorithm,
@@ -234,114 +232,24 @@ def _is_crash(record: TaskRecord) -> bool:
             and (record.error or {}).get("type") == "WorkerCrashed")
 
 
-def _timeout_worker(task: BatchTask, connection) -> None:
-    """Child-process entry point of the timeout pool: run one task, pipe the
-    record back.  ``execute_task`` already captures ordinary exceptions."""
-    try:
-        connection.send(execute_task(task))
-    finally:
-        connection.close()
+def _iter_workers(tasks, n_jobs: int, timeout_for=None):
+    """Yield ``(task, record)`` from long-lived killable worker processes
+    (:mod:`repro.batch.workers`), in completion order.
 
-
-def _iter_with_timeout(tasks, n_jobs: int, timeout_for):
-    """Yield ``(task, record)`` as tasks finish, terminating overrunners.
-
-    Each task gets its own worker process (started with the platform-default
-    multiprocessing context) so an overrunning task can be killed without
-    poisoning a shared pool: on deadline the process is terminated and a
-    ``"timeout"`` record yielded, while up to ``n_jobs`` other workers keep
-    running undisturbed.  ``timeout_for(task)`` supplies the per-task limit;
-    ``None`` means that task has no deadline (the ``--timeout auto`` path for
-    cells the cost model has never observed).
+    A task that overruns ``timeout_for(task)`` is killed as a ``"timeout"``
+    record and a worker that dies costs only its own cell; either way the
+    slot's next task starts a fresh worker.  Each cell's store traffic,
+    counted in its worker, is added to this process's store statistics, so
+    the stats line is right at any ``n_jobs``.
     """
-    context = multiprocessing.get_context()
-    pending = list(tasks)[::-1]
-    running: dict = {}  # receive-end connection -> (task, process, deadline, limit)
-    try:
-        while pending or running:
-            while pending and len(running) < n_jobs:
-                task = pending.pop()
-                receiver, sender = context.Pipe(duplex=False)
-                process = context.Process(
-                    target=_timeout_worker, args=(task, sender), daemon=True
-                )
-                process.start()
-                sender.close()
-                limit = timeout_for(task)
-                if limit is not None and limit <= 0:
-                    raise ValueError(
-                        f"timeout policy returned {limit!r} for "
-                        f"{task.problem}/{task.algorithm}; per-task limits "
-                        f"must be positive (or None for no limit)"
-                    )
-                deadline = math.inf if limit is None else time.monotonic() + limit
-                running[receiver] = (task, process, deadline, limit)
+    from repro.batch.workers import iter_cells
+    from repro.store.core import get_default_store
 
-            nearest = min(deadline for (_, _, deadline, _) in running.values())
-            wait_s = None if math.isinf(nearest) else max(0.0, nearest - time.monotonic())
-            ready = multiprocessing.connection.wait(list(running), timeout=wait_s)
-            now = time.monotonic()
-            for receiver in list(running):
-                task, process, deadline, limit = running[receiver]
-                if receiver in ready:
-                    try:
-                        record = receiver.recv()
-                    except (EOFError, OSError) as exc:
-                        record = crash_record(task, f"{type(exc).__name__}")
-                elif now >= deadline:
-                    process.terminate()
-                    record = timeout_record(task, limit)
-                else:
-                    continue
-                del running[receiver]
-                receiver.close()
-                process.join()
-                yield task, record
-    finally:
-        for task, process, _deadline, _limit in running.values():
-            process.terminate()
-            process.join()
-
-
-def _iter_pool(tasks, n_jobs: int):
-    """Yield ``(task, record)`` in completion order from a shared process pool.
-
-    A worker that dies mid-task (SIGKILL, OOM, injected crash) breaks the
-    whole executor — every pending future raises ``BrokenProcessPool`` at
-    once.  Each such task is captured as a ``"WorkerCrashed"`` record rather
-    than killing the suite; tasks the broken pool never started are re-run
-    through a fresh pool so one crash costs one cell, not the batch.
-    """
-    tasks = list(tasks)
-    broke = False
-    with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-        futures = {pool.submit(execute_task, task): task for task in tasks}
-        pending = {id(task): task for task in tasks}
-        for future in as_completed(futures):
-            task = futures[future]
-            try:
-                record = future.result()
-            except Exception:
-                # The pool is poisoned; which worker actually died is
-                # resolved below, not from completion-order timing.
-                broke = True
-                continue
-            pending.pop(id(task), None)
-            yield task, record
-    if not broke:
-        return
-    # A broken pool cannot say *which* task killed its worker — every
-    # unfinished future raises the same BrokenProcessPool.  Re-run each
-    # survivor in an isolated single-worker pool: execution is deterministic
-    # (seeds and fault draws are pure functions of the task), so the genuine
-    # crasher crashes again — unambiguously attributed — and collateral
-    # tasks complete normally.  One crash costs one cell, never the batch.
-    for task in pending.values():
-        with ProcessPoolExecutor(max_workers=1) as solo:
-            try:
-                record = solo.submit(execute_task, task).result()
-            except Exception as exc:
-                record = crash_record(task, type(exc).__name__)
+    store = get_default_store()
+    for task, record, stats in iter_cells(tasks, n_jobs, timeout_for):
+        if store is not None and stats:
+            for name, count in stats.items():
+                store.stats[name] = store.stats.get(name, 0) + count
         yield task, record
 
 
@@ -364,29 +272,27 @@ def iter_suite(tasks, *, n_jobs: int = 1, timeout: float | None = None):
         Per-task wall-clock limit in seconds — a single float for every
         task, or a callable ``task -> float | None`` for per-cell limits
         (``None`` exempts that task; the ``--timeout auto`` cost-model
-        path).  A task that overruns is terminated and reported as a
+        path).  A task that overruns is killed and reported as a
         ``"timeout"`` record; the remaining tasks are unaffected.  Requires
         worker processes even for ``n_jobs=1`` (an in-process task could
         not be interrupted), so plain serial runs leave it ``None``.
     """
     tasks = list(tasks)
-    if timeout is not None:
-        if callable(timeout):
-            timeout_fn = timeout
-        else:
-            if timeout <= 0:
-                raise ValueError(f"timeout must be positive, got {timeout}")
-            limit = float(timeout)
-
-            def timeout_fn(_task, _limit=limit):
-                return _limit
-
-        yield from _iter_with_timeout(tasks, max(int(n_jobs), 1), timeout_fn)
-    elif n_jobs == 1 or len(tasks) <= 1:
+    if timeout is None and (n_jobs == 1 or len(tasks) <= 1):
         for task in tasks:
             yield task, execute_task(task)
+        return
+    if timeout is None or callable(timeout):
+        timeout_fn = timeout
     else:
-        yield from _iter_pool(tasks, int(n_jobs))
+        if timeout <= 0:
+            raise ValueError(f"timeout must be positive, got {timeout}")
+        limit = float(timeout)
+
+        def timeout_fn(_task, _limit=limit):
+            return _limit
+
+    yield from _iter_workers(tasks, max(int(n_jobs), 1), timeout_fn)
 
 
 def run_suite(
@@ -629,9 +535,9 @@ def run_suite(
                 # A cell that just killed its worker must never re-run inside
                 # the orchestrator process — a repeat crash (segfault, OOM,
                 # injected fault) would take the whole suite down instead of
-                # producing another superseding record.  Force the pool even
-                # for a single retry task; the timeout path already isolates.
-                retry_iter = _iter_pool(retry_tasks, max(int(n_jobs), 1))
+                # producing another superseding record.  Use workers even
+                # for a single retry task.
+                retry_iter = _iter_workers(retry_tasks, n_jobs)
             else:
                 retry_iter = iter_suite(retry_tasks, n_jobs=n_jobs,
                                         timeout=attempt_timeout)

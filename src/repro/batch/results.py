@@ -98,11 +98,11 @@ class TaskRecord:
 
     ``status`` is ``"ok"``, ``"error"`` (the algorithm raised; ``error``
     holds the captured exception) or ``"timeout"`` (the task exceeded the
-    per-task limit and its worker was terminated; ``error`` holds a
+    per-task limit and its worker was killed; ``error`` holds a
     synthetic ``TaskTimeout`` entry and ``time_s`` the limit).
 
     ``ordering`` holds the computed :class:`repro.orderings.base.Ordering`
-    when the record travelled in memory (including across the process pool);
+    when the record travelled in memory (including back from a worker);
     it is never serialized to JSON, so records loaded with
     :meth:`SuiteResult.from_json` have ``ordering=None``.
 

@@ -925,7 +925,6 @@ def _cmd_serve(args) -> int:
             workers=args.workers,
             max_queue=args.queue_depth,
             timeout=args.timeout,
-            worker_mode=args.worker_mode,
             journal=args.journal,
             retry_after_s=args.retry_after,
             read_timeout_s=args.read_timeout,
@@ -958,8 +957,8 @@ async def _serve_main(config) -> None:
     # The listening line is the boot handshake: tests and scripts that
     # start the server with --port 0 parse the real port out of it.
     print(f"repro serve: listening on http://{config.host}:{server.port} "
-          f"(workers={config.workers}, queue-depth={config.max_queue}, "
-          f"mode={config.worker_mode})", flush=True)
+          f"(workers={config.workers}, queue-depth={config.max_queue})",
+          flush=True)
     if config.journal:
         print(f"repro serve: job journal at {config.journal} "
               f"({server.replayed_jobs} finished job(s) replayed, "
@@ -1293,7 +1292,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "JSONL stream")
     suite_parser.add_argument("--timeout", default=None, metavar="SECONDS|auto",
                               help="per-task wall-clock limit; overrunning tasks are "
-                                   "terminated and recorded with status 'timeout'. "
+                                   "killed and recorded with status 'timeout'. "
                                    "'auto' derives per-cell limits from the cost "
                                    "model (estimate x 10, floor 1 s; cells without "
                                    "a prior observation get no limit)")
@@ -1606,9 +1605,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--timeout", type=float, default=None,
                               help="per-task wall-clock cap in seconds")
     serve_parser.add_argument("--worker-mode", default="subprocess",
-                              choices=["subprocess", "inline"],
-                              help="subprocess = killable isolation (default); "
-                                   "inline = warm in-process threads")
+                              choices=["subprocess"],
+                              help="accepted for old scripts: cells always run on "
+                                   "long-lived killable worker processes")
     serve_parser.add_argument("--journal", default=None, metavar="PATH.jsonl",
                               help="append finished jobs to this crash-tolerant JSONL journal")
     serve_parser.add_argument("--store", default=None, metavar="DIR",

@@ -63,7 +63,6 @@ class ServeConfig:
     workers: int = 2
     max_queue: int = 8
     timeout: float | None = None
-    worker_mode: str = "subprocess"
     journal: str | None = None
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     max_inline_n: int = DEFAULT_MAX_INLINE_N
@@ -89,7 +88,6 @@ class OrderingServer:
             workers=self.config.workers,
             max_queue=self.config.max_queue,
             timeout=self.config.timeout,
-            mode=self.config.worker_mode,
         )
         self.jobs = JobRegistry(capacity=self.config.job_capacity)
         self.breakers = BreakerBoard(
@@ -371,9 +369,8 @@ class OrderingServer:
             raise
         status, payload = self._result_payload(job, record,
                                                spec.include_permutation)
-        self._finalize(job, status,
-                       record_dict=payload.get("record"),
-                       permutation=payload.get("permutation"))
+        self._finalize(job, status, record_dict=payload.get("record"),
+                       permutation=_kept_permutation(record, payload))
         payload["job"] = job.to_dict(include_result=False)
         return json_response(status, payload)
 
@@ -405,7 +402,7 @@ class OrderingServer:
             return
         status, payload = self._result_payload(job, record, include_permutation)
         self._finalize(job, status, record_dict=payload.get("record"),
-                       permutation=payload.get("permutation"))
+                       permutation=_kept_permutation(record, payload))
 
     def _result_payload(self, job, record, include_permutation):
         """Map a TaskRecord to (http status, response payload)."""
@@ -414,7 +411,7 @@ class OrderingServer:
         if record.ok:
             status = 200
             if include_permutation and record.ordering is not None:
-                payload["permutation"] = [int(p) for p in record.ordering.perm]
+                payload["permutation"] = record.ordering.perm.tolist()
         elif record.timed_out:
             status = 504
             payload["error"] = record.error
@@ -507,13 +504,19 @@ class OrderingServer:
         }
 
 
+def _kept_permutation(record, payload):
+    """The permutation a job keeps: the record's array, not the response's
+    list of Python ints, when the response carries one."""
+    return record.ordering.perm if "permutation" in payload else None
+
+
 def _backend_status() -> dict:
     """Kernel-backend tier view for ``/statsz``.
 
-    The per-kernel dispatch counts are this (coordinator) process's own; in
-    subprocess worker mode the workers dispatch in their own processes, so
-    the interesting fields here are the requested tier, numba availability
-    and any recorded fallback from an explicit ``numba`` request.
+    The per-kernel dispatch counts are this (coordinator) process's own; the
+    workers dispatch in their own processes, so the interesting fields here
+    are the requested tier, numba availability and any recorded fallback
+    from an explicit ``numba`` request.
     """
     from repro import backends
 

@@ -24,6 +24,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from repro.batch.stream import TruncatedStreamError, read_jsonl_objects_partial
 
 __all__ = ["Job", "JobJournal", "JobRegistry", "JOURNAL_SCHEMA_VERSION",
@@ -50,7 +52,9 @@ class Job:
     finished_s: float | None = None
     http_status: int | None = None
     record: dict | None = None      # TaskRecord.to_dict(include_timing=True)
-    permutation: list | None = None
+    #: int64 array: a list of ints costs about 36 bytes an entry, and the
+    #: registry keeps up to ``capacity`` finished jobs.
+    permutation: np.ndarray | None = None
 
     def to_dict(self, *, include_result: bool = True) -> dict:
         payload = {
@@ -67,7 +71,8 @@ class Job:
         }
         if include_result:
             payload["record"] = self.record
-            payload["permutation"] = self.permutation
+            payload["permutation"] = (None if self.permutation is None
+                                      else self.permutation.tolist())
         return payload
 
 
@@ -104,12 +109,13 @@ class JobRegistry:
         return self._jobs.get(job_id)
 
     def finish(self, job: Job, *, http_status: int, record: dict | None,
-               permutation: list | None) -> None:
+               permutation) -> None:
         job.state = "done"
         job.finished_s = time.time()
         job.http_status = int(http_status)
         job.record = record
-        job.permutation = permutation
+        job.permutation = (None if permutation is None
+                           else np.asarray(permutation, dtype=np.int64))
 
 
 class ReplayedJobs(list):

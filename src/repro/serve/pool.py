@@ -1,28 +1,27 @@
 """Bounded worker pool behind the ordering server.
 
-One :class:`WorkerPool` executes the cells the HTTP layer admits, reusing
-the batch engine's single-cell core (:func:`repro.batch.engine.execute_task`
-and its structured ``timeout``/``crash`` records) under an asyncio-friendly
-concurrency cap:
+One :class:`WorkerPool` executes the cells the HTTP layer admits on
+long-lived killable worker processes (:class:`repro.batch.workers.Worker`,
+the batch engine's single-cell core with its structured ``timeout``/``crash``
+records) under an asyncio-friendly concurrency cap:
 
-* at most ``workers`` cells run at once (an :class:`asyncio.Semaphore`);
+* at most ``workers`` cells run at once (an :class:`asyncio.Semaphore`),
+  each on an idle worker process;
 * at most ``max_queue`` admitted cells may *wait* for a slot — admission
   beyond that raises :class:`PoolSaturated`, which the server answers with
   ``429 Retry-After`` (bounded queue = bounded memory = bounded latency);
-* in the default ``subprocess`` mode each cell runs in its own worker
-  process, so a cell that overruns its deadline is **terminated** (a
-  ``"timeout"`` record, exactly as ``repro suite --timeout`` produces) and
-  a worker that dies mid-cell (OOM kill, SIGKILL) surfaces as a structured
+* a cell that overruns its deadline is **SIGKILLed** with its worker (a
+  ``"timeout"`` record, exactly as ``repro suite --timeout`` produces) and a
+  worker that dies mid-cell (OOM kill, SIGKILL) surfaces as a structured
   ``WorkerCrashed`` error record rather than a hang — the server maps those
-  to 504/500;
-* ``inline`` mode runs cells on threads inside the server process instead:
-  no kill capability, but the per-worker problem cache and memoized
-  ``SpectralWorkspace`` stay warm across requests in one process.  With a
-  persistent ``--store`` both modes serve warm requests from disk.
+  to 504/500.  Either way a fresh worker takes the slot.
 
-Subprocess workers report their artifact-store traffic back through the
-result pipe; the pool aggregates it so ``/statsz`` can show cache
-hits/misses even though they accrue in short-lived children.
+Workers live as long as the server, so their problem caches, memoized
+``SpectralWorkspace`` plans and search memos stay warm across requests; with
+a persistent ``--store`` a fresh worker reads warm artifacts from disk.
+
+Each worker answer carries that cell's artifact-store traffic; the pool sums
+it so ``/statsz`` can show cache hits/misses that accrue in the workers.
 """
 
 from __future__ import annotations
@@ -30,11 +29,10 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import itertools
-import multiprocessing
-import time
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.batch.engine import crash_record, execute_task, timeout_record
+from repro.batch.workers import Worker
 
 __all__ = ["PoolSaturated", "WorkerPool"]
 
@@ -50,51 +48,31 @@ class PoolSaturated(Exception):
         self.max_queue = int(max_queue)
 
 
-def _cell_worker(task, pattern, delay_s, connection) -> None:
-    """Child-process entry point: run one cell, pipe back (record, store stats).
-
-    ``execute_task`` already captures algorithm exceptions as error records;
-    ``delay_s`` is the load-testing knob (sleep before computing, so tests
-    can hold a worker busy deterministically).
-    """
-    try:
-        if delay_s:
-            time.sleep(delay_s)
-        record = execute_task(task, pattern=pattern)
-        from repro.store.core import get_default_store
-
-        store = get_default_store()
-        stats = dict(store.stats) if store is not None else None
-        connection.send((record, stats))
-    finally:
-        connection.close()
-
-
 class WorkerPool:
     """Bounded, observable executor of single ordering cells."""
 
     def __init__(self, *, workers: int = 2, max_queue: int = 16,
-                 timeout: float | None = None, mode: str = "subprocess"):
+                 timeout: float | None = None):
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
-        if mode not in ("subprocess", "inline"):
-            raise ValueError(f"mode must be 'subprocess' or 'inline', got {mode!r}")
         self.workers = int(workers)
         self.max_queue = int(max_queue)
         self.timeout = None if timeout is None else float(timeout)
-        self.mode = mode
         self.queued = 0
         self.busy = 0
         self.completed = {"ok": 0, "error": 0, "timeout": 0, "crashed": 0}
         self.store_stats = {"hits": 0, "misses": 0, "writes": 0, "corrupt": 0,
                             "quarantined": 0}
-        self.active_pids: dict[int, int] = {}
         self._tokens = itertools.count(1)
         self._semaphore = asyncio.Semaphore(self.workers)
+        # The semaphore lets at most ``workers`` cells hold a Worker at once.
+        self._all: list[Worker] = []
+        self._idle: list[Worker] = []
+        self._lock = threading.Lock()
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve-worker"
         )
@@ -142,56 +120,35 @@ class WorkerPool:
             limits = [t for t in (self.timeout, timeout) if t is not None]
             limit = min(limits) if limits else None
             loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
+            record, stats = await loop.run_in_executor(
                 self._executor, self._run_blocking, task, pattern, limit, delay_s
             )
         finally:
             self.busy -= 1
             self._semaphore.release()
-
-    def _run_blocking(self, task, pattern, limit, delay_s):
-        if self.mode == "inline":
-            if delay_s:
-                time.sleep(delay_s)
-            record = execute_task(task, pattern=pattern)
-        else:
-            record = self._run_subprocess(task, pattern, limit, delay_s)
+        for name, count in (stats or {}).items():
+            if name in self.store_stats:
+                self.store_stats[name] += int(count)
         self._tally(record)
         return record
 
-    def _run_subprocess(self, task, pattern, limit, delay_s):
-        context = multiprocessing.get_context()
-        receiver, sender = context.Pipe(duplex=False)
-        token = next(self._tokens)
+    def _run_blocking(self, task, pattern, limit, delay_s):
+        """Run one cell on an idle worker: ``(record, store-stats delta)``."""
+        with self._lock:
+            if not self._idle:
+                self._all.append(Worker())
+                self._idle.append(self._all[-1])
+            worker = self._idle.pop()
         # Stamp the computation ordinal onto the task so deterministic
         # fault-injection draws (repro.faults) vary across repeated
         # computations of the same cell — a crashed-then-retried request
         # must be able to draw differently the second time.
-        task = dataclasses.replace(task, attempt=token)
-        process = context.Process(
-            target=_cell_worker, args=(task, pattern, delay_s, sender), daemon=True
-        )
-        process.start()
-        sender.close()
-        self.active_pids[token] = process.pid
+        task = dataclasses.replace(task, attempt=next(self._tokens))
         try:
-            deadline = None if limit is None else limit + float(delay_s)
-            if receiver.poll(deadline):
-                try:
-                    record, stats = receiver.recv()
-                    if stats:
-                        for name in self.store_stats:
-                            self.store_stats[name] += int(stats.get(name, 0))
-                except (EOFError, OSError) as exc:
-                    record = crash_record(task, type(exc).__name__)
-            else:
-                process.terminate()
-                record = timeout_record(task, limit)
+            return worker.run(task, pattern, delay_s=delay_s, limit=limit)
         finally:
-            self.active_pids.pop(token, None)
-            receiver.close()
-            process.join()
-        return record
+            with self._lock:
+                self._idle.append(worker)
 
     def _tally(self, record) -> None:
         if record.status == "ok":
@@ -209,15 +166,21 @@ class WorkerPool:
     def stats(self) -> dict:
         """The ``/statsz`` view of the pool."""
         return {
-            "mode": self.mode,
             "workers": self.workers,
             "busy": self.busy,
             "queue_depth": self.queued,
             "max_queue": self.max_queue,
             "timeout_s": self.timeout,
-            "active_pids": sorted(self.active_pids.values()),
+            "active_pids": sorted(worker.pid for worker in list(self._all)
+                                  if worker.task is not None and worker.pid),
             "completed": dict(self.completed),
         }
 
     def shutdown(self) -> None:
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        """Kill every worker (a cell still in flight answers
+        ``WorkerCrashed``), let the request threads finish, reap them all."""
+        for worker in self._all:
+            worker.kill()
+        self._executor.shutdown(wait=True, cancel_futures=True)
+        for worker in self._all:
+            worker.close()

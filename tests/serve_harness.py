@@ -5,7 +5,9 @@ subprocess, exactly as the docs advertise — and hands tests a
 :class:`repro.serve.client.ServerClient` bound to the ephemeral port parsed
 from the boot line.  Used by ``test_serve_api.py`` (integration),
 ``test_serve_load.py`` (coalescing / saturation / crash), and
-``test_serve_fuzz.py`` (protocol fuzzing).
+``test_serve_fuzz.py`` (protocol fuzzing).  :func:`pid_gone` and
+:func:`child_pids` read ``/proc`` to check that no worker process outlives
+its cell or its server.
 """
 
 from __future__ import annotations
@@ -20,6 +22,40 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 _BOOT_LINE = re.compile(r"listening on http://([\d.]+):(\d+)")
+
+
+def pid_gone(pid: int) -> bool:
+    """True when *pid* has exited (absent, or a zombie nobody reaped yet)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+
+
+def child_pids(pid: int) -> list:
+    """The pids whose parent is *pid*, zombies included."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            fields = (entry / "stat").read_text(encoding="ascii").rsplit(")", 1)[1].split()
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(entry.name))
+    return sorted(children)
+
+
+def wait_until_gone(pids, timeout: float = 10.0) -> bool:
+    """Poll until every pid in *pids* has exited; False on timeout."""
+    deadline = time.monotonic() + timeout
+    while not all(pid_gone(pid) for pid in pids):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
 
 
 class ServerProcess:

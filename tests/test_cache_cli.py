@@ -81,6 +81,41 @@ class TestSuiteWithStore:
         assert os.environ.get("REPRO_STORE") == str(cache)
 
 
+class TestWorkerStoreStats:
+    @pytest.mark.parametrize("extra", [(), ("--timeout", "60")],
+                             ids=["pool", "timeout"])
+    def test_jobs_2_stats_line_counts_worker_traffic(self, tmp_path, extra):
+        """Workers' store traffic reaches the stats line at ``--jobs 2``.
+
+        Runs the CLI in fresh interpreters, as CI's ``store`` job does, so
+        each pass prints only its own traffic.
+        """
+        import os
+        import re
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.pop("REPRO_STORE", None)
+        args = [sys.executable, "-m", "repro", "suite", "POW9", "CAN1072",
+                "--algorithms", "spectral,hybrid,rcm", "--scale", "0.05",
+                "--jobs", "2", "--store", str(tmp_path / "cache"),
+                "--no-progress", *extra]
+        counts = []
+        for name in ("cold", "warm"):
+            out = subprocess.run(args + ["--output", str(tmp_path / f"{name}.json")],
+                                 env=env, capture_output=True, text=True,
+                                 check=True).stdout
+            match = re.search(r"(\d+) hit\(s\), (\d+) miss\(es\), (\d+) write", out)
+            assert match, out
+            counts.append(tuple(int(group) for group in match.groups()))
+        (_, cold_misses, cold_writes), (warm_hits, _, warm_writes) = counts
+        assert cold_misses > 0 and cold_writes > 0
+        assert warm_hits > 0 and warm_writes == 0
+
+
 class TestCacheCommand:
     def _populate(self, tmp_path):
         cache = tmp_path / "cache"

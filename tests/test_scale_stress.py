@@ -18,9 +18,9 @@ Two layers:
   additionally hard-capped, so even a pathological regression turns into a
   timeout record within minutes, never a hung test run.
 
-Timeouts here are enforced by per-task worker processes that the engine
-terminates at the deadline (see ``repro.batch.engine._iter_with_timeout``),
-so "never a hang" holds even if an ordering kernel livelocks.
+Timeouts here are enforced by worker processes that the engine kills at
+the deadline (see ``repro.batch.workers``), so "never a hang" holds even
+if an ordering kernel livelocks.
 """
 
 import pytest

@@ -90,6 +90,8 @@ class TestRegistrySubmissions:
                               "algorithm": "rcm", "include_permutation": True})
         permutation = body["permutation"]
         assert sorted(permutation) == list(range(body["record"]["n"]))
+        # The job keeps it as an array and serves the same plain ints.
+        assert server.client.job(body["job"]["id"])["permutation"] == permutation
 
     def test_no_permutation_by_default(self, server):
         body = order(server, {"problem": PROBLEM, "scale": SCALE,
@@ -237,6 +239,35 @@ class TestStoreIntegration:
             assert stats["store"]["writes"] > 0, "cold request must persist"
             assert stats["store"]["hits"] > 0, "warm request must hit the store"
             assert stats["coalescing"]["computations"] == 2
+
+    def test_statsz_adds_each_cells_own_store_traffic(self, tmp_path):
+        # A long-lived worker's store.stats is cumulative: adding it per
+        # cell would count the first cell again with the second.
+        from repro.batch.engine import clear_problem_cache, execute_task
+        from repro.batch.tasks import build_tasks
+        from repro.store import (get_default_store, reset_default_store,
+                                 set_default_store)
+
+        problems = (PROBLEM, "CAN1072")
+        args = ("--workers", "1", "--store", str(tmp_path / "served"))
+        with ServerProcess(*args) as store_server:
+            for problem in problems:
+                order(store_server, {"problem": problem, "scale": SCALE,
+                                     "algorithm": "spectral"})
+            served = store_server.client.stats()["store"]
+        # What two fresh processes add: each cell on a cold problem cache.
+        set_default_store(tmp_path / "fresh")
+        try:
+            for task in build_tasks(list(problems), ("spectral",), scale=SCALE):
+                clear_problem_cache()
+                assert execute_task(task).ok
+            fresh = dict(get_default_store().stats)
+        finally:
+            reset_default_store()
+            clear_problem_cache()
+        assert fresh["writes"] > 0
+        for name in ("hits", "misses", "writes"):
+            assert served[name] == fresh[name], (name, served, fresh)
 
 
 class TestByteIdentityWithSuite:

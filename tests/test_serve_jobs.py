@@ -48,6 +48,37 @@ class TestJobRegistry:
             JobRegistry(capacity=0)
 
 
+class TestCompactPermutation:
+    PERMUTATION = [3, 0, 2, 1, 300, 70000]
+
+    def _finished(self):
+        import numpy as np
+
+        registry = JobRegistry()
+        job = registry.new_job("key", algorithm="rcm", problem="POW9",
+                               mode="sync", coalesced=False)
+        registry.finish(job, http_status=200, record={"status": "ok"},
+                        permutation=np.array(self.PERMUTATION, dtype=np.intp))
+        return job
+
+    def test_kept_as_int64_array_served_as_plain_ints(self):
+        job = self._finished()
+        assert job.permutation.dtype == "int64"
+        served = job.to_dict()["permutation"]
+        assert served == self.PERMUTATION
+        assert all(type(value) is int for value in served)
+
+    def test_journal_line_unchanged(self, tmp_path):
+        job = self._finished()
+        journal = JobJournal(tmp_path / "jobs.jsonl")
+        journal.record_job(job)
+        journal.close()
+        line = (tmp_path / "jobs.jsonl").read_text().splitlines()[1]
+        expected = {"kind": "job", **job.to_dict(include_result=False),
+                    "record": {"status": "ok"}, "permutation": self.PERMUTATION}
+        assert line == json.dumps(expected, sort_keys=True)
+
+
 class TestJobJournal:
     def test_write_then_replay_round_trip(self, tmp_path):
         path = tmp_path / "jobs.jsonl"

@@ -9,6 +9,7 @@ deterministic window.  Pins the tentpole's concurrency acceptance criteria:
 * admission past the configured queue depth -> ``429`` with a
   ``Retry-After`` header while ``/statsz`` shows the saturated queue;
 * a worker killed mid-request -> a structured 5xx, never a hang;
+* a request past its deadline -> ``504`` with its worker killed;
 * the ``/statsz`` counters reconcile exactly with the requests served.
 """
 
@@ -23,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from tests.serve_harness import ServerProcess
+from tests.serve_harness import ServerProcess, child_pids
 
 PROBLEM = "POW9"
 SCALE = 0.02
@@ -170,6 +171,31 @@ class TestWorkerCrash:
             assert body["error"]["type"] == "TaskTimeout"
             assert body["record"]["status"] == "timeout"
             assert server.client.stats()["pool"]["completed"]["timeout"] == 1
+
+    def test_deadline_kills_a_worker_whose_record_outgrows_the_pipe(self):
+        # FLAP@0.25/sloan (n = 12,747) pickles to a record larger than the
+        # 64 KiB pipe buffer: a worker that outlived its deadline would block
+        # writing it, and the request would never be answered.
+        payload = {"problem": "FLAP", "scale": 0.25, "algorithm": "sloan",
+                   "timeout_s": 0.05}
+        with ServerProcess("--workers", "1") as server:
+            result = {}
+            thread = threading.Thread(
+                target=lambda: result.update(response=post_order(server, payload)),
+                daemon=True)
+            started = time.monotonic()
+            thread.start()
+            thread.join(30)
+            assert not thread.is_alive(), "a deadline must answer, not hang"
+            assert time.monotonic() - started < 10
+            status, _headers, body = result["response"]
+            assert status == 504
+            assert body["error"]["type"] == "TaskTimeout"
+            # The killed worker is reaped; its replacement starts with the
+            # next cell, so the server has no child process left.
+            assert child_pids(server.proc.pid) == []
+            status, _headers, body = post_order(server, BASE)
+            assert status == 200 and body["record"]["status"] == "ok"
 
 
 class TestCounterReconciliation:

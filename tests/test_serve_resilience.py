@@ -11,10 +11,12 @@ server must answer every admitted request and exit 0.
 from __future__ import annotations
 
 import json
+import os
 import signal
 import threading
 import time
 import urllib.error
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,7 @@ from repro.serve import (
     ServerClient,
     ServerError,
 )
-from tests.serve_harness import ServerProcess
+from tests.serve_harness import ServerProcess, child_pids, wait_until_gone
 
 PROBLEM = "POW9"
 SCALE = 0.02
@@ -385,10 +387,13 @@ class TestGracefulDrain:
             thread = threading.Thread(target=slow_order, daemon=True)
             thread.start()
             time.sleep(0.5)                # let the order reach a worker
+            workers = server.client.stats()["pool"]["active_pids"]
+            assert len(workers) == 1
             server.proc.send_signal(signal.SIGTERM)
             returncode = server.proc.wait(timeout=60)
             thread.join(timeout=60)
             assert returncode == 0, "drain must exit 0, not crash"
+            assert wait_until_gone(workers, timeout=5), "a worker outlived the drain"
             assert "error" not in outcome, f"in-flight order failed: {outcome}"
             status, _headers, body = outcome["response"]
             assert status == 200
@@ -423,3 +428,57 @@ class TestGracefulDrain:
                 assert any(str(k).lower() == "retry-after" for k in headers)
             hold.join(timeout=30)
             assert server.proc.wait(timeout=30) == 0
+
+
+class TestWorkerProcesses:
+    @staticmethod
+    def _hold(server, seconds):
+        """Start a cell that keeps a worker busy; return its worker's pid."""
+        def held_order():
+            try:
+                server.client.request("POST", "/v1/order",
+                                      {**BASE, "debug_delay_s": seconds})
+            except OSError:
+                pass                       # the server may die mid-request
+
+        threading.Thread(target=held_order, daemon=True).start()
+        deadline = time.monotonic() + 10
+        while not server.client.stats()["pool"]["active_pids"]:
+            assert time.monotonic() < deadline, "the held cell never started"
+            time.sleep(0.05)
+        return server.client.stats()["pool"]["active_pids"][0]
+
+    def test_worker_holds_no_inherited_socket(self):
+        # A worker forked while a client connection is open must not keep
+        # it: the client would never see the server close it (a dropped
+        # response would hang until the client's own timeout).
+        with ServerProcess("--workers", "1") as server:
+            pid = self._hold(server, 1.0)
+            fds = Path(f"/proc/{pid}/fd")
+            sockets = [fd for fd in fds.iterdir()
+                       if os.readlink(fd).startswith("socket:")]
+            assert len(sockets) == 1, "only the worker's own pipe end"
+
+    def test_sigkilled_server_leaves_no_worker_behind(self):
+        server = ServerProcess("--workers", "2")
+        try:
+            # Two overlapping cells start both workers; once they finish,
+            # one more holds a worker busy while the other sits idle.
+            warm = [threading.Thread(target=server.client.request, daemon=True,
+                                     args=("POST", "/v1/order",
+                                           {**BASE, "base_seed": seed,
+                                            "debug_delay_s": 0.5}))
+                    for seed in (1, 2)]
+            for thread in warm:
+                thread.start()
+            for thread in warm:
+                thread.join(30)
+            workers = child_pids(server.proc.pid)
+            assert len(workers) == 2
+            self._hold(server, 30.0)
+            server.proc.kill()
+            server.proc.wait(timeout=10)
+            assert wait_until_gone(workers, timeout=5), \
+                "busy and idle workers must die with the server"
+        finally:
+            server.stop()
