@@ -16,7 +16,10 @@ workers to request threads (``repro serve``).
 
 Memory: each worker keeps its own 64-entry problem cache
 (:func:`repro.batch.engine._cached_pattern`), with the workspaces hanging
-off its patterns, for as long as it lives.
+off its patterns, for as long as it lives.  The multilevel coarsening
+hierarchies are kept for one pattern at a time
+(:mod:`repro.eigen.workspace`), so a worker's peak does not depend on which
+problems' spectral cells it was dealt before.
 
 Workers start with the platform's default context (fork on Linux), so a
 new worker begins with the parent's imports, algorithm registry and fault

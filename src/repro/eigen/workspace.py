@@ -33,10 +33,16 @@ consume exactly the random stream a cold run does.  Warm-vs-cold
 byte-identity for every registered spectral/hybrid algorithm is pinned by
 ``tests/test_spectral_workspace.py``.
 
-Memory: a workspace lives exactly as long as its pattern.  Hierarchy levels
-shrink geometrically, so the cached plan is a small constant factor of the
-pattern itself; dropping the pattern (e.g.
-:func:`repro.batch.engine.clear_problem_cache`) drops the plan with it.
+Memory: a workspace lives exactly as long as its pattern; dropping the
+pattern (e.g. :func:`repro.batch.engine.clear_problem_cache`) drops the plan
+with it.  The coarsening hierarchies are the exception, as they need not be
+small: on hub graphs coarsening stalls, and one pattern's hierarchy holds
+several times the pattern's own memory (RANDOM/RMAT@0.02: about 24 MB
+against 5 MB).  A process therefore keeps the hierarchies of one workspace
+at a time; building or loading one for another pattern first drops them.
+Otherwise a long-lived worker would run each spectral cell on top of the
+plans of every problem it had been dealt before, and its peak memory would
+depend on which cells those were.
 
 Persistence: when a default :mod:`repro.store` is configured (``--store`` /
 ``REPRO_STORE``), each artifact is loaded from disk on first touch and
@@ -50,6 +56,8 @@ The searches are the exception: they stay in memory only.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 __all__ = ["SpectralWorkspace", "spectral_workspace"]
@@ -57,6 +65,10 @@ __all__ = ["SpectralWorkspace", "spectral_workspace"]
 #: MIS scan strategies that never draw from the rng — only their hierarchies
 #: may be cached (see module docstring).
 _DETERMINISTIC_MIS = ("degree", "natural")
+
+#: Weak reference to the one workspace whose hierarchies this process keeps
+#: (see the module docstring), or ``None``.
+_hierarchy_holder = None
 
 
 class SpectralWorkspace:
@@ -68,7 +80,7 @@ class SpectralWorkspace:
     """
 
     __slots__ = ("pattern", "info", "_laplacian", "_components", "_split",
-                 "_hierarchies", "_searches", "_digest")
+                 "_hierarchies", "_searches", "_digest", "__weakref__")
 
     def __init__(self, pattern):
         self.pattern = pattern
@@ -222,8 +234,9 @@ class SpectralWorkspace:
         instead of re-assembling and re-symmetrizing).
 
         Deterministic MIS strategies are memoized per
-        ``(coarsest_size, max_levels, strategy)``; ``"random"`` consumes the
-        caller's rng and is rebuilt on every call (cold-path identity).
+        ``(coarsest_size, max_levels, strategy)``, in one workspace per
+        process at a time; ``"random"`` consumes the caller's rng and is
+        rebuilt on every call (cold-path identity).
         """
         from repro.graph.coarsen import coarsening_hierarchy
         from repro.graph.laplacian import laplacian_matrix
@@ -238,6 +251,7 @@ class SpectralWorkspace:
             return levels, [laplacian_matrix(lvl.coarse_pattern) for lvl in levels]
         cached = self._hierarchies.get(key)
         if cached is None:
+            self._hold_hierarchies()
             store = self._store()
             if store is not None:
                 from repro.store import spectral as codecs
@@ -264,6 +278,15 @@ class SpectralWorkspace:
         else:
             self.info["hierarchy_hits"] += 1
         return cached
+
+    def _hold_hierarchies(self) -> None:
+        """Make this the workspace whose hierarchies the process keeps,
+        dropping the previous holder's before this one builds or loads."""
+        global _hierarchy_holder
+        holder = None if _hierarchy_holder is None else _hierarchy_holder()
+        if holder is not None and holder is not self:
+            holder._hierarchies.clear()
+        _hierarchy_holder = weakref.ref(self)
 
     # ------------------------------------------------------------------ #
     # pseudo-peripheral searches

@@ -133,6 +133,34 @@ def test_hierarchy_cached_for_deterministic_strategies():
     # a different key is a different cache entry
     ws.hierarchy(60, 50, "degree", rng)
     assert ws.info["hierarchy_builds"] == 2
+    assert ws.hierarchy(40, 50, "degree", rng)[0] is levels
+
+
+def test_hierarchies_are_kept_for_one_workspace_at_a_time():
+    """A hierarchy can outweigh its pattern several times over (hub graphs),
+    so building one for another pattern drops the previous pattern's."""
+    rng = np.random.default_rng(0)
+    gone = spectral_workspace(random_geometric_pattern(300, seed=4))
+    gone.hierarchy(40, 50, "degree", rng)
+    del gone  # a holder that was collected drops nothing
+    first = spectral_workspace(random_geometric_pattern(300, seed=5))
+    second = spectral_workspace(random_geometric_pattern(300, seed=6))
+    levels, _laps = first.hierarchy(40, 50, "degree", rng)
+    first.hierarchy(60, 50, "degree", rng)
+    second.hierarchy(40, 50, "degree", rng)
+    second.hierarchy(40, 50, "degree", rng)
+    assert second.info["hierarchy_builds"] == 1
+    assert second.info["hierarchy_hits"] == 1
+    # both of the first workspace's entries went; a rebuild is equal
+    rebuilt, _laps = first.hierarchy(40, 50, "degree", rng)
+    first.hierarchy(60, 50, "degree", rng)
+    assert first.info["hierarchy_builds"] == 4
+    assert first.info["hierarchy_hits"] == 0
+    assert rebuilt is not levels
+    assert [level.coarse_pattern for level in rebuilt] == [
+        level.coarse_pattern for level in levels]
+    second.hierarchy(40, 50, "degree", rng)
+    assert second.info["hierarchy_builds"] == 2
 
 
 def test_random_strategy_bypasses_the_cache_and_preserves_rng_stream():
