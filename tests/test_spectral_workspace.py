@@ -10,6 +10,8 @@ plan across a problem's spectral and hybrid cells and across bench repeats.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -143,6 +145,7 @@ def test_hierarchies_are_kept_for_one_workspace_at_a_time():
     gone = spectral_workspace(random_geometric_pattern(300, seed=4))
     gone.hierarchy(40, 50, "degree", rng)
     del gone  # a holder that was collected drops nothing
+    gc.collect()  # the workspace and its pattern refer to each other
     first = spectral_workspace(random_geometric_pattern(300, seed=5))
     second = spectral_workspace(random_geometric_pattern(300, seed=6))
     levels, _laps = first.hierarchy(40, 50, "degree", rng)
