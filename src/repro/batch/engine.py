@@ -3,7 +3,8 @@
 Executes the ``{problems} x {algorithms}`` cross-product of a suite run as
 independent tasks (see :mod:`repro.batch.tasks`), either in-process
 (``n_jobs=1``) or on long-lived killable worker processes
-(:mod:`repro.batch.workers`).  Results are identical in both modes: every
+(:mod:`repro.batch.workers`), which deal a problem's cells to the worker
+that already built its pattern.  Results are identical in both modes: every
 task carries a deterministic seed, and patterns are rebuilt from the
 registry inside each worker so no shared mutable state is involved.
 
@@ -351,10 +352,12 @@ def run_suite(
     cost_model:
         :class:`~repro.batch.sched.CostModel` feeding both the
         cost-balanced shard plan and the in-process dispatcher, which
-        hands worker pools the expensive cells first so the pool drains
-        without tail stragglers.  ``balance="cost"`` without a model uses
-        the pure fallback estimator.  Never affects results — only which
-        machine/worker computes them when.
+        ranks the cells longest-first so the pool drains without tail
+        stragglers; a worker takes the highest-ranked cell of a problem it
+        already built before any other (:func:`repro.batch.workers.next_cell`).
+        ``balance="cost"`` without a model uses the pure fallback
+        estimator.  Never affects results — only which machine/worker
+        computes them when.
     timeout:
         Per-task wall-clock limit in seconds — a float, or a callable
         ``task -> float | None`` for cost-model-derived per-cell limits
@@ -469,9 +472,10 @@ def run_suite(
     reused_indices = {task.index for task, _record in pairs}
 
     if cost_model is not None:
-        # Dynamic LPT dispatch: expensive cells enter the pool first, cheap
-        # ones backfill the stragglers.  Purely a scheduling choice — the
-        # records are re-sorted into canonical task order below.
+        # Dynamic LPT dispatch: expensive cells rank first and cheap ones
+        # backfill the stragglers, within the pool's problem affinity.
+        # Purely a scheduling choice — the records are re-sorted into
+        # canonical task order below.
         remaining = order_longest_first(remaining, cost_model)
 
     total = len(tasks)

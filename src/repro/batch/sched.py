@@ -223,7 +223,8 @@ class CostModel:
            a fixed default), and the size comes from observations of the
            same problem (rescaled by ``scale**2`` across scales — both
            ``n`` and ``nnz`` grow roughly linearly with the surrogate
-           scale), from the registry's paper sizes, or from the analytic
+           scale), from the registry's paper sizes at the problem's
+           ``paper_scale``, or from the analytic
            ``expected_n``/``expected_nnz`` of the random generator families.
         """
         problem = str(problem).strip().upper()
@@ -266,9 +267,10 @@ class CostModel:
                 return float(statistics.median(rescaled))
         from repro.collections.registry import expected_problem_size
 
-        # Paper problems: the paper's sizes rescaled by scale**2.  Random
-        # generator families: their analytic expected_n * expected_nnz.
-        # Unknown problems: the neutral weight 1.0.
+        # Paper problems: the paper's sizes rescaled by
+        # (scale / paper_scale)**2.  Random generator families: their
+        # analytic expected_n * expected_nnz.  Unknown problems: the
+        # neutral weight 1.0.
         return expected_problem_size(problem, scale)
 
     def fingerprint(self) -> str:

@@ -12,7 +12,10 @@ reaped at once and the slot's next cell starts a fresh one.
 
 Two callers share it: :func:`iter_cells` runs N workers over a task list
 (``repro suite``), and :class:`repro.serve.pool.WorkerPool` hands idle
-workers to request threads (``repro serve``).
+workers to request threads (``repro serve``).  :func:`iter_cells` deals a
+problem's cells to the worker that already holds its pattern
+(:func:`next_cell`), so each problem is built and searched about once per
+run instead of once per worker.
 
 Memory: each worker keeps its own 64-entry problem cache
 (:func:`repro.batch.engine._cached_pattern`), with the workspaces hanging
@@ -42,11 +45,10 @@ import signal
 import stat
 import threading
 import time
-from collections import deque
 
 from repro.batch.engine import crash_record, execute_task, timeout_record
 
-__all__ = ["Worker", "iter_cells"]
+__all__ = ["Worker", "iter_cells", "next_cell"]
 
 
 def _close_inherited_sockets(keep: int) -> None:
@@ -117,7 +119,9 @@ class Worker:
     ``task`` is the in-flight cell (``None`` when idle) and ``deadline`` its
     ``time.monotonic()`` limit (``inf`` without one); ``pid`` is ``None``
     while no process runs.  The process starts with the first cell and again
-    with the first cell after a kill.
+    with the first cell after a kill.  ``held`` holds the ``(problem,
+    scale)`` keys :func:`iter_cells` has dealt this process; it empties with
+    the process, since a fresh one has run nothing.
     """
 
     def __init__(self):
@@ -125,6 +129,7 @@ class Worker:
         self.limit = None
         self.deadline = math.inf
         self.process = self.connection = self.pid = None
+        self.held = set()
         self._lock = threading.Lock()  # guards ``process`` for kill()
 
     def _spawn(self) -> None:
@@ -185,6 +190,7 @@ class Worker:
         """SIGKILL and reap the process and drop its pipe (idempotent)."""
         with self._lock:
             process, self.process, self.pid = self.process, None, None
+        self.held = set()
         if process is None:
             return
         process.kill()
@@ -193,21 +199,47 @@ class Worker:
         self.connection.close()
 
 
+def next_cell(pending, held, others) -> int:
+    """Position in *pending* of the cell a worker holding *held* takes next.
+
+    In order: the first cell of a ``(problem, scale)`` in *held*, whose
+    pattern, workspace and search memo are warm in that worker; else the
+    first cell of one that no set in *others* (the other workers' ``held``)
+    contains; else the head, so that at the tail of a run a worker steals
+    cells instead of sitting idle.  Within each rule the order of *pending*
+    ranks the cells.
+    """
+    fresh = None
+    for position, task in enumerate(pending):
+        key = (task.problem, task.scale)
+        if key in held:
+            return position
+        if fresh is None and not any(key in other for other in others):
+            fresh = position
+    return 0 if fresh is None else fresh
+
+
 def iter_cells(tasks, n_workers: int, timeout_for=None):
     """Yield ``(task, record, store-stats delta)`` as *n_workers* long-lived
-    workers finish *tasks*, dispatched in the order given.
+    workers finish *tasks*.
 
+    An idle worker takes the cell :func:`next_cell` picks: the order given
+    (canonical, or the cost model's longest-first) ranks the cells, but a
+    problem's cells go to the worker that already built its pattern.
     ``timeout_for(task)`` gives each cell's limit in seconds (``None``: that
     cell has none).  Every worker is killed and reaped before this returns.
     """
-    pending = deque(tasks)
+    pending = list(tasks)
     workers = [Worker() for _ in range(min(n_workers, len(pending)))]
     idle = list(workers)
     finished = []
     try:
         while True:
             while pending and idle:
-                task = pending.popleft()
+                worker = idle.pop()
+                position = next_cell(pending, worker.held,
+                                     [other.held for other in workers if other is not worker])
+                task = pending.pop(position)
                 limit = None if timeout_for is None else timeout_for(task)
                 if limit is not None and limit <= 0:
                     raise ValueError(
@@ -215,7 +247,8 @@ def iter_cells(tasks, n_workers: int, timeout_for=None):
                         f"{task.problem}/{task.algorithm}; per-task limits "
                         f"must be positive (or None for no limit)"
                     )
-                idle.pop().submit(task, limit=limit)
+                worker.submit(task, limit=limit)
+                worker.held.add((task.problem, task.scale))
             # Hand back what finished only once its workers are busy again.
             yield from finished
             finished = []

@@ -10,11 +10,14 @@ Surrogate sizes
 ---------------
 Real problems have tens of thousands of equations; a pure-Python envelope
 solver and eigensolver handle those, but not in a benchmark loop.  Every
-surrogate therefore accepts a ``scale`` argument: ``scale=1.0`` approximates
-the paper's size, the default ``scale=0.125`` shrinks the mesh dimensions so
-that the vertex count is roughly ``scale`` times the paper's (and the suite
-runs in minutes).  Set the environment variable ``REPRO_BENCH_SCALE`` to
-change the default used by the benchmark harnesses.
+surrogate therefore accepts a ``scale`` argument: ``scale=paper_scale``
+approximates the paper's size, and smaller scales shrink the mesh dimensions
+so that the vertex count is roughly ``scale / paper_scale`` times the
+paper's.  ``paper_scale`` is 1.0 for most problems, 0.125 for the small
+Table 4.2 matrices and 4.0 for IN3C, so the default ``scale=0.125`` builds
+every table at a size the suite runs in minutes.  Set the environment
+variable ``REPRO_BENCH_SCALE`` to change the default used by the benchmark
+harnesses.
 """
 
 from __future__ import annotations
@@ -80,8 +83,12 @@ class ProblemSpec:
     paper_bandwidths:
         The bandwidths the paper reports, same keys.
     generator:
-        Callable ``generator(scale) -> SymmetricPattern`` building the
-        surrogate.
+        Callable ``generator(fraction) -> SymmetricPattern`` building the
+        surrogate at about ``fraction`` times the paper's vertex count.
+    paper_scale:
+        The ``scale`` that builds the surrogate at about the paper's size:
+        :meth:`build` hands the generator ``scale / paper_scale``, and
+        :func:`expected_problem_size` estimates sizes the same way.
     """
 
     name: str
@@ -92,13 +99,14 @@ class ProblemSpec:
     paper_envelopes: dict = field(default_factory=dict)
     paper_bandwidths: dict = field(default_factory=dict)
     generator: Callable[[float], SymmetricPattern] = None
+    paper_scale: float = 1.0
 
     def build(self, scale: float | None = None) -> SymmetricPattern:
         """Build the surrogate pattern at the given (or default) scale."""
         if scale is None:
             scale = default_scale()
         require_scale(scale)
-        return self.generator(scale)
+        return self.generator(scale / self.paper_scale)
 
 
 def default_scale() -> float:
@@ -186,27 +194,27 @@ def _bcsstk33(scale: float) -> SymmetricPattern:
 
 def _can1072(scale: float) -> SymmetricPattern:
     # CANnes structural dummy matrices: unstructured 2-D finite element mesh.
-    return random_geometric_pattern(max(64, int(1072 * scale * 8)), seed=1072)
+    return random_geometric_pattern(max(64, int(1072 * scale)), seed=1072)
 
 
 def _pow9(scale: float) -> SymmetricPattern:
-    return power_network_pattern(max(32, int(1723 * scale * 8)), seed=9)
+    return power_network_pattern(max(32, int(1723 * scale)), seed=9)
 
 
 def _blkhole(scale: float) -> SymmetricPattern:
-    side = _dim2(scale * 8, 52)
+    side = _dim2(scale, 52)
     return plate_with_holes_pattern(nx=side, ny=max(4, int(side * 0.8)), holes=3, seed=2132)
 
 
 def _dwt2680(scale: float) -> SymmetricPattern:
-    rings = max(3, int(round(20 * np.sqrt(scale * 8))))
-    around = max(8, int(round(134 * np.sqrt(scale * 8))))
+    rings = max(3, int(round(20 * np.sqrt(scale))))
+    around = max(8, int(round(134 * np.sqrt(scale))))
     return annulus_pattern(n_rings=rings, n_around=around)
 
 
 def _sstmodel(scale: float) -> SymmetricPattern:
     # Supersonic transport structural model: stiffened shell assembly.
-    s = np.sqrt(scale * 8)
+    s = np.sqrt(scale)
     return shell_assembly_pattern(
         segments=(
             (max(3, int(26 * s)), max(6, int(20 * s))),
@@ -279,7 +287,7 @@ def _flap(scale: float) -> SymmetricPattern:
 
 def _in3c(scale: float) -> SymmetricPattern:
     # Largest NASA problem (262620 equations): very large unstructured mesh.
-    return airfoil_pattern(max(600, int(262620 * scale * 0.25)), seed=262620)
+    return airfoil_pattern(max(600, int(262620 * scale)), seed=262620)
 
 
 PAPER_PROBLEMS: dict[str, ProblemSpec] = {
@@ -335,6 +343,7 @@ PAPER_PROBLEMS: dict[str, ProblemSpec] = {
             paper_envelopes={"spectral": 55228, "gk": 48538, "gps": 74067, "rcm": 56361},
             paper_bandwidths={"spectral": 301, "gk": 234, "gps": 159, "rcm": 175},
             generator=_can1072,
+            paper_scale=0.125,
         ),
         ProblemSpec(
             "POW9", "4.2", 1723, 4117,
@@ -342,6 +351,7 @@ PAPER_PROBLEMS: dict[str, ProblemSpec] = {
             paper_envelopes={"spectral": 29149, "gk": 64788, "gps": 69446, "rcm": 79260},
             paper_bandwidths={"spectral": 264, "gk": 201, "gps": 116, "rcm": 133},
             generator=_pow9,
+            paper_scale=0.125,
         ),
         ProblemSpec(
             "BLKHOLE", "4.2", 2132, 8502,
@@ -349,6 +359,7 @@ PAPER_PROBLEMS: dict[str, ProblemSpec] = {
             paper_envelopes={"spectral": 120767, "gk": 169219, "gps": 173243, "rcm": 171437},
             paper_bandwidths={"spectral": 426, "gk": 134, "gps": 106, "rcm": 105},
             generator=_blkhole,
+            paper_scale=0.125,
         ),
         ProblemSpec(
             "DWT2680", "4.2", 2680, 13853,
@@ -356,6 +367,7 @@ PAPER_PROBLEMS: dict[str, ProblemSpec] = {
             paper_envelopes={"spectral": 93907, "gk": 96591, "gps": 101769, "rcm": 102983},
             paper_bandwidths={"spectral": 142, "gk": 92, "gps": 65, "rcm": 69},
             generator=_dwt2680,
+            paper_scale=0.125,
         ),
         ProblemSpec(
             "SSTMODEL", "4.2", 3345, 13047,
@@ -363,6 +375,7 @@ PAPER_PROBLEMS: dict[str, ProblemSpec] = {
             paper_envelopes={"spectral": 86635, "gk": 104562, "gps": 110936, "rcm": 105421},
             paper_bandwidths={"spectral": 228, "gk": 125, "gps": 83, "rcm": 88},
             generator=_sstmodel,
+            paper_scale=0.125,
         ),
         # ---- Table 4.3: NASA ------------------------------------------------ #
         ProblemSpec(
@@ -413,6 +426,7 @@ PAPER_PROBLEMS: dict[str, ProblemSpec] = {
             paper_envelopes={"spectral": 425232466, "gk": 519316395, "gps": 526302263, "rcm": 581700745},
             paper_bandwidths={"spectral": 9504, "gk": 3780, "gps": 2473, "rcm": 2746},
             generator=_in3c,
+            paper_scale=4.0,
         ),
     ]
 }
@@ -541,8 +555,9 @@ def resolve_problems(patterns: list[str]) -> list[str]:
 def expected_problem_size(problem: str, scale: float | None = None) -> float:
     """Estimated ``n * nnz`` of a problem cell, for cost planning.
 
-    Paper problems use the paper's reported sizes rescaled by ``scale**2``
-    (vertex count and nonzeros both scale roughly linearly with ``scale``);
+    Paper problems use the paper's reported sizes rescaled by
+    ``(scale / paper_scale)**2`` (vertex count and nonzeros both scale
+    roughly linearly with the builder's fraction of the paper's size);
     random-graph families use their analytic ``expected_n``/``expected_nnz``;
     registered external matrices (``EXT/*``) are fixed-size and report their
     exact ``n * nnz`` regardless of *scale*.  Unknown problems return the
@@ -554,7 +569,7 @@ def expected_problem_size(problem: str, scale: float | None = None) -> float:
     spec = get_problem_spec(problem)
     effective = default_scale() if scale is None else float(scale)
     if isinstance(spec, ProblemSpec):
-        return float(spec.paper_n) * float(spec.paper_nnz) * effective**2
+        return float(spec.paper_n) * float(spec.paper_nnz) * (effective / spec.paper_scale)**2
     if isinstance(spec, GeneratorSpec):
         return float(spec.expected_n(effective)) * float(spec.expected_nnz(effective))
     if isinstance(spec, ExternalSpec):

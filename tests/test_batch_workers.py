@@ -3,7 +3,9 @@
 Pins what the worker primitive promises: a crash costs exactly its own cell
 (no bystander re-runs), a deadline kills the overrunning process and the
 pool carries on, a worker's in-memory caches stay warm from cell to cell,
-and no worker process outlives the run.
+a problem's cells go to the worker that holds its pattern, and no worker
+process outlives the run.  Which worker runs which cell is otherwise up to
+the dispatcher, so only the affinity tests assert it.
 
 Executions are counted from inside the workers with the fault event log:
 a ``worker.slow`` rule at rate 1 with no sleep logs one event, with the
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -22,8 +25,8 @@ import pytest
 from repro import faults
 from repro.batch import iter_suite, run_suite
 from repro.batch.engine import clear_problem_cache
-from repro.batch.tasks import build_tasks
-from repro.batch.workers import Worker, iter_cells
+from repro.batch.tasks import BatchTask, build_tasks
+from repro.batch.workers import Worker, iter_cells, next_cell
 from repro.faults import FaultPlan
 from repro.orderings.base import Ordering
 from repro.orderings.registry import ORDERING_ALGORITHMS
@@ -83,13 +86,17 @@ class TestCrash:
         started = started_cells(log)
         # Every cell ran exactly once: no bystander re-run.
         assert sorted(key for key, _pid in started) == sorted(keys)
-        pids = {key: pid for key, pid in started}
-        crashed_pid = pids.pop("POW9/gps#a0")
-        first_pid = pids["POW9/rcm#a0"]
-        # The crashed slot was respawned and ran later cells, all ok.
-        respawned = set(pids.values()) - {first_pid, crashed_pid}
-        assert len(respawned) == 1
-        assert all(pid_gone(pid) for pid in {crashed_pid, first_pid, *respawned})
+        order = [pid for _key, pid in started]
+        crash_at = [key for key, _pid in started].index("POW9/gps#a0")
+        crashed_pid = order[crash_at]
+        # Three processes ran cells: the two first workers, the crashed one
+        # among them, and one replacement that started after the crash.
+        assert len(set(order)) == 3
+        first, second, replacement = dict.fromkeys(order)
+        assert crashed_pid in (first, second)
+        assert order.index(replacement) > crash_at
+        assert crashed_pid not in order[crash_at + 1:]
+        assert all(pid_gone(pid) for pid in set(order))
 
 
 class TestDeadline:
@@ -116,6 +123,68 @@ class TestDeadline:
         tasks = build_tasks(["POW9"], ("rcm",), scale=SCALE)
         with pytest.raises(ValueError, match="per-task limits must be positive"):
             list(iter_cells(tasks, 1, lambda task: 0.0))
+
+
+def _key(problem):
+    return (problem, SCALE)
+
+
+def _pending(*cells):
+    return [BatchTask(problem, algorithm, SCALE) for problem, algorithm in cells]
+
+
+class TestAffinity:
+    def test_held_problem_taken_from_behind_the_head(self):
+        pending = _pending(("POW9", "rcm"), ("CAN1072", "rcm"), ("CAN1072", "gps"))
+        assert next_cell(pending, {_key("CAN1072")}, [{_key("POW9")}]) == 1
+
+    def test_else_the_first_cell_no_worker_holds(self):
+        pending = _pending(("POW9", "rcm"), ("POW9", "gps"), ("CAN1072", "rcm"),
+                           ("DWT2680", "rcm"))
+        assert next_cell(pending, set(), [{_key("POW9")}]) == 2
+        assert next_cell(pending, {_key("BLKHOLE")}, [{_key("POW9")}, set()]) == 2
+        # Only the scale's own pattern is warm.
+        assert next_cell(pending, set(), [{("POW9", 0.5)}]) == 0
+
+    def test_else_the_head(self):
+        pending = _pending(("CAN1072", "king"), ("POW9", "king"))
+        assert next_cell(pending, {_key("BLKHOLE")},
+                         [{_key("POW9")}, {_key("CAN1072")}]) == 0
+
+    @pytest.mark.parametrize("body", ["hang", "die"])
+    def test_replacement_worker_holds_nothing(self, monkeypatch, body):
+        def probe(pattern):
+            if body == "hang":
+                time.sleep(60)
+            os._exit(1)
+
+        monkeypatch.setitem(ORDERING_ALGORITHMS, "probe", probe)
+        task = build_tasks(["POW9"], ("probe",), scale=SCALE)[0]
+        worker = Worker()
+        try:
+            worker.held.add(_key("POW9"))
+            record, _stats = worker.run(task, limit=1.0)
+            assert record.error["type"] == ("TaskTimeout" if body == "hang"
+                                            else "WorkerCrashed")
+            assert worker.held == set()
+        finally:
+            worker.close()
+        # Another worker holding POW9 now keeps its cells from the replacement.
+        pending = _pending(("POW9", "gps"), ("CAN1072", "gps"))
+        assert next_cell(pending, worker.held, [{_key("POW9")}]) == 1
+
+    def test_each_problem_runs_on_one_worker(self, monkeypatch, tmp_path):
+        log = tmp_path / "events.jsonl"
+        activate(monkeypatch, f"worker.slow@1.0,sleep_s=0.2;log={log}")
+        suite = run_suite(PROBLEMS, ALGORITHMS, scale=SCALE, n_jobs=2)
+        assert all(record.ok for record in suite.records)
+        pids = dict(started_cells(log))
+        assert len(pids) == 6
+        by_problem = {problem: {pids[f"{problem}/{algorithm}#a0"] for algorithm in ALGORITHMS}
+                      for problem in PROBLEMS}
+        assert all(len(owners) == 1 for owners in by_problem.values())
+        assert by_problem["POW9"] != by_problem["CAN1072"]
+        assert all(pid_gone(pid) for pid in pids.values())
 
 
 def _probe(pattern):

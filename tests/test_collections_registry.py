@@ -177,9 +177,20 @@ class TestResolveProblems:
 
 class TestExpectedProblemSize:
     def test_paper_problem_uses_paper_sizes(self):
+        # POW9's builder reaches the paper's size at scale 0.125, not 1.0.
         spec = PAPER_PROBLEMS["POW9"]
-        expected = float(spec.paper_n * spec.paper_nnz) * 0.02**2
+        assert spec.paper_scale == 0.125
+        expected = float(spec.paper_n * spec.paper_nnz) * (0.02 / 0.125)**2
         assert expected_problem_size("POW9", 0.02) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("scale", [0.05, 0.25])
+    def test_paper_estimates_track_the_built_size(self, scale):
+        # Within a factor of 8 of the built n * nnz, whatever factor of the
+        # paper's size each builder reaches at scale 1.0.
+        for name in PAPER_PROBLEMS:
+            pattern, _spec = load_problem(name, scale=scale)
+            ratio = pattern.n * pattern.nnz / expected_problem_size(name, scale)
+            assert 1 / 8 <= ratio <= 8, (name, ratio)
 
     def test_random_family_uses_analytic_sizes(self):
         spec = RANDOM_PROBLEMS["RANDOM/BA"]
