@@ -1,16 +1,10 @@
-"""Loop-form hot kernels: the reference implementations, and the numba tier.
+"""Loop-form hot kernels: the reference implementations of the ``python`` tier.
 
-Every function in this module is written in the *nopython* subset of Python —
-scalar loops over preallocated arrays, no Python objects, no fancy indexing —
-so the exact same code object runs two ways:
-
-* interpreted, as the always-available ``python`` backend: the
-  vertex-at-a-time reference that every production (``numpy`` tier) path
-  in :mod:`repro.graph.traversal`, :mod:`repro.orderings.gps` and
-  :mod:`repro.orderings.sloan` must reproduce bit for bit;
-* JIT-compiled by :mod:`repro.backends.numba_backend` when numba is present
-  (``numba.njit(cache=True)``, **without** ``fastmath`` so floating-point
-  summation order is preserved).
+Every function in this module is a vertex-at-a-time loop over preallocated
+arrays, run interpreted as the ``python`` backend: the reference that every
+production (``numpy`` tier) path in :mod:`repro.graph.traversal`,
+:mod:`repro.orderings.gps` and :mod:`repro.orderings.sloan` must reproduce
+bit for bit.
 
 Identity contracts (pinned by ``tests/test_backends.py`` kernel by kernel and
 by the whole-ordering differential sweep, both run against the ``python``
@@ -33,8 +27,6 @@ tier):
   bucket queue, which pops the front of a FIFO per priority value.  Push
   batches are deduplicated with the same keep-first (``w1 == 0``) /
   keep-last (``w1 != 0``) rule as ``_dedupe_batch``.
-* :func:`csr_matvec_kernel` accumulates each row left to right, matching
-  scipy's in-order CSR row summation bit for bit.
 
 All integer work uses ``np.intp`` / ``np.int64`` to match the production
 dtypes exactly.
@@ -49,7 +41,6 @@ __all__ = [
     "bfs_order_kernel",
     "number_by_levels_kernel",
     "sloan_kernel",
-    "csr_matvec_kernel",
     "LOOP_KERNELS",
 ]
 
@@ -388,25 +379,10 @@ def sloan_kernel(indptr, indices, degrees, dist_to_end, start, w1, w2, n):
     return order
 
 
-def csr_matvec_kernel(indptr, indices, data, x, out):
-    """CSR matrix-vector product with left-to-right row accumulation.
-
-    Matches scipy's CSR matvec summation order exactly (and is compiled
-    without ``fastmath``, so the compiler cannot reassociate the sums).
-    """
-    for i in range(indptr.shape[0] - 1):
-        acc = 0.0
-        for jj in range(indptr[i], indptr[i + 1]):
-            acc += data[jj] * x[indices[jj]]
-        out[i] = acc
-    return out
-
-
-#: Registry kernel name -> loop implementation (what the numba tier compiles).
+#: Registry kernel name -> loop implementation (the ``python`` tier).
 LOOP_KERNELS = {
     "bfs_levels": bfs_levels_kernel,
     "bfs_order": bfs_order_kernel,
     "number_by_levels": number_by_levels_kernel,
     "sloan": sloan_kernel,
-    "spmv": csr_matvec_kernel,
 }

@@ -56,6 +56,7 @@ from repro.bench.core import time_call
 from repro.collections.registry import load_problem
 from repro.envelope.metrics import envelope_statistics
 from repro.orderings.registry import ORDERING_ALGORITHMS, PAPER_ALGORITHMS
+from repro.utils.validation import require_positive_finite
 
 __all__ = [
     "crash_record",
@@ -286,9 +287,7 @@ def iter_suite(tasks, *, n_jobs: int = 1, timeout: float | None = None):
     if timeout is None or callable(timeout):
         timeout_fn = timeout
     else:
-        if timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        limit = float(timeout)
+        limit = require_positive_finite(timeout, "timeout")
 
         def timeout_fn(_task, _limit=limit):
             return _limit
@@ -408,9 +407,9 @@ def run_suite(
     ------
     ValueError
         On unknown problem/algorithm names, a non-positive ``n_jobs``, an
-        out-of-range ``shard`` or a non-positive ``timeout`` (validated up
-        front; a task that *raises while running* is captured as a failure
-        record instead).
+        out-of-range ``shard`` or a ``timeout`` or ``timeout_growth`` that is
+        not positive and finite (validated up front; a task that *raises
+        while running* is captured as a failure record instead).
     """
     if n_jobs is None:
         n_jobs = os.cpu_count() or 1
@@ -424,9 +423,9 @@ def run_suite(
     retry_timeouts = int(retry_timeouts)
     if retry_timeouts < 0:
         raise ValueError(f"retry_timeouts must be >= 0, got {retry_timeouts}")
-    timeout_growth = float(timeout_growth)
-    if timeout_growth <= 0:
-        raise ValueError(f"timeout_growth must be positive, got {timeout_growth}")
+    if timeout is not None and not callable(timeout):
+        timeout = require_positive_finite(timeout, "timeout")
+    timeout_growth = require_positive_finite(timeout_growth, "timeout_growth")
     retry_crashes = int(retry_crashes)
     if retry_crashes < 0:
         raise ValueError(f"retry_crashes must be >= 0, got {retry_crashes}")

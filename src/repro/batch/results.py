@@ -196,11 +196,12 @@ class SuiteResult:
     #: byte-identity of clean runs is untouched.
     partial: dict | None = None
     #: Kernel-backend summary of the run (``repro.backends.backend_summary``):
-    #: requested tier, numba availability/versions, whether an explicit
-    #: ``numba`` request fell back to numpy.  Serialized only in the full
-    #: (timing) form — like ``n_jobs`` it describes *how* the run executed,
-    #: not *what* it computed, so the canonical form stays byte-identical
-    #: across backends.
+    #: the ``requested`` tier, and ``ignored_invalid_env`` when an
+    #: unrecognized ``REPRO_BACKEND`` was served as numpy.  Read as a free
+    #: dict, so older artifacts with more keys still load.  Serialized only
+    #: in the full (timing) form — like ``n_jobs`` it describes *how* the run
+    #: executed, not *what* it computed, so the canonical form stays
+    #: byte-identical across backends.
     backend: dict | None = None
 
     # ------------------------------------------------------------------ #

@@ -241,11 +241,11 @@ def iter_cells(tasks, n_workers: int, timeout_for=None):
                                      [other.held for other in workers if other is not worker])
                 task = pending.pop(position)
                 limit = None if timeout_for is None else timeout_for(task)
-                if limit is not None and limit <= 0:
+                if limit is not None and not (math.isfinite(limit) and limit > 0):
                     raise ValueError(
                         f"timeout policy returned {limit!r} for "
                         f"{task.problem}/{task.algorithm}; per-task limits "
-                        f"must be positive (or None for no limit)"
+                        f"must be positive and finite (or None for no limit)"
                     )
                 worker.submit(task, limit=limit)
                 worker.held.add((task.problem, task.scale))

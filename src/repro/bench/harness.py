@@ -36,6 +36,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro import backends
 from repro.bench.core import measure
 
 __all__ = [
@@ -64,19 +65,34 @@ _KIND = "repro-bench"
 _NOISE_FLOOR_S = 1e-3
 
 
-def _requested_backend() -> str:
-    from repro import backends
+#: Run configuration switches that change what a bench artifact timed, with
+#: the value a missing (or null) entry reads as: artifacts recorded before a
+#: switch existed ran its default (every kernel before the backend registry
+#: ran the numpy code).
+_CONFIG_DEFAULTS = {"fiedler_policy": "default", "backend": "numpy", "quick": False}
 
-    return backends.requested_backend()
+#: ``machine`` fields that identify the host and library stack a bench ran on.
+_HOST_FIELDS = ("platform", "machine", "python", "numpy", "scipy", "cpu_count")
+
+
+def _config_value(artifact: dict, key: str):
+    """One configuration switch of an artifact (see ``_CONFIG_DEFAULTS``)."""
+    value = (artifact.get("config") or {}).get(key)
+    return _CONFIG_DEFAULTS[key] if value is None else value
 
 
 def _artifact_backend(artifact: dict) -> str:
-    """The backend tier an artifact was recorded on.
+    """The backend tier an artifact was recorded on."""
+    return _config_value(artifact, "backend")
 
-    Artifacts written before the backend registry carry no
-    ``config.backend``; every kernel in them ran the numpy code.
-    """
-    return (artifact.get("config") or {}).get("backend", "numpy")
+
+def _incomparable(base: dict, new: dict) -> list[str]:
+    """The configuration switches and host fields two artifacts differ in."""
+    changed = [key for key in _CONFIG_DEFAULTS
+               if _config_value(base, key) != _config_value(new, key)]
+    base_host, new_host = base.get("machine") or {}, new.get("machine") or {}
+    changed += [key for key in _HOST_FIELDS if base_host.get(key) != new_host.get(key)]
+    return changed
 
 
 @dataclass(frozen=True)
@@ -97,26 +113,18 @@ class KernelBench:
 def machine_info() -> dict:
     """Platform / library versions recorded into every artifact.
 
-    Includes the active kernel backend tier (``backend``) and — when the
-    compiled tier is importable — the numba/llvmlite versions, so a bench
-    artifact is self-describing about *which* implementation it timed.
+    The kernel backend tier an artifact timed is ``config.backend``.
     """
     import scipy
 
-    from repro import backends
-
-    info = {
+    return {
         "platform": platform.platform(),
         "machine": platform.machine(),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
-        "backend": backends.requested_backend(),
-        "numba_available": backends.numba_available(),
     }
-    info.update(backends.numba_versions())
-    return info
 
 
 def bench_revision() -> str:
@@ -429,7 +437,7 @@ def run_bench(
         "config": {"quick": quick, "repeats": repeats,
                    "filter": name_filter, "include_suite": include_suite,
                    "fiedler_policy": fiedler_policy,
-                   "backend": _requested_backend()},
+                   "backend": backends.requested_backend()},
         "kernels": kernels,
         "suite": suite_section,
         "total_s": time.perf_counter() - start,
@@ -544,10 +552,8 @@ def diff_bench(baseline: dict, current: dict, *, threshold: float = 0.25) -> dic
     return {
         "baseline_rev": baseline.get("rev", "?"),
         "current_rev": current.get("rev", "?"),
-        "fiedler_policies": (
-            (baseline.get("config") or {}).get("fiedler_policy", "default"),
-            (current.get("config") or {}).get("fiedler_policy", "default"),
-        ),
+        "fiedler_policies": (_config_value(baseline, "fiedler_policy"),
+                             _config_value(current, "fiedler_policy")),
         "backends": (_artifact_backend(baseline), _artifact_backend(current)),
         "threshold": threshold,
         "rows": rows,
@@ -574,11 +580,17 @@ def trend_bench(artifacts: list[dict]) -> dict:
     they re-time ordering work the kernel rows already cover).  Speedups are
     chained cumulatively, so the last step's ``cumulative`` column answers
     "how much faster is the newest artifact than the oldest, per group".
+    A step between artifacts that differ in a configuration switch
+    (``config.fiedler_policy``, ``backend`` or ``quick``) or a host field
+    (``machine.platform``, ``machine``, ``python``, ``numpy``, ``scipy`` or
+    ``cpu_count``) measures that change, not the revision: it keeps its
+    speedups but stays out of the cumulative product.
 
     Returns a dict with ``groups`` (sorted union of group names), ``steps``
     (one per consecutive pair: ``base_rev``, ``new_rev``, the two
-    ``backend`` tiers, per-group ``speedups``/``cumulative`` maps and
-    ``common`` row counts), suitable for :func:`format_trend`.
+    ``backend`` tiers, the ``changed`` switch and host field names, per-group
+    ``speedups``/``cumulative`` maps and ``common`` row counts), suitable
+    for :func:`format_trend`.
     """
     if len(artifacts) < 2:
         raise ValueError("trend needs at least two bench artifacts")
@@ -610,13 +622,15 @@ def trend_bench(artifacts: list[dict]) -> dict:
             group: math.exp(sum(values) / len(values)) if values else None
             for group, values in logs.items()
         }
+        changed = _incomparable(base, new)
         for group, speedup in speedups.items():
-            if speedup is not None:
+            if speedup is not None and not changed:
                 cumulative[group] *= speedup
         steps.append({
             "base_rev": base.get("rev", "?"),
             "new_rev": new.get("rev", "?"),
             "backends": (_artifact_backend(base), _artifact_backend(new)),
+            "changed": changed,
             "speedups": speedups,
             "cumulative": dict(cumulative),
             "common": {group: len(values) for group, values in logs.items()},
@@ -640,8 +654,10 @@ def format_trend(trend: dict) -> str:
         label = f"{step['base_rev']} -> {step['new_rev']}"
         if step["backends"][0] != step["backends"][1]:
             label += f" [{step['backends'][0]}->{step['backends'][1]}]"
-        lines.append(f"{label:<28} "
-                     + " ".join(cell(step["speedups"].get(g)) for g in groups))
+        row = f"{label:<28} " + " ".join(cell(step["speedups"].get(g)) for g in groups)
+        if step["changed"]:
+            row += f"  (not in cumulative: {', '.join(step['changed'])} changed)"
+        lines.append(row)
     if trend["steps"]:
         final = trend["steps"][-1]["cumulative"]
         lines.append(f"{'cumulative':<28} "
@@ -674,8 +690,7 @@ def format_diff(diff: dict) -> str:
                      f"current {policies[1]}) — timings are not like-for-like")
     tiers = diff.get("backends", ("numpy", "numpy"))
     if tiers[0] != tiers[1]:
-        # Deliberately a NOTE, not a gate failure: diffing a numpy artifact
-        # against a numba artifact is how backend speedups get measured.
+        # A NOTE, not a gate failure: a cross-tier diff measures the tier.
         lines.append(f"NOTE: backend tiers differ (baseline {tiers[0]}, "
                      f"current {tiers[1]}) — this diff measures the backend, "
                      f"not the revision")

@@ -339,48 +339,27 @@ def _activate_faults(spec_arg) -> "int | None":
     return None
 
 
-def _activate_backend(backend_arg) -> "int | None":
-    """Validate and activate ``--backend NAME``, or return exit code 2.
+def _activate_backend(backend_arg) -> None:
+    """Activate ``--backend NAME`` (argparse has already checked the name).
 
-    The choice is exported as ``REPRO_BACKEND`` so suite worker processes
-    inherit it (same pattern as ``REPRO_STORE`` / ``REPRO_FAULTS``).  An
-    explicit request for an unavailable tier (``--backend numba`` without
-    numba installed) is rejected up front with a structured message —
-    in-process dispatch would otherwise silently fall back per kernel,
-    which is the right behavior for an *inherited* environment variable
-    but not for a flag the user just typed.
+    The choice is exported as ``REPRO_BACKEND`` so worker processes inherit
+    it (same pattern as ``REPRO_STORE`` / ``REPRO_FAULTS``).  Without the
+    flag an inherited ``REPRO_BACKEND`` applies as it is: an unrecognized
+    value is served as numpy and reported in the artifact's backend block.
     """
+    if backend_arg is None:
+        return
     import os
 
     from repro import backends
 
-    if backend_arg is None:
-        # No flag: an inherited REPRO_BACKEND still applies; an unavailable
-        # tier fails loudly here rather than silently falling back to numpy
-        # inside workers.
-        inherited = os.environ.get("REPRO_BACKEND", "").strip().lower()
-        if inherited in backends.BACKENDS:
-            try:
-                backends.require_backend(inherited)
-            except backends.BackendUnavailableError as exc:
-                print(f"REPRO_BACKEND: {exc}", file=sys.stderr)
-                return 2
-        return None
-    try:
-        choice = backends.require_backend(backend_arg)
-    except (ValueError, backends.BackendUnavailableError) as exc:
-        print(f"--backend: {exc}", file=sys.stderr)
-        return 2
-    os.environ["REPRO_BACKEND"] = choice
-    backends.set_backend(choice)
-    print(f"kernel backend: {choice}", file=sys.stderr)
-    return None
+    backends.set_backend(backend_arg)
+    os.environ["REPRO_BACKEND"] = backend_arg
+    print(f"kernel backend: {backend_arg}", file=sys.stderr)
 
 
 def _cmd_suite(args) -> int:
-    failed_backend = _activate_backend(args.backend)
-    if failed_backend is not None:
-        return failed_backend
+    _activate_backend(args.backend)
     store = _activate_store(args.store)
     failed_faults = _activate_faults(args.inject_faults)
     if failed_faults is not None:
@@ -738,9 +717,7 @@ def _cmd_bench(args) -> int:
         print(format_trend(trend_bench(artifacts)))
         return 0
 
-    failed_backend = _activate_backend(args.backend)
-    if failed_backend is not None:
-        return failed_backend
+    _activate_backend(args.backend)
     store = _activate_store(args.store)
     if args.repeats is not None and args.repeats < 1:
         print(f"--repeats must be a positive integer, got {args.repeats}",
@@ -910,9 +887,7 @@ def _cmd_serve(args) -> int:
 
     from repro.serve import ServeConfig
 
-    failed_backend = _activate_backend(args.backend)
-    if failed_backend is not None:
-        return failed_backend
+    _activate_backend(args.backend)
     _activate_store(args.store)
     failed_faults = _activate_faults(args.inject_faults)
     if failed_faults is not None:
@@ -1340,12 +1315,11 @@ def build_parser() -> argparse.ArgumentParser:
                                    "REPRO_STORE; results are byte-identical with "
                                    "the store on or off)")
     suite_parser.add_argument("--backend", default=None,
-                              choices=["numpy", "python", "numba"],
+                              choices=["numpy", "python"],
                               help="kernel backend tier (default: numpy; "
                                    "exported as REPRO_BACKEND so workers "
                                    "inherit it): 'python' runs the loop "
-                                   "reference kernels, 'numba' compiles them "
-                                   "and exits 2 without numba; results are "
+                                   "reference kernels; results are "
                                    "bit-identical across tiers")
     suite_parser.add_argument("--baseline", default=None,
                               help="diff against a saved results.json (exit 1 on drift)")
@@ -1414,11 +1388,9 @@ def build_parser() -> argparse.ArgumentParser:
                                    "timed kernel measures, so compare like against "
                                    "like")
     bench_parser.add_argument("--backend", default=None,
-                              choices=["numpy", "python", "numba"],
+                              choices=["numpy", "python"],
                               help="kernel backend tier to time (default: "
-                                   "numpy; recorded in the artifact config; "
-                                   "diff a numpy artifact --against a numba "
-                                   "one to measure the compiled-tier speedup)")
+                                   "numpy; recorded in the artifact config)")
     bench_parser.add_argument("--trend", default=None, nargs="+",
                               metavar="BENCH.json",
                               help="no bench run: chart the kernel-group geomean "
@@ -1637,7 +1609,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(exported as REPRO_FAULTS; see "
                                    "docs/robustness.md)")
     serve_parser.add_argument("--backend", default=None,
-                              choices=["numpy", "python", "numba"],
+                              choices=["numpy", "python"],
                               help="kernel backend tier for served orderings "
                                    "(default: numpy; exported as REPRO_BACKEND "
                                    "so subprocess workers inherit it; reported "

@@ -43,7 +43,7 @@ from repro.collections.generators import (
 from repro.collections.meshes import grid2d_pattern, grid3d_pattern, multi_dof_pattern
 from repro.collections.random_graphs import RANDOM_PROBLEMS, GeneratorSpec
 from repro.sparse.pattern import SymmetricPattern
-from repro.utils.validation import require_scale
+from repro.utils.validation import require_positive_finite
 
 __all__ = [
     "ProblemSpec",
@@ -105,7 +105,7 @@ class ProblemSpec:
         """Build the surrogate pattern at the given (or default) scale."""
         if scale is None:
             scale = default_scale()
-        require_scale(scale)
+        require_positive_finite(scale, "scale")
         return self.generator(scale / self.paper_scale)
 
 
@@ -114,7 +114,7 @@ def default_scale() -> float:
     value = os.environ.get("REPRO_BENCH_SCALE", "")
     if not value:
         return 0.125
-    return require_scale(value, "REPRO_BENCH_SCALE")
+    return require_positive_finite(value, "REPRO_BENCH_SCALE")
 
 
 def _linear(scale: float, paper_value: int, minimum: int) -> int:

@@ -210,12 +210,8 @@ def lanczos_smallest_nontrivial(
     if isinstance(op, spla.LinearOperator):
         matvec = op.matvec
     else:
-        # Backend dispatch for the CSR matvec under the Lanczos recurrence:
-        # the compiled kernel keeps scipy's in-row summation order, so the
-        # recurrence (and every Ritz value) is bit-identical.
-        from repro import backends
-
-        matvec = backends.spmv_operator(op) or (lambda v: op @ v)
+        def matvec(v):
+            return op @ v
 
     if max_iter is None:
         max_iter = int(min(n - 1, max(30, 10 * np.log2(max(n, 2)) + 30)))

@@ -14,7 +14,7 @@ Both reproduce the discovery order of the vertex-at-a-time queue scans of
 unchanged.
 
 Both entry points are backend-dispatched (:mod:`repro.backends`): when the
-``python`` or ``numba`` tier is selected, the loop kernel runs instead.
+``python`` tier is selected, the loop kernel runs instead.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ import time
 import traceback
 from dataclasses import dataclass
 
-from repro import faults
+from repro import backends, faults
 from repro.serve.api import DEFAULT_MAX_INLINE_N, parse_order_request
 from repro.serve.breaker import BreakerBoard
 from repro.serve.jobs import JobJournal, JobRegistry
@@ -500,7 +500,7 @@ class OrderingServer:
                      "journaled": self.counters["journaled"],
                      "journal_write_errors": self.counters["journal_write_errors"]},
             "store": store_stats,
-            "backend": _backend_status(),
+            "backend": backends.backend_summary(),
         }
 
 
@@ -508,19 +508,6 @@ def _kept_permutation(record, payload):
     """The permutation a job keeps: the record's array, not the response's
     list of Python ints, when the response carries one."""
     return record.ordering.perm if "permutation" in payload else None
-
-
-def _backend_status() -> dict:
-    """Kernel-backend tier view for ``/statsz``.
-
-    The per-kernel dispatch counts are this (coordinator) process's own; the
-    workers dispatch in their own processes, so the interesting fields here
-    are the requested tier, numba availability and any recorded fallback
-    from an explicit ``numba`` request.
-    """
-    from repro import backends
-
-    return backends.backend_status()
 
 
 def _journal_exists(path) -> bool:

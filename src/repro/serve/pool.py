@@ -33,6 +33,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.batch.workers import Worker
+from repro.utils.validation import require_positive_finite
 
 __all__ = ["PoolSaturated", "WorkerPool"]
 
@@ -57,11 +58,9 @@ class WorkerPool:
             raise ValueError(f"workers must be positive, got {workers}")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
         self.workers = int(workers)
         self.max_queue = int(max_queue)
-        self.timeout = None if timeout is None else float(timeout)
+        self.timeout = None if timeout is None else require_positive_finite(timeout, "timeout")
         self.queued = 0
         self.busy = 0
         self.completed = {"ok": 0, "error": 0, "timeout": 0, "crashed": 0}

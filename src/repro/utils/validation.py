@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 __all__ = [
     "require_positive_int",
-    "require_scale",
+    "require_positive_finite",
     "check_permutation",
     "check_square",
     "check_symmetric_structure",
@@ -60,20 +60,21 @@ def require_positive_int(value, name: str, minimum: int = 1) -> int:
     return value
 
 
-def require_scale(value, name: str = "scale") -> float:
-    """Validate a surrogate scale: a positive, finite number.
+def require_positive_finite(value, name: str) -> float:
+    """Validate a positive, finite number: a surrogate scale or a time limit.
 
     Accepts anything :class:`float` parses (numbers and numeric strings) and
-    returns it as a float.  Raises :class:`ValueError` naming the value for
-    non-numeric input, ``nan``, ``±inf``, zero and negative values.
+    returns it as a float.  Raises :class:`ValueError` naming the argument
+    and the value for non-numeric input, ``nan``, ``±inf``, zero and
+    negative values.
     """
     try:
-        scale = float(value)
+        number = float(value)
     except (TypeError, ValueError):
-        scale = math.nan
-    if not (math.isfinite(scale) and scale > 0):
+        number = math.nan
+    if not (math.isfinite(number) and number > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return scale
+    return number
 
 
 def as_int_array(values, name: str) -> np.ndarray:

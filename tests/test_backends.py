@@ -1,17 +1,12 @@
 """Tests of the per-kernel backend registry (:mod:`repro.backends`).
 
-Covers the registry semantics (request resolution, env precedence,
-fallback accounting), bit-identity of the vectorized production paths
-against the loop kernels — the reference implementations of BFS levels,
-the Cuthill-McKee enqueue, GPS/GK numbering and Sloan — the no-numba
-environment contract (silent recorded fallback everywhere, structured exit
-2 from the CLI flag), the backend block of suite artifacts, the bench
-trend/diff backend dimension, and external-problem registration
-(``repro fetch --register``).
-
-The compiled ``numba`` tier is exercised when numba is importable
-(``skipif`` otherwise) — the interpreted ``python`` tier runs the *same*
-kernel code objects, so the identity guarantees are tested either way.
+Covers the registry semantics (request resolution, env precedence, an
+unrecognized env value served as numpy and reported), bit-identity of the
+vectorized production paths against the loop kernels — the reference
+implementations of BFS levels, the Cuthill-McKee enqueue, GPS/GK numbering
+and Sloan, run as the ``python`` tier — the backend block of suite
+artifacts and ``/statsz``, the bench trend/diff backend dimension, the CLI
+surface, and external-problem registration (``repro fetch --register``).
 """
 
 from __future__ import annotations
@@ -32,8 +27,6 @@ from repro.orderings.sloan import _sloan_component
 from repro.sparse.pattern import SymmetricPattern
 from repro.utils.rng import default_rng
 from tests.test_kernels_reference import CONNECTED, CORPUS
-
-HAS_NUMBA = backends.numba_available()
 
 
 @pytest.fixture(autouse=True)
@@ -113,14 +106,14 @@ class TestRegistry:
     def test_requestable_names_normalize(self):
         assert backends.normalize_backend(" Python ") == "python"
         assert backends.normalize_backend("NUMPY") == "numpy"
-        for name in ("cython", "auto"):
+        for name in ("cython", "auto", "numba"):
             with pytest.raises(ValueError, match="unknown backend"):
                 backends.normalize_backend(name)
 
     def test_default_request_is_numpy(self):
+        assert backends.BACKENDS == ("numpy", "python")
         assert backends.requested_backend() == "numpy"
-        assert backends.resolve_backend("spmv") == "numpy"
-        assert backends.backend_status()["fallbacks"] == 0
+        assert backends.backend_summary() == {"requested": "numpy"}
 
     def test_env_sets_request_and_override_outranks_it(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "python")
@@ -130,23 +123,24 @@ class TestRegistry:
         backends.set_backend(None)
         assert backends.requested_backend() == "python"
 
-    @pytest.mark.parametrize("value", ["warp-drive", "auto"])
+    @pytest.mark.parametrize("value", ["warp-drive", "auto", "numba"])
     def test_invalid_env_is_numpy_and_surfaced(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_BACKEND", value)
         assert backends.requested_backend() == "numpy"
         assert backends.kernel_impl("sloan") is None
-        status = backends.backend_status()
-        assert status["ignored_invalid_env"] == value
-        assert status["fallbacks"] == 0
+        assert backends.backend_events() == {"sloan:numpy": 1}
+        assert backends.backend_summary() == {"requested": "numpy",
+                                              "ignored_invalid_env": value}
 
-    def test_available_backends_always_has_numpy_and_python(self):
-        available = backends.available_backends()
-        assert available[:2] == ["numpy", "python"]
-        assert ("numba" in available) == HAS_NUMBA
+    def test_override_outranks_an_invalid_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "numba")
+        backends.set_backend("python")
+        assert backends.backend_summary() == {"requested": "python"}
 
-    def test_resolve_unknown_kernel_rejected(self):
+    @pytest.mark.parametrize("kernel", ["fft", "spmv"])
+    def test_unknown_kernel_rejected(self, kernel):
         with pytest.raises(ValueError, match="unknown kernel"):
-            backends.resolve_backend("fft")
+            backends.kernel_impl(kernel)
 
     def test_numpy_tier_returns_no_impl(self):
         backends.set_backend("numpy")
@@ -158,16 +152,15 @@ class TestRegistry:
         ("bfs_order", loop_kernels.bfs_order_kernel),
         ("number_by_levels", loop_kernels.number_by_levels_kernel),
         ("sloan", loop_kernels.sloan_kernel),
-        ("spmv", loop_kernels.csr_matvec_kernel),
     ])
     def test_python_tier_returns_loop_kernels(self, kernel, loop_kernel):
         backends.set_backend("python")
         assert backends.kernel_impl(kernel) is loop_kernel
 
-    def test_status_keys_carry_no_threshold(self):
-        status = backends.backend_status()
-        assert set(status) - set(backends.numba_versions()) == {
-            "requested", "available", "numba_available", "events", "fallbacks"}
+    def test_summary_carries_no_counters(self):
+        backends.set_backend("python")
+        backends.kernel_impl("sloan")
+        assert backends.backend_summary() == {"requested": "python"}
 
     def test_events_count_per_kernel_choice(self):
         backends.set_backend("python")
@@ -179,81 +172,9 @@ class TestRegistry:
         assert events["bfs_order:python"] == 1
 
 
-class TestNoNumbaEnvironment:
-    """The fallback contract when the compiled tier is absent."""
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba is installed here")
-    def test_require_numba_raises_structured(self):
-        with pytest.raises(backends.BackendUnavailableError) as excinfo:
-            backends.require_backend("numba")
-        err = excinfo.value
-        assert err.backend == "numba"
-        assert "available backends: numpy, python" in str(err)
-        assert "auto" not in str(err)
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba is installed here")
-    def test_explicit_numba_request_falls_back_and_is_counted(self, monkeypatch):
-        # An *inherited* env request (worker process) must not crash — it
-        # serves numpy and records the fallback.
-        monkeypatch.setenv("REPRO_BACKEND", "numba")
-        assert backends.resolve_backend("sloan") == "numpy"
-        status = backends.backend_status()
-        assert status["fallbacks"] == 1
-        assert status["numba_available"] is False
-        assert "ignored_invalid_env" not in status
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba is installed here")
-    def test_backend_summary_records_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numba")
-        summary = backends.backend_summary()
-        assert summary == {"requested": "numba", "numba_available": False,
-                           "fallback": True}
-
-    def test_backend_summary_default_is_numpy_without_fallback(self):
-        summary = backends.backend_summary()
-        assert summary["requested"] == "numpy"
-        assert summary["fallback"] is False
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-class TestCompiledTier:
-    """Only when numba is importable: the JIT kernels match the loop tier."""
-
-    def test_compiled_kernels_cover_every_kernel(self):
-        from repro.backends.numba_backend import compiled_kernels
-
-        assert set(compiled_kernels()) == set(backends.KERNELS)
-
-    def test_compiled_matches_python_tier(self):
-        pattern = PATTERNS[0]
-        degrees = pattern.degree()
-        n = pattern.n
-        backends.set_backend("python")
-        py = backends.kernel_impl("bfs_levels")(pattern.indptr, pattern.indices, 0, n)
-        backends.set_backend("numba")
-        jit = backends.kernel_impl("bfs_levels")(pattern.indptr, pattern.indices, 0, n)
-        for a, b in zip(py[:3], jit[:3]):
-            assert np.array_equal(a, b)
-        assert py[3] == jit[3]
-        backends.set_backend("python")
-        py_order, py_tail = backends.kernel_impl("bfs_order")(
-            pattern.indptr, pattern.indices, degrees, 0, True, n)
-        backends.set_backend("numba")
-        jit_order, jit_tail = backends.kernel_impl("bfs_order")(
-            pattern.indptr, pattern.indices, degrees, 0, True, n)
-        assert py_tail == jit_tail
-        assert np.array_equal(py_order[:py_tail], jit_order[:jit_tail])
-
-    def test_machine_info_reports_versions(self):
-        from repro.bench import machine_info
-
-        info = machine_info()
-        assert "numba" in info and "llvmlite" in info
-
-
 # --------------------------------------------------------------------- #
 # kernel bit-identity: the production numpy paths against the loop kernels
-# (the ``python`` tier is the reference; ``numba`` compiles the same code)
+# (the ``python`` tier is the reference)
 # --------------------------------------------------------------------- #
 def assert_structure_equal(a, b):
     assert np.array_equal(a.level_of, b.level_of)
@@ -262,9 +183,7 @@ def assert_structure_equal(a, b):
         assert np.array_equal(np.asarray(la), np.asarray(lb))
 
 
-@pytest.mark.parametrize(
-    "backend", [b for b in backends.available_backends() if b != "numpy"]
-)
+@pytest.mark.parametrize("backend", ["python"])
 class TestKernelIdentity:
     def _with_backend(self, backend, func):
         backends.set_backend(backend)
@@ -364,36 +283,8 @@ class TestKernelIdentity:
                 tier = self._with_backend(backend, lambda: func(pattern))
                 assert np.array_equal(base.perm, tier.perm)
 
-    def test_spmv_matches_scipy_bitwise(self, backend):
-        from repro.graph.laplacian import laplacian_matrix
 
-        for pattern in PATTERNS[:2]:
-            lap = laplacian_matrix(pattern).tocsr().astype(np.float64)
-            v = default_rng(5).standard_normal(pattern.n)
-            base = lap @ v
-            matvec = self._with_backend(
-                backend, lambda: backends.spmv_operator(lap))
-            assert matvec is not None
-            backends.set_backend(backend)
-            try:
-                out = matvec(v)
-            finally:
-                backends.set_backend(None)
-            assert np.array_equal(base, out)  # bitwise, not approx
-
-    def test_lanczos_end_to_end_identity(self, backend):
-        from repro.eigen.lanczos import lanczos_smallest_nontrivial
-        from repro.graph.laplacian import laplacian_matrix
-
-        lap = laplacian_matrix(PATTERNS[0])
-        base = lanczos_smallest_nontrivial(lap, rng=0)
-        tier = self._with_backend(
-            backend, lambda: lanczos_smallest_nontrivial(lap, rng=0))
-        assert base.eigenvalue == tier.eigenvalue
-        assert np.array_equal(base.eigenvector, tier.eigenvector)
-
-
-@pytest.mark.parametrize("backend", backends.available_backends())
+@pytest.mark.parametrize("backend", backends.BACKENDS)
 class TestInputChecksOnEveryTier:
     """Bad roots, starts and levels raise the same error on every tier, and
     an integer-like root is taken as its index, never as a mask or a
@@ -468,25 +359,6 @@ class TestInputChecksOnEveryTier:
             cuthill_mckee_ordering(self.GRID, start=1.5)
 
 
-class TestSpmvOperator:
-    def test_none_for_numpy_tier(self):
-        from repro.graph.laplacian import laplacian_matrix
-
-        backends.set_backend("numpy")
-        lap = laplacian_matrix(PATTERNS[0]).tocsr()
-        assert backends.spmv_operator(lap) is None
-
-    def test_none_for_non_csr_or_wrong_dtype(self):
-        import scipy.sparse as sp
-
-        backends.set_backend("python")
-        assert backends.spmv_operator(np.eye(3)) is None
-        coo = sp.coo_matrix(np.eye(3))
-        assert backends.spmv_operator(coo) is None
-        csr32 = sp.csr_matrix(np.eye(3, dtype=np.float32))
-        assert backends.spmv_operator(csr32) is None
-
-
 # --------------------------------------------------------------------- #
 # suite artifacts: backend block, canonical identity across tiers
 # --------------------------------------------------------------------- #
@@ -496,8 +368,7 @@ class TestSuiteArtifactBackend:
 
         backends.set_backend("python")
         suite = run_suite(["POW9"], ["rcm"], scale=0.05)
-        assert suite.backend["requested"] == "python"
-        assert suite.backend["fallback"] is False
+        assert suite.backend == {"requested": "python"}
 
     def test_backend_only_in_timing_form_and_roundtrips(self):
         from repro.batch import run_suite
@@ -511,14 +382,24 @@ class TestSuiteArtifactBackend:
         restored = SuiteResult.from_json(suite.to_json())
         assert restored.backend == suite.backend
 
+    def test_older_backend_blocks_still_load(self):
+        from repro.batch import run_suite
+        from repro.batch.results import SuiteResult
+
+        payload = run_suite(["POW9"], ["rcm"], scale=0.05).to_dict(include_timing=True)
+        older = {"requested": "numpy", "numba_available": False, "fallback": False}
+        payload["backend"] = older
+        assert SuiteResult.from_json(json.dumps(payload)).backend == older
+
     def test_canonical_artifact_byte_identical_across_tiers(self):
         from repro.batch import run_suite
 
         texts = {}
-        for backend in backends.available_backends():
+        for backend in backends.BACKENDS:
             backends.set_backend(backend)
             try:
-                suite = run_suite(["POW9"], ["rcm", "sloan"], scale=0.05)
+                suite = run_suite(["POW9"], ["rcm", "sloan", "spectral", "hybrid"],
+                                  scale=0.05)
             finally:
                 backends.set_backend(None)
             texts[backend] = suite.to_json(include_timing=False)
@@ -543,21 +424,20 @@ def _bench_artifact(rev, created_s, backend, times):
 
 
 class TestBenchBackendDimension:
-    def test_machine_info_records_backend(self, monkeypatch):
+    def test_machine_info_is_the_host_only(self, monkeypatch):
         from repro.bench import machine_info
 
         monkeypatch.setenv("REPRO_BACKEND", "python")
-        info = machine_info()
-        assert info["backend"] == "python"
-        assert info["numba_available"] == HAS_NUMBA
+        assert set(machine_info()) == {"platform", "machine", "python", "numpy",
+                                       "scipy", "cpu_count"}
 
     def test_diff_carries_backend_pair_and_notes_mismatch(self):
         from repro.bench import diff_bench, format_diff
 
         a = _bench_artifact("r1", 1.0, "numpy", {"graph/bfs/X": 1.0})
-        b = _bench_artifact("r2", 2.0, "numba", {"graph/bfs/X": 0.5})
+        b = _bench_artifact("r2", 2.0, "python", {"graph/bfs/X": 0.5})
         diff = diff_bench(a, b)
-        assert diff["backends"] == ("numpy", "numba")
+        assert diff["backends"] == ("numpy", "python")
         assert "NOTE: backend tiers differ" in format_diff(diff)
         same = diff_bench(a, _bench_artifact("r3", 3.0, "numpy",
                                              {"graph/bfs/X": 0.9}))
@@ -570,16 +450,60 @@ class TestBenchBackendDimension:
                             {"orderings/rcm/X": 1.0, "graph/bfs/X": 0.8})
         b = _bench_artifact("r2", 200.0, "numpy",
                             {"orderings/rcm/X": 0.5, "graph/bfs/X": 0.8})
-        c = _bench_artifact("r3", 300.0, "numba",
+        c = _bench_artifact("r3", 300.0, "numpy",
                             {"orderings/rcm/X": 0.25, "graph/bfs/X": 0.2})
         trend = trend_bench([c, a, b])  # order on disk must not matter
         assert trend["revisions"] == ["r1", "r2", "r3"]
         last = trend["steps"][-1]
-        assert last["backends"] == ("numpy", "numba")
+        assert last["backends"] == ("numpy", "numpy")
         assert last["cumulative"]["orderings"] == pytest.approx(4.0)
         assert last["cumulative"]["graph"] == pytest.approx(4.0)
         text = format_trend(trend)
-        assert "cumulative" in text and "[numpy->numba]" in text
+        assert "cumulative" in text and "not in cumulative" not in text
+
+    def test_trend_leaves_config_and_host_changes_out_of_cumulative(self):
+        from repro.bench import format_trend, trend_bench
+
+        def artifact(rev, created_s, best_s, policy="default", cpus=2):
+            art = _bench_artifact(rev, created_s, "numpy", {"eigen/lanczos/X": best_s})
+            art["config"]["fiedler_policy"] = policy
+            art["machine"] = {"platform": "Linux", "machine": "x86_64",
+                              "python": "3.11.7", "numpy": "2.4.6",
+                              "scipy": "1.17.1", "cpu_count": cpus,
+                              "backend": "numpy", "numba_available": False}
+            return art
+
+        chain = [
+            artifact("r1", 1.0, 8.0),
+            artifact("r2", 2.0, 4.0),                  # a revision: 2x
+            artifact("r3", 3.0, 2.0, policy="fast"),   # a policy switch
+            artifact("r4", 4.0, 4.0, cpus=1),          # back, on another host
+            artifact("r5", 5.0, 2.0, cpus=1),          # a revision: 2x
+        ]
+        # A machine block without the fields it used to carry is no change.
+        for key in ("backend", "numba_available"):
+            del chain[-1]["machine"][key]
+        trend = trend_bench(chain)
+        assert [step["changed"] for step in trend["steps"]] == [
+            [], ["fiedler_policy"], ["fiedler_policy", "cpu_count"], []]
+        assert [step["speedups"]["eigen"] for step in trend["steps"]] == \
+            pytest.approx([2.0, 2.0, 0.5, 2.0])
+        assert trend["steps"][-1]["cumulative"]["eigen"] == pytest.approx(4.0)
+        rows = format_trend(trend).splitlines()
+        assert rows[3].startswith("r2 -> r3") and rows[3].endswith(
+            "(not in cumulative: fiedler_policy changed)")
+        assert rows[4].endswith("(not in cumulative: fiedler_policy, cpu_count changed)")
+        assert rows[-1].split() == ["cumulative", "4.00x"]
+
+    def test_trend_reads_missing_switches_as_their_defaults(self):
+        from repro.bench import trend_bench
+
+        legacy = _bench_artifact("r1", 1.0, None, {"graph/bfs/X": 1.0})
+        current = _bench_artifact("r2", 2.0, "numpy", {"graph/bfs/X": 0.5})
+        current["config"].update(fiedler_policy="default", quick=False)
+        assert trend_bench([legacy, current])["steps"][0]["changed"] == []
+        current["config"]["quick"] = True
+        assert trend_bench([legacy, current])["steps"][0]["changed"] == ["quick"]
 
     def test_legacy_artifact_without_backend_reads_as_numpy(self):
         from repro.bench import diff_bench, format_diff, format_trend, trend_bench
@@ -603,15 +527,18 @@ class TestBenchBackendDimension:
         assert diff["backends"] == ("numpy", "numpy")
         assert "backend tiers differ" not in format_diff(diff)
 
-    def test_legacy_artifact_against_numba_still_notes_the_tiers(self):
+    def test_legacy_artifact_against_python_still_notes_the_tiers(self):
         from repro.bench import diff_bench, format_diff, format_trend, trend_bench
 
         legacy = _bench_artifact("r1", 1.0, None, {"graph/bfs/X": 1.0})
-        compiled = _bench_artifact("r2", 2.0, "numba", {"graph/bfs/X": 0.5})
-        diff = diff_bench(legacy, compiled)
-        assert diff["backends"] == ("numpy", "numba")
-        assert "NOTE: backend tiers differ (baseline numpy, current numba)" in format_diff(diff)
-        assert "[numpy->numba]" in format_trend(trend_bench([legacy, compiled]))
+        loops = _bench_artifact("r2", 2.0, "python", {"graph/bfs/X": 2.0})
+        diff = diff_bench(legacy, loops)
+        assert diff["backends"] == ("numpy", "python")
+        assert "NOTE: backend tiers differ (baseline numpy, current python)" in format_diff(diff)
+        trend = trend_bench([legacy, loops])
+        assert trend["steps"][0]["changed"] == ["backend"]
+        assert trend["steps"][0]["cumulative"]["graph"] == pytest.approx(1.0)
+        assert "[numpy->python]" in format_trend(trend)
 
     def test_trend_requires_two_artifacts(self):
         from repro.bench import trend_bench
@@ -633,42 +560,31 @@ class TestBenchBackendDimension:
 # CLI surface
 # --------------------------------------------------------------------- #
 class TestCliBackend:
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba is installed here")
-    def test_explicit_numba_flag_exits_2_structured(self, capsys):
-        code = main(["suite", "POW9", "--scale", "0.05", "--backend", "numba"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "unavailable" in err and "numpy, python" in err
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba is installed here")
-    def test_inherited_numba_env_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_BACKEND", "numba")
-        code = main(["suite", "POW9", "--scale", "0.05", "--algorithms", "rcm"])
-        assert code == 2
-        assert "REPRO_BACKEND" in capsys.readouterr().err
-
+    @pytest.mark.parametrize("tier", ["auto", "numba"])
     @pytest.mark.parametrize("argv", [["suite", "POW9"], ["bench"], ["serve"]],
                              ids=lambda argv: argv[0])
-    def test_auto_flag_is_rejected(self, argv, capsys):
+    def test_retired_tier_flag_is_rejected(self, argv, tier, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main([*argv, "--backend", "auto"])
+            main([*argv, "--backend", tier])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'auto'" in capsys.readouterr().err
+        assert f"invalid choice: '{tier}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["suite", "bench", "serve"])
-    def test_help_lists_the_three_tiers(self, command, capsys):
+    def test_help_lists_the_two_tiers(self, command, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--help"])
         assert excinfo.value.code == 0
-        assert "--backend {numpy,python,numba}" in capsys.readouterr().out
+        assert "--backend {numpy,python}" in capsys.readouterr().out
 
-    def test_inherited_auto_env_runs_numpy(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("REPRO_BACKEND", "auto")
+    @pytest.mark.parametrize("tier", ["auto", "numba"])
+    def test_inherited_retired_tier_env_runs_numpy(self, monkeypatch, tmp_path, capsys, tier):
+        monkeypatch.setenv("REPRO_BACKEND", tier)
         out = tmp_path / "results.json"
         code = main(["suite", "POW9", "--scale", "0.05", "--algorithms", "rcm",
                      "--output", str(out)])
         assert code == 0
-        assert json.loads(out.read_text())["backend"]["requested"] == "numpy"
+        assert json.loads(out.read_text())["backend"] == {
+            "requested": "numpy", "ignored_invalid_env": tier}
 
     def test_backend_flag_exported_and_announced(self, monkeypatch, capsys):
         code = main(["suite", "POW9", "--scale", "0.05",
@@ -694,7 +610,7 @@ class TestCliBackend:
         a.write_text(json.dumps(_bench_artifact(
             "r1", 100.0, "numpy", {"graph/bfs/X": 1.0})))
         b.write_text(json.dumps(_bench_artifact(
-            "r2", 200.0, "numba", {"graph/bfs/X": 0.25})))
+            "r2", 200.0, "numpy", {"graph/bfs/X": 0.25})))
         code = main(["bench", "--trend", str(a), str(b)])
         assert code == 0
         out = capsys.readouterr().out
@@ -778,10 +694,12 @@ class TestExternalRegistration:
 
 
 class TestServeStatsz:
-    def test_statsz_reports_backend(self, monkeypatch):
-        from repro.serve.app import _backend_status
+    @pytest.mark.parametrize("env, block", [
+        ("python", {"requested": "python"}),
+        ("numba", {"requested": "numpy", "ignored_invalid_env": "numba"}),
+    ])
+    def test_statsz_reports_the_backend_summary(self, monkeypatch, env, block):
+        from repro.serve.app import OrderingServer
 
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        status = _backend_status()
-        assert status["requested"] == "python"
-        assert status["numba_available"] == HAS_NUMBA
+        monkeypatch.setenv("REPRO_BACKEND", env)
+        assert OrderingServer().statsz()["backend"] == block

@@ -322,6 +322,12 @@ class TestEngineIntegration:
         with pytest.raises(ValueError, match="timeout_growth"):
             run_suite(["POW9"], ("rcm",), scale=0.02, timeout_growth=0.0)
 
+    @pytest.mark.parametrize("growth", [float("nan"), float("inf")])
+    def test_non_finite_growth_rejected(self, growth):
+        with pytest.raises(ValueError, match="timeout_growth must be positive and finite"):
+            run_suite(["POW9"], ("rcm",), scale=0.02, timeout=60.0,
+                      retry_timeouts=1, timeout_growth=growth)
+
     def test_build_tasks_matches_engine_expansion(self):
         """plan_shards in the CLI and run_suite's internal planning agree
         because both start from the same deterministic expansion."""

@@ -54,6 +54,14 @@ class TestIterSuite:
         with pytest.raises(ValueError, match="timeout"):
             list(iter_suite(tasks, timeout=0))
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_non_finite_timeout_rejected(self, timeout):
+        tasks = build_tasks(["POW9"], ("rcm",), scale=SCALE)
+        with pytest.raises(ValueError, match="timeout must be positive and finite"):
+            list(iter_suite(tasks, n_jobs=2, timeout=timeout))
+        with pytest.raises(ValueError, match="timeout must be positive and finite"):
+            run_suite(["POW9"], ("rcm",), scale=SCALE, n_jobs=2, timeout=timeout)
+
 
 class TestOnRecord:
     def test_callback_sees_every_record_and_counts(self):

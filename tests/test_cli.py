@@ -334,6 +334,11 @@ class TestSuiteStreamingCli:
         assert code == 2
         assert "timeout" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_timeout_errors(self, value, capsys):
+        assert main(self.ARGS + ["--timeout", value]) == 2
+        assert "timeout must be positive and finite" in capsys.readouterr().err
+
     def test_resume_retries_timed_out_cells(self, tmp_path, monkeypatch, capsys):
         """A timeout record in the stream is a machine artifact: resuming
         (e.g. with a larger --timeout) recomputes that cell."""

@@ -190,6 +190,13 @@ class TestRetrySubprocess:
         assert proc.returncode == 2
         assert "--retry-timeouts needs --timeout" in proc.stderr
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_serve_timeout_exits_2_before_listening(self, value):
+        proc = repro("serve", "--port", "0", "--timeout", value, timeout=60)
+        assert proc.returncode == 2
+        assert "timeout must be positive and finite" in proc.stderr
+        assert "listening" not in proc.stdout
+
     def test_generous_timeout_with_retries_passes_through(self, tmp_path):
         """Retry flags on a suite where nothing times out are a no-op."""
         out = tmp_path / "results.json"

@@ -108,9 +108,9 @@ def test_mis_greedy_tail_matches_reference_on_adversarial_rank():
 def _patch_reference_kernels(monkeypatch) -> None:
     """Route every kernel to its reference for the life of *monkeypatch*.
 
-    The BFS, Cuthill-McKee, GPS/GK numbering, Sloan and matvec sites run
-    their loop kernels through the ``python`` tier; the rest are replaced by
-    their :mod:`repro.reference` twins.
+    The BFS, Cuthill-McKee, GPS/GK numbering and Sloan sites run their loop
+    kernels through the ``python`` tier; the rest are replaced by their
+    :mod:`repro.reference` twins.
     """
     def grow_domains_inplace(pattern, mis, domain_of):
         domain_of[:] = reference.grow_domains_reference(pattern, mis)
@@ -134,12 +134,11 @@ def _patch_reference_kernels(monkeypatch) -> None:
     ("bfs_order", "rcm"),
     ("number_by_levels", "gps"),
     ("sloan", "sloan"),
-    ("spmv", "spectral"),
 ])
 def test_reference_patch_runs_the_loop_kernels(kernel, algorithm):
     """Under the patch each dispatched kernel really runs its loop form, so
     the end-to-end comparisons cannot pass by comparing numpy with numpy."""
-    pattern = grid2d_pattern(12, 10)  # past the dense eigensolver cutoff
+    pattern = grid2d_pattern(12, 10)
     backends.reset_events()
     with pytest.MonkeyPatch.context() as context:
         _patch_reference_kernels(context)

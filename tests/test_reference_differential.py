@@ -30,7 +30,6 @@ import inspect
 import numpy as np
 import pytest
 
-from repro import backends
 from repro.envelope.metrics import envelope_statistics
 from repro.graph.components import connected_components
 from repro.orderings.registry import ORDERING_ALGORITHMS
@@ -179,23 +178,4 @@ def test_ordering_differential_sweep(algorithm):
             assert stats[name] == pytest.approx(value), (
                 f"{algorithm} pattern #{seed}: metric {name} is "
                 f"{stats[name]!r}, brute force says {value!r}"
-            )
-
-
-@pytest.mark.skipif(not backends.numba_available(), reason="numba not installed")
-def test_backend_tiers_match_numpy_across_sweep():
-    """The compiled ``numba`` tier produces the numpy tier's ordering bit for
-    bit for every registered algorithm over the sweep corpus.  (The loop
-    ``python`` tier is covered by the reference sweep above.)"""
-    for algorithm, func in sorted(ORDERING_ALGORITHMS.items()):
-        for seed, pattern in enumerate(PATTERNS):
-            base = _call_with_seed(func, pattern, seed)
-            backends.set_backend("numba")
-            try:
-                tiered = _call_with_seed(func, pattern, seed)
-            finally:
-                backends.set_backend(None)
-            assert np.array_equal(base.perm, tiered.perm), (
-                f"{algorithm} under the numba tier diverged from the numpy "
-                f"tier on pattern #{seed} (n={pattern.n})"
             )

@@ -27,6 +27,7 @@ from repro.serve import (
     ReplayedJobs,
     ServerClient,
     ServerError,
+    WorkerPool,
 )
 from tests.serve_harness import ServerProcess, child_pids, wait_until_gone
 
@@ -482,3 +483,9 @@ class TestWorkerProcesses:
                 "busy and idle workers must die with the server"
         finally:
             server.stop()
+
+
+@pytest.mark.parametrize("timeout", [0.0, float("nan"), float("inf")])
+def test_pool_timeout_must_be_positive_and_finite(timeout):
+    with pytest.raises(ValueError, match="timeout must be positive and finite"):
+        WorkerPool(timeout=timeout)

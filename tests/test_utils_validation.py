@@ -9,21 +9,21 @@ from repro.utils.validation import (
     check_permutation,
     check_square,
     check_symmetric_structure,
+    require_positive_finite,
     require_positive_int,
-    require_scale,
 )
 
 
-class TestRequireScale:
+class TestRequirePositiveFinite:
     @pytest.mark.parametrize("value, expected", [(0.25, 0.25), (2, 2.0), ("0.5", 0.5)])
     def test_accepts_positive_finite(self, value, expected):
-        assert require_scale(value) == expected
+        assert require_positive_finite(value, "scale") == expected
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0, -1,
                                        "nan", "huge", None])
     def test_rejects_and_names_the_value(self, value):
         with pytest.raises(ValueError, match=f"s must be positive and finite, got {value!r}"):
-            require_scale(value, "s")
+            require_positive_finite(value, "s")
 
 
 class TestRequirePositiveInt:
