@@ -68,7 +68,9 @@ _NOISE_FLOOR_S = 1e-3
 #: Run configuration switches that change what a bench artifact timed, with
 #: the value a missing (or null) entry reads as: artifacts recorded before a
 #: switch existed ran its default (every kernel before the backend registry
-#: ran the numpy code).
+#: ran the numpy code).  ``fiedler_policy`` is only read: artifacts recorded
+#: before the rank-stability stopping rule was deleted may say ``"fast"``,
+#: and new ones omit it because every run now uses the residual test.
 _CONFIG_DEFAULTS = {"fiedler_policy": "default", "backend": "numpy", "quick": False}
 
 #: ``machine`` fields that identify the host and library stack a bench ran on.
@@ -147,15 +149,7 @@ def default_artifact_path(rev: str | None = None) -> Path:
 # --------------------------------------------------------------------- #
 # the pinned micro-suite
 # --------------------------------------------------------------------- #
-def _fiedler_policy_options(fiedler_policy: str) -> dict:
-    """Algorithm options implied by ``--fiedler-policy`` for spectral solvers."""
-    if fiedler_policy == "fast":
-        return {"tol_policy": "ordering"}
-    return {}
-
-
 def _ordering_bench(problem: str, scale: float, algorithm: str,
-                    fiedler_policy: str = "default",
                     group: str = "orderings") -> KernelBench:
     def setup():
         from repro.batch import BatchTask, derive_seed, task_options
@@ -168,7 +162,6 @@ def _ordering_bench(problem: str, scale: float, algorithm: str,
                          seed=derive_seed(0, problem, algorithm))
         options = task_options(func, task)
         if algorithm in ("spectral", "hybrid"):
-            options.update(_fiedler_policy_options(fiedler_policy))
             # Repeats share the pattern's spectral workspace: a warm plan.
             return lambda: func(pattern, **options)
         # A fresh copy per call, so no repeat reads a memoized search.
@@ -219,8 +212,7 @@ def _load_problem_bench(problem: str, scale: float) -> KernelBench:
     )
 
 
-def _eigen_bench(problem: str, scale: float, kernel: str,
-                 fiedler_policy: str = "default") -> KernelBench:
+def _eigen_bench(problem: str, scale: float, kernel: str) -> KernelBench:
     def setup():
         from repro.collections.registry import load_problem
         from repro.eigen.lanczos import lanczos_smallest_nontrivial
@@ -228,11 +220,10 @@ def _eigen_bench(problem: str, scale: float, kernel: str,
         from repro.graph.laplacian import laplacian_matrix
 
         pattern, _spec = load_problem(problem, scale=scale)
-        options = _fiedler_policy_options(fiedler_policy)
         if kernel == "lanczos":
             laplacian = laplacian_matrix(pattern)
-            return lambda: lanczos_smallest_nontrivial(laplacian, rng=0, **options)
-        return lambda: multilevel_fiedler(pattern, rng=0, **options)
+            return lambda: lanczos_smallest_nontrivial(laplacian, rng=0)
+        return lambda: multilevel_fiedler(pattern, rng=0)
 
     return KernelBench(
         name=f"eigen/{kernel}/{problem}@{scale:g}",
@@ -240,17 +231,13 @@ def _eigen_bench(problem: str, scale: float, kernel: str,
     )
 
 
-def pinned_micro_suite(quick: bool = False,
-                       fiedler_policy: str = "default") -> list[KernelBench]:
+def pinned_micro_suite(quick: bool = False) -> list[KernelBench]:
     """The fixed benchmark list compared across revisions.
 
     Names are stable identifiers: :func:`diff_bench` joins artifacts on them,
     so renaming or re-scaling an entry breaks the trajectory for that kernel
     (the diff reports it as added/removed rather than silently comparing
-    different work).  ``fiedler_policy="fast"`` runs the spectral/eigen
-    kernels under ``tol_policy="ordering"`` — the artifact's ``config``
-    records the policy, so a fast-path artifact is never silently diffed as
-    if it were a default-path run.
+    different work).
     """
     if quick:
         ordering_cases = [("CAN1072", 0.1), ("DWT2680", 0.05)]
@@ -272,15 +259,14 @@ def pinned_micro_suite(quick: bool = False,
         stiff_case = ("FLAP", 0.25)
 
     benches = [
-        _ordering_bench(problem, scale, algorithm, fiedler_policy)
+        _ordering_bench(problem, scale, algorithm)
         for problem, scale in ordering_cases
         for algorithm in ordering_algorithms
     ]
     # The power-law group: same ordering kernels on hub-dominated graphs,
     # where frontier widths behave nothing like the mesh cases above.
     benches += [
-        _ordering_bench(problem, scale, algorithm, fiedler_policy,
-                        group="powerlaw")
+        _ordering_bench(problem, scale, algorithm, group="powerlaw")
         for problem, scale in powerlaw_cases
         for algorithm in powerlaw_algorithms
     ]
@@ -296,9 +282,9 @@ def pinned_micro_suite(quick: bool = False,
     # runs ~150-200 costly ones.  Sloan on a small-world graph spreads its
     # priorities over many values.
     benches.append(_graph_bench("BCSSTK30", sweep_scale, "pseudo_diameter"))
-    benches.append(_ordering_bench("RANDOM/WS", ws_scale, "sloan", fiedler_policy))
+    benches.append(_ordering_bench("RANDOM/WS", ws_scale, "sloan"))
     benches += [
-        _eigen_bench(graph_problem, graph_scale, kernel, fiedler_policy)
+        _eigen_bench(graph_problem, graph_scale, kernel)
         for kernel in ("lanczos", "multilevel_fiedler")
     ]
     # One surrogate build per call: a dense multi-dof 3-D solid.
@@ -325,7 +311,6 @@ def run_bench(
     include_suite: bool = True,
     on_result: Callable[[dict], None] | None = None,
     rev: str | None = None,
-    fiedler_policy: str = "default",
 ) -> dict:
     """Execute the pinned micro-suite and return the artifact dictionary.
 
@@ -346,20 +331,12 @@ def run_bench(
         Callback invoked with each finished kernel entry (progress hook).
     rev:
         Source revision recorded in the artifact (default: git describe).
-    fiedler_policy:
-        ``"default"`` or ``"fast"`` — run the spectral/eigen kernels (and
-        the suite's spectral cells) under ``tol_policy="ordering"``.
-        Recorded in the artifact ``config``.
     """
-    if fiedler_policy not in ("default", "fast"):
-        raise ValueError(
-            f"fiedler_policy must be 'default' or 'fast', got {fiedler_policy!r}"
-        )
     if repeats is None:
         repeats = 2 if quick else 3
     start = time.perf_counter()
     kernels = []
-    for bench in pinned_micro_suite(quick, fiedler_policy):
+    for bench in pinned_micro_suite(quick):
         if name_filter and name_filter.lower() not in bench.name.lower():
             continue
         func = bench.setup()
@@ -381,11 +358,6 @@ def run_bench(
         from repro.batch import run_suite
 
         spec = _suite_spec(quick)
-        policy_options = _fiedler_policy_options(fiedler_policy)
-        algorithm_options = (
-            {"spectral": dict(policy_options), "hybrid": dict(policy_options)}
-            if policy_options else None
-        )
         # Best-of-k per cell: the suite runs `repeats` times and each cell
         # records the minimum of its per-run engine timings — the same
         # statistic the kernel rows use — so bench-sourced cost-model
@@ -394,7 +366,6 @@ def run_bench(
         for _run in range(repeats):
             suite = run_suite(spec["problems"], spec["algorithms"],
                               scale=spec["scale"], n_jobs=1,
-                              algorithm_options=algorithm_options,
                               keep_orderings=False)
             for record in suite.records:
                 if record.status != "ok":
@@ -436,7 +407,6 @@ def run_bench(
         "machine": machine_info(),
         "config": {"quick": quick, "repeats": repeats,
                    "filter": name_filter, "include_suite": include_suite,
-                   "fiedler_policy": fiedler_policy,
                    "backend": backends.requested_backend()},
         "kernels": kernels,
         "suite": suite_section,
@@ -516,8 +486,9 @@ def diff_bench(baseline: dict, current: dict, *, threshold: float = 0.25) -> dic
         (names only in one artifact), ``geomean_speedup`` over comparable
         rows, ``gate_geomean_speedup`` (geomean over rows above the noise
         floor — the ``--gate geomean`` CI statistic), the two revisions,
-        and ``fiedler_policies`` (baseline/current run policies; a mismatch
-        means the artifacts timed different solver configurations).
+        and ``fiedler_policies`` (the baseline's and current's recorded
+        Fiedler policy, ``"default"`` when absent; a mismatch means a legacy
+        ``"fast"`` artifact timed a different solver configuration).
     """
     base_times = {k["name"]: float(k["best_s"]) for k in baseline.get("kernels", [])}
     base_times.update(_cell_rows(baseline))
@@ -571,30 +542,41 @@ def diff_bench(baseline: dict, current: dict, *, threshold: float = 0.25) -> dic
 # --------------------------------------------------------------------- #
 # trajectory across many artifacts
 # --------------------------------------------------------------------- #
-def trend_bench(artifacts: list[dict]) -> dict:
+def trend_bench(artifacts: list[dict], labels: list[str] | None = None) -> dict:
     """Kernel-group geomean trajectory across checked-in bench artifacts.
 
-    Sorts the artifacts by their recorded ``created_s`` timestamp, then for
-    each consecutive pair computes the per-group geometric-mean speedup over
-    the kernel names present in **both** artifacts (suite cells excluded —
-    they re-time ordering work the kernel rows already cover).  Speedups are
-    chained cumulatively, so the last step's ``cumulative`` column answers
-    "how much faster is the newest artifact than the oldest, per group".
+    *labels* name the artifacts in the output, one per artifact (the CLI
+    passes each file name without its ``BENCH_`` prefix, since two artifacts
+    can record the same ``rev``); without them each artifact is named by its
+    ``rev``.  Sorts the artifacts, each with its label, by their recorded
+    ``created_s`` timestamp, then for each consecutive pair computes the
+    per-group geometric-mean speedup over the kernel names present in
+    **both** artifacts (suite cells excluded — they re-time ordering work the
+    kernel rows already cover).  Speedups are chained cumulatively, so the
+    last step's ``cumulative`` column answers "how much faster is the newest
+    artifact than the oldest, per group".
     A step between artifacts that differ in a configuration switch
-    (``config.fiedler_policy``, ``backend`` or ``quick``) or a host field
-    (``machine.platform``, ``machine``, ``python``, ``numpy``, ``scipy`` or
-    ``cpu_count``) measures that change, not the revision: it keeps its
-    speedups but stays out of the cumulative product.
+    (``config.backend``, ``quick`` or a legacy artifact's Fiedler policy) or
+    a host field (``machine.platform``, ``machine``, ``python``, ``numpy``,
+    ``scipy`` or ``cpu_count``) measures that change, not the revision: it
+    keeps its speedups but stays out of the cumulative product.
 
-    Returns a dict with ``groups`` (sorted union of group names), ``steps``
-    (one per consecutive pair: ``base_rev``, ``new_rev``, the two
-    ``backend`` tiers, the ``changed`` switch and host field names, per-group
+    Returns a dict with ``groups`` (sorted union of group names),
+    ``revisions`` (the labels in time order), ``steps`` (one per consecutive
+    pair: the ``base_rev`` and ``new_rev`` labels, the two ``backend``
+    tiers, the ``changed`` switch and host field names, per-group
     ``speedups``/``cumulative`` maps and ``common`` row counts), suitable
     for :func:`format_trend`.
     """
     if len(artifacts) < 2:
         raise ValueError("trend needs at least two bench artifacts")
-    ordered = sorted(artifacts, key=lambda a: float(a.get("created_s", 0.0)))
+    if labels is None:
+        labels = [a.get("rev", "?") for a in artifacts]
+    if len(labels) != len(artifacts):
+        raise ValueError(f"trend got {len(labels)} label(s) for "
+                         f"{len(artifacts)} artifact(s)")
+    ordered = sorted(zip(labels, artifacts),
+                     key=lambda pair: float(pair[1].get("created_s", 0.0)))
 
     def rows(artifact: dict) -> dict[str, tuple[str, float]]:
         return {
@@ -603,13 +585,13 @@ def trend_bench(artifacts: list[dict]) -> dict:
         }
 
     groups: set[str] = set()
-    for artifact in ordered:
+    for _label, artifact in ordered:
         groups.update(group for group, _ in rows(artifact).values())
     group_list = sorted(groups)
 
     steps = []
     cumulative = {group: 1.0 for group in group_list}
-    for base, new in zip(ordered, ordered[1:]):
+    for (base_label, base), (new_label, new) in zip(ordered, ordered[1:]):
         base_rows, new_rows = rows(base), rows(new)
         logs: dict[str, list[float]] = {group: [] for group in group_list}
         for name, (group, base_s) in base_rows.items():
@@ -627,8 +609,8 @@ def trend_bench(artifacts: list[dict]) -> dict:
             if speedup is not None and not changed:
                 cumulative[group] *= speedup
         steps.append({
-            "base_rev": base.get("rev", "?"),
-            "new_rev": new.get("rev", "?"),
+            "base_rev": base_label,
+            "new_rev": new_label,
             "backends": (_artifact_backend(base), _artifact_backend(new)),
             "changed": changed,
             "speedups": speedups,
@@ -636,7 +618,7 @@ def trend_bench(artifacts: list[dict]) -> dict:
             "common": {group: len(values) for group, values in logs.items()},
         })
     return {"groups": group_list, "steps": steps,
-            "revisions": [a.get("rev", "?") for a in ordered]}
+            "revisions": [label for label, _artifact in ordered]}
 
 
 def format_trend(trend: dict) -> str:

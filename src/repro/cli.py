@@ -304,7 +304,7 @@ def _activate_store(store_arg):
 
 
 def _store_stats_line(store) -> str:
-    """One summary line of this process's store traffic (CI greps it)."""
+    """One line of the run's store traffic, pool workers' included (CI greps it)."""
     stats = store.stats
     line = (f"store {store.root}: {stats['hits']} hit(s), "
             f"{stats['misses']} miss(es), {stats['writes']} write(s), "
@@ -430,13 +430,6 @@ def _cmd_suite(args) -> int:
             print(f"--timeout auto: {detail}; only analytic-size problems "
                   f"(RANDOM/*) get limits", file=sys.stderr)
 
-    algorithm_options = None
-    if args.fiedler_policy == "fast":
-        # The rank-stability fast path of the spectral solvers; combinatorial
-        # algorithms are unaffected.
-        algorithm_options = {"spectral": {"tol_policy": "ordering"},
-                             "hybrid": {"tol_policy": "ordering"}}
-
     normalized = [str(name).strip().upper() for name in problems]
     total_tasks = len(normalized) * len(algorithms)
     if shard is not None:
@@ -544,7 +537,6 @@ def _cmd_suite(args) -> int:
             scale=args.scale,
             n_jobs=args.jobs,
             base_seed=args.seed,
-            algorithm_options=algorithm_options,
             shard=shard,
             balance=args.balance,
             cost_model=cost_model,
@@ -583,8 +575,8 @@ def _cmd_suite(args) -> int:
         summary += f"; {len(completed)} reused from {resume_path}"
     print(summary)
     if store is not None:
-        # Per-process counters: with --jobs > 1 the workers' hits/writes
-        # accrue in the worker processes, not here.
+        # Worker processes send each cell's store-stats delta back with its
+        # record, and the engine adds it here, so the line counts every job.
         print(_store_stats_line(store))
     if args.output:
         suite.save(args.output)
@@ -704,7 +696,7 @@ def _cmd_bench(args) -> int:
         if len(args.trend) < 2:
             print("--trend needs at least two bench artifacts", file=sys.stderr)
             return 2
-        artifacts = []
+        artifacts, labels = [], []
         for path in args.trend:
             try:
                 artifacts.append(load_bench(path))
@@ -714,7 +706,9 @@ def _cmd_bench(args) -> int:
             except ValueError as exc:
                 print(str(exc), file=sys.stderr)
                 return 2
-        print(format_trend(trend_bench(artifacts)))
+            # The file name tells apart artifacts that record one rev.
+            labels.append(Path(path).stem.removeprefix("BENCH_"))
+        print(format_trend(trend_bench(artifacts, labels)))
         return 0
 
     _activate_backend(args.backend)
@@ -749,7 +743,6 @@ def _cmd_bench(args) -> int:
         include_suite=not args.no_suite,
         on_result=on_result,
         rev=rev,
-        fiedler_policy=args.fiedler_policy,
     )
     output = Path(args.output) if args.output else default_artifact_path(rev)
     save_bench(artifact, output)
@@ -771,10 +764,10 @@ def _cmd_bench(args) -> int:
         print(format_diff(diff))
         policies = diff["fiedler_policies"]
         if policies[0] != policies[1]:
-            print(f"cannot gate: baseline was recorded with --fiedler-policy "
-                  f"{policies[0]} but this run used {policies[1]} — the "
-                  f"timings are not like-for-like (rerun with a matching "
-                  f"policy or record a new baseline)", file=sys.stderr)
+            print(f"cannot gate: baseline {args.against} was recorded with "
+                  f"the retired Fiedler policy {policies[0]!r}, which this "
+                  f"build no longer runs — the timings are not like-for-like "
+                  f"(record a new baseline)", file=sys.stderr)
             return 2
         if args.gate == "geomean":
             floor = 1.0 / (1.0 + args.threshold)
@@ -1299,14 +1292,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite_parser.add_argument("--resume", default=None, metavar="PATH.jsonl",
                               help="reuse the completed records of a killed run's "
                                    "--stream-output file and run only the rest")
-    suite_parser.add_argument("--fiedler-policy", default="default",
-                              choices=["default", "fast"],
-                              help="'fast' runs the spectral/hybrid cells with the "
-                                   "rank-stability stopping rule (tol_policy="
-                                   "'ordering'): same ordering quality class, much "
-                                   "cheaper eigensolves; results on large problems "
-                                   "are not byte-comparable with default-policy "
-                                   "baselines")
     suite_parser.add_argument("--store", default=None, metavar="DIR",
                               help="persistent artifact store directory: spill "
                                    "Laplacians, component splits, hierarchies and "
@@ -1376,11 +1361,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "only a geomean slowdown beyond --threshold "
                                    "over kernels above the noise floor (the CI "
                                    "smoke gate — robust to single-kernel jitter)")
-    bench_parser.add_argument("--fiedler-policy", default="default",
-                              choices=["default", "fast"],
-                              help="'fast' times the spectral/eigen kernels under "
-                                   "the rank-stability stopping rule; recorded in "
-                                   "the artifact config")
     bench_parser.add_argument("--store", default=None, metavar="DIR",
                               help="persistent artifact store directory shared "
                                    "across repeats/runs (exported as REPRO_STORE); "

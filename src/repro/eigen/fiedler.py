@@ -91,7 +91,6 @@ def fiedler_vector(
     tol: float = 1e-8,
     rng=None,
     check_connected: bool = True,
-    tol_policy: str = "residual",
     **solver_options,
 ) -> FiedlerResult:
     """Compute a second Laplacian eigenvector of the adjacency graph of *pattern*.
@@ -112,14 +111,6 @@ def fiedler_vector(
         disconnected — the Fiedler value of a disconnected graph is 0 and its
         eigenvector carries no ordering information.  Callers that handle
         components themselves (the spectral ordering does) pass ``False``.
-    tol_policy:
-        ``"residual"`` (default) or ``"ordering"`` — the spectral-ordering
-        fast path of the ``lanczos`` and ``multilevel`` solvers: stop
-        refining once the eigenvector's induced vertex *ranking* is stable,
-        which orderings (the only consumers of ranks) hit far earlier than
-        the eigen-residual tolerance.  Ignored by the ``dense``, ``eigsh``
-        and ``lobpcg`` solvers, and a no-op on graphs with at most
-        :data:`repro.eigen.lanczos.ORDERING_EXACT_MAX_N` vertices.
     **solver_options:
         Extra keyword arguments forwarded to the chosen solver
         (e.g. ``coarsest_size=...`` for the multilevel method).
@@ -134,10 +125,6 @@ def fiedler_vector(
         raise ValueError("the Fiedler vector is defined only for graphs with >= 2 vertices")
     if method not in FIEDLER_METHODS:
         raise ValueError(f"method must be one of {FIEDLER_METHODS}, got {method!r}")
-    if tol_policy not in ("residual", "ordering"):
-        raise ValueError(
-            f"tol_policy must be 'residual' or 'ordering', got {tol_policy!r}"
-        )
     workspace = spectral_workspace(pattern)
     if check_connected and workspace.components()[0] != 1:
         raise ValueError(
@@ -164,7 +151,7 @@ def fiedler_vector(
             state_before = codecs.rng_state_json(rng)
             if state_before is not None:
                 params = codecs.fiedler_params(
-                    resolved, tol, tol_policy, solver_options, state_before
+                    resolved, tol, solver_options, state_before
                 )
                 if params is not None:
                     digest = workspace.digest()
@@ -184,13 +171,13 @@ def fiedler_vector(
         converged = True
     elif resolved == "lanczos":
         result = lanczos_smallest_nontrivial(
-            laplacian, tol=tol, rng=rng, tol_policy=tol_policy, **solver_options
+            laplacian, tol=tol, rng=rng, **solver_options
         )
         eigenvalue, vector = result.eigenvalue, result.eigenvector
         residual, converged = result.residual_norm, result.converged
     elif resolved == "multilevel":
         result = multilevel_fiedler(
-            pattern, tol=tol, rng=rng, tol_policy=tol_policy, **solver_options
+            pattern, tol=tol, rng=rng, **solver_options
         )
         eigenvalue, vector = result.eigenvalue, result.eigenvector
         residual, converged = result.residual_norm, result.converged

@@ -31,15 +31,6 @@ projection is ``O(n)`` and the zero eigenvalue is the one direction selective
 bookkeeping must never be allowed to miss), and the returned residual
 ``||Qx - λx||`` is computed explicitly from the Ritz pair — a ghost pair
 cannot fake that check, which is what the convergence flag is based on.
-
-Early-stopping policy
----------------------
-``tol_policy="ordering"`` serves the spectral *ordering* use case: orderings
-consume only the ranking of the eigenvector's components, which typically
-freezes long before the eigen-residual meets ``tol``.  Under this policy the
-iteration periodically forms the current Ritz vector and stops as soon as the
-induced ranking is unchanged across consecutive checks.  The default
-``tol_policy="residual"`` keeps the classical residual test.
 """
 
 from __future__ import annotations
@@ -58,23 +49,6 @@ __all__ = ["LanczosResult", "lanczos_smallest_nontrivial", "deflate_constant"]
 #: Machine epsilon and the semiorthogonality threshold of the ω-recurrence.
 _EPS = float(np.finfo(np.float64).eps)
 _SQRT_EPS = float(np.sqrt(_EPS))
-
-#: ``tol_policy="ordering"``: steps between ranking checks, and how many
-#: consecutive stable rankings stop the iteration.
-_ORDERING_CHECK_EVERY = 8
-_ORDERING_STABLE_CHECKS = 2
-
-#: Below this problem size the ordering policy accepts only *exact* ranking
-#: equality between checks — the regime the differential sweep test pins to
-#: byte-identical envelope/bandwidth metrics.  Above it, near-tied components
-#: jitter in their last bits indefinitely, so stability is additionally
-#: detected by stagnation of the Ritz vector itself (rotation per check below
-#: :data:`ORDERING_STAGNATION_RTOL`), trading exact reproduction of the
-#: default path's ordering for the early stop — orderings consume only ranks,
-#: and the envelope/bandwidth quality difference is at the noise level (see
-#: ``docs/performance.md``).
-ORDERING_EXACT_MAX_N = 2000
-ORDERING_STAGNATION_RTOL = 1e-3
 
 #: Initial Krylov-block capacity; the preallocated block doubles on demand up
 #: to ``max_iter + 1`` rows, so short runs never pay for the worst case.
@@ -96,13 +70,10 @@ class LanczosResult:
     iterations:
         Number of Lanczos steps performed.
     converged:
-        Whether the stopping criterion was met (the residual tolerance, or a
-        stable ranking under ``tol_policy="ordering"``).
+        Whether ``residual_norm <= tol * max(1, |eigenvalue|)``.
     reorth_count:
         Full reorthogonalization passes actually performed (every step under
         ``reorth="full"``).
-    stopped_on:
-        ``"residual"`` or ``"ordering"`` — which criterion ended the run.
     """
 
     eigenvalue: float
@@ -111,7 +82,6 @@ class LanczosResult:
     iterations: int
     converged: bool
     reorth_count: int = 0
-    stopped_on: str = "residual"
 
 
 def deflate_constant(x: np.ndarray) -> np.ndarray:
@@ -126,22 +96,6 @@ def _as_operator(matrix):
         return matrix, matrix.shape[0]
     matrix = np.asarray(matrix, dtype=np.float64)
     return matrix, matrix.shape[0]
-
-
-def _canonical_ritz(vector: np.ndarray) -> np.ndarray:
-    """Sign-normalized unit Ritz vector (largest-magnitude entry positive).
-
-    The eigensolver's sign is arbitrary step to step; fix it the same way
-    :func:`repro.eigen.fiedler.fiedler_vector` does before comparing rankings
-    or rotations across checks.
-    """
-    norm = np.linalg.norm(vector)
-    if norm > 0:
-        vector = vector / norm
-    idx = int(np.argmax(np.abs(vector)))
-    if vector[idx] < 0:
-        vector = -vector
-    return vector
 
 
 def _grown(basis: np.ndarray, rows_needed: int, max_rows: int) -> np.ndarray:
@@ -163,7 +117,6 @@ def lanczos_smallest_nontrivial(
     rng=None,
     restarts: int = 3,
     reorth: str = "selective",
-    tol_policy: str = "residual",
 ) -> LanczosResult:
     """Smallest nontrivial eigenpair of a graph Laplacian by Lanczos.
 
@@ -189,10 +142,6 @@ def lanczos_smallest_nontrivial(
     reorth:
         ``"selective"`` (default; ω-recurrence-triggered reorthogonalization)
         or ``"full"`` (every step) — see the module docstring.
-    tol_policy:
-        ``"residual"`` (default) or ``"ordering"`` (stop when the ranking of
-        the Ritz vector's components is stable across consecutive checks —
-        the spectral-ordering fast path).
 
     Returns
     -------
@@ -200,10 +149,6 @@ def lanczos_smallest_nontrivial(
     """
     if reorth not in ("selective", "full"):
         raise ValueError(f"reorth must be 'selective' or 'full', got {reorth!r}")
-    if tol_policy not in ("residual", "ordering"):
-        raise ValueError(
-            f"tol_policy must be 'residual' or 'ordering', got {tol_policy!r}"
-        )
     op, n = _as_operator(laplacian)
     if n < 2:
         raise ValueError("Laplacian must be at least 2 x 2")
@@ -250,11 +195,6 @@ def lanczos_smallest_nontrivial(
         if selective:
             omega[:] = _EPS
             omega_prev[:] = _EPS
-        ranking = None
-        ranking_vec = None
-        ranking_stable = 0
-        stopped_on = "residual"
-        exact_only = n <= ORDERING_EXACT_MAX_N
         for k in range(max_iter):
             basis = _grown(basis, k + 2, max_iter + 1)
             w = matvec(basis[k])
@@ -312,30 +252,6 @@ def lanczos_smallest_nontrivial(
                     break
             betas[k] = beta
             basis[k + 1] = w / beta
-            if (
-                tol_policy == "ordering"
-                and k_used >= 2 * _ORDERING_CHECK_EVERY
-                and k_used % _ORDERING_CHECK_EVERY == 0
-            ):
-                theta, s = la.eigh_tridiagonal(alphas[:k_used], betas[: k_used - 1])
-                vec = _canonical_ritz(deflate_constant(basis[:k_used].T @ s[:, 0]))
-                current = np.argsort(vec, kind="stable")
-                stable = False
-                if ranking is not None:
-                    stable = bool(np.array_equal(current, ranking))
-                    if not stable and not exact_only:
-                        stable = (
-                            float(np.linalg.norm(vec - ranking_vec))
-                            <= ORDERING_STAGNATION_RTOL
-                        )
-                if stable:
-                    ranking_stable += 1
-                    if ranking_stable >= _ORDERING_STABLE_CHECKS:
-                        stopped_on = "ordering"
-                        break
-                else:
-                    ranking_stable = 0
-                ranking, ranking_vec = current, vec
 
         total_iters += k_used
         theta, s = la.eigh_tridiagonal(alphas[:k_used], betas[: k_used - 1])
@@ -350,15 +266,13 @@ def lanczos_smallest_nontrivial(
         ritz_vector /= ritz_norm
         residual = matvec(ritz_vector) - ritz_value * ritz_vector
         residual_norm = float(np.linalg.norm(residual))
-        residual_ok = residual_norm <= tol * max(1.0, abs(ritz_value))
         candidate = LanczosResult(
             eigenvalue=ritz_value,
             eigenvector=ritz_vector,
             residual_norm=residual_norm,
             iterations=total_iters,
-            converged=residual_ok or stopped_on == "ordering",
+            converged=residual_norm <= tol * max(1.0, abs(ritz_value)),
             reorth_count=reorth_count,
-            stopped_on=stopped_on if not residual_ok else "residual",
         )
         if best is None or candidate.residual_norm < best.residual_norm:
             best = candidate
@@ -377,7 +291,7 @@ def lanczos_smallest_nontrivial(
         # accuracy it asked for, every other caller keeps the cheap path.
         fallback = lanczos_smallest_nontrivial(
             laplacian, tol=tol, max_iter=max_iter, start=best.eigenvector,
-            rng=rng, restarts=1, reorth="full", tol_policy=tol_policy,
+            rng=rng, restarts=1, reorth="full",
         )
         if fallback.residual_norm < best.residual_norm:
             best = fallback

@@ -35,14 +35,6 @@ relaxes the intermediate-level LOBPCG tolerance to ``1e-6`` so converged
 levels exit early; the finest level and the final polish still run at the
 caller's ``tol``, and a warm-started Lanczos guard backstops the residual
 contract, so accuracy is unchanged where it matters.
-
-``tol_policy="ordering"`` (the spectral-ordering fast path) additionally
-stops the finest-level polish as soon as the leading vector's induced vertex
-ranking stagnates between LOBPCG chunks, and skips the Lanczos guard when it
-does — orderings consume only ranks.  On graphs with at most
-:data:`repro.eigen.lanczos.ORDERING_EXACT_MAX_N` vertices the policy is a
-no-op (byte-identical to the default path; pinned by the differential sweep
-test).
 """
 
 from __future__ import annotations
@@ -53,13 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from repro.eigen.lanczos import (
-    ORDERING_EXACT_MAX_N,
-    ORDERING_STAGNATION_RTOL,
-    _canonical_ritz,
-    deflate_constant,
-    lanczos_smallest_nontrivial,
-)
+from repro.eigen.lanczos import deflate_constant, lanczos_smallest_nontrivial
 from repro.eigen.rqi import rayleigh_quotient, rayleigh_quotient_iteration
 from repro.eigen.workspace import spectral_workspace
 from repro.graph.coarsen import interpolate_block
@@ -83,11 +69,6 @@ _RQI_INNER_CAP = 80
 #: interpolation discards most of the extra accuracy, and the finest-level
 #: sweep + polish + guard own the residual contract.
 _INTERMEDIATE_LOBPCG_STEPS = 10
-
-#: Fast-path (``tol_policy="ordering"``) variants of the above.
-_FAST_INTERMEDIATE_TOL = 1e-5
-_FAST_RQI_INNER_CAP = 40
-_FAST_LOBPCG_CHUNK = 5
 
 #: The warm-started Lanczos guard only runs when the residual is within this
 #: factor of the tolerance: its bounded budget (40 steps x 2 restarts)
@@ -122,8 +103,7 @@ class MultilevelResult:
     refinement_iterations:
         Total RQI steps summed over all refinement sweeps.
     converged:
-        Whether the final residual met the tolerance (or, under
-        ``tol_policy="ordering"``, the ranking stagnated).
+        Whether ``residual_norm <= tol * max(1, |eigenvalue|)``.
     """
 
     eigenvalue: float
@@ -219,7 +199,6 @@ def multilevel_fiedler(
     rng=None,
     mis_strategy: str = "degree",
     rqi_inner_iter: int | None = None,
-    tol_policy: str = "residual",
 ) -> MultilevelResult:
     """Compute the Fiedler vector with the multilevel contract/interpolate/refine scheme.
 
@@ -252,10 +231,6 @@ def multilevel_fiedler(
     rqi_inner_iter:
         Cap on MINRES iterations inside each RQI refinement (default
         ``min(n, 80)`` per level).
-    tol_policy:
-        ``"residual"`` (default) or ``"ordering"`` — the spectral-ordering
-        fast path (see module docstring).  A no-op on graphs with at most
-        :data:`~repro.eigen.lanczos.ORDERING_EXACT_MAX_N` vertices.
 
     Returns
     -------
@@ -264,13 +239,8 @@ def multilevel_fiedler(
     n = pattern.n
     if n < 2:
         raise ValueError("the graph must have at least 2 vertices")
-    if tol_policy not in ("residual", "ordering"):
-        raise ValueError(
-            f"tol_policy must be 'residual' or 'ordering', got {tol_policy!r}"
-        )
     rng = default_rng(rng)
     block_size = int(max(1, block_size))
-    fast = tol_policy == "ordering" and n > ORDERING_EXACT_MAX_N
 
     workspace = spectral_workspace(pattern)
     hierarchy, level_laps = workspace.hierarchy(
@@ -287,8 +257,8 @@ def multilevel_fiedler(
 
     inner_cap = rqi_inner_iter
     if inner_cap is None:
-        inner_cap = _FAST_RQI_INNER_CAP if fast else _RQI_INNER_CAP
-    mid_tol = max(tol, _FAST_INTERMEDIATE_TOL if fast else _INTERMEDIATE_TOL)
+        inner_cap = _RQI_INNER_CAP
+    mid_tol = max(tol, _INTERMEDIATE_TOL)
     mid_steps = min(lobpcg_steps, _INTERMEDIATE_LOBPCG_STEPS)
 
     # --- coarse solve --------------------------------------------------- #
@@ -325,14 +295,13 @@ def multilevel_fiedler(
         # full budget at the finest level (it owns the residual contract
         # together with the polish below), reduced budget at intermediate
         # levels whose extra digits the next interpolation discards.
-        level_steps = lobpcg_steps if idx == 0 and not fast else mid_steps
+        level_steps = lobpcg_steps if idx == 0 else mid_steps
         _values, block = _lobpcg_refine(
             fine_lap, block, tol=level_tol, maxiter=level_steps
         )
         block = _orthonormal_block(block, rng)
 
     # --- final polish / bookkeeping on the original graph ----------------- #
-    ranking_stagnated = False
     if not hierarchy:
         vector = deflate_constant(block[:, 0])
         vector /= np.linalg.norm(vector)
@@ -341,33 +310,16 @@ def multilevel_fiedler(
     else:
         vector, rho, residual = _leading_residual(full_lap, block)
         if residual > tol * max(1.0, abs(rho)):
-            if fast:
-                # Chunked polish with a ranking-stagnation stop: orderings
-                # consume only the ranking, which freezes well before the
-                # eigen-residual meets tol.
-                previous = _canonical_ritz(vector)
-                for _chunk in range(max(1, lobpcg_steps // _FAST_LOBPCG_CHUNK)):
-                    _values, block = _lobpcg_refine(
-                        full_lap, block, tol=tol, maxiter=_FAST_LOBPCG_CHUNK
-                    )
-                    current = _canonical_ritz(deflate_constant(block[:, 0]))
-                    delta = float(np.linalg.norm(current - previous))
-                    previous = current
-                    if delta <= ORDERING_STAGNATION_RTOL:
-                        ranking_stagnated = True
-                        break
-            else:
-                _values, block = _lobpcg_refine(
-                    full_lap, block, tol=tol, maxiter=lobpcg_steps
-                )
+            _values, block = _lobpcg_refine(
+                full_lap, block, tol=tol, maxiter=lobpcg_steps
+            )
             vector, rho, residual = _leading_residual(full_lap, block)
 
     tol_bar = tol * max(1.0, abs(rho))
-    if tol_bar < residual <= _GUARD_RESIDUAL_WINDOW * tol_bar and not ranking_stagnated:
+    if tol_bar < residual <= _GUARD_RESIDUAL_WINDOW * tol_bar:
         # Last resort: warm-started Lanczos from the multilevel vector.
         guard = lanczos_smallest_nontrivial(
             full_lap, start=vector, tol=tol, max_iter=40, restarts=2, rng=rng,
-            tol_policy=tol_policy if fast else "residual",
         )
         coarse_iterations += guard.iterations
         if guard.eigenvalue <= rho + tol and guard.residual_norm <= residual:
@@ -381,5 +333,5 @@ def multilevel_fiedler(
         level_sizes=level_sizes,
         coarse_iterations=coarse_iterations,
         refinement_iterations=refinement_iterations,
-        converged=residual <= tol * max(1.0, abs(rho)) or ranking_stagnated,
+        converged=residual <= tol * max(1.0, abs(rho)),
     )

@@ -111,8 +111,7 @@ def hybrid_spectral_ordering(
     strategy:
         ``"adjacency"`` or ``"window"`` (see module docstring).
     method, tol, rng, **solver_options:
-        Passed to the underlying spectral ordering / Fiedler solver
-        (``tol_policy="ordering"`` selects the rank-stability fast path).
+        Passed to the underlying spectral ordering / Fiedler solver.
     window, sweeps:
         Parameters of the ``"window"`` strategy.
 

@@ -175,10 +175,8 @@ def spectral_ordering(
         only — with several components the per-component details are attached
         to ``Ordering.metadata["components"]`` instead).
     **solver_options:
-        Extra options forwarded to the eigen-solver (e.g. ``coarsest_size``,
-        or ``tol_policy="ordering"`` for the rank-stability fast path — the
-        ``--fiedler-policy fast`` CLI switch; see
-        :func:`repro.eigen.fiedler.fiedler_vector`).
+        Extra options forwarded to the eigen-solver (e.g. ``coarsest_size``;
+        see :func:`repro.eigen.fiedler.fiedler_vector`).
 
     Returns
     -------

@@ -288,8 +288,8 @@ def load_hierarchy(store, digest: str, coarsest_size, max_levels, strategy):
 # --------------------------------------------------------------------- #
 # converged Fiedler results
 # --------------------------------------------------------------------- #
-def fiedler_params(method: str, tol: float, tol_policy: str,
-                   solver_options: dict, rng_state_text: str) -> dict | None:
+def fiedler_params(method: str, tol: float, solver_options: dict,
+                   rng_state_text: str) -> dict | None:
     """Address params of one eigensolve, or ``None`` when uncacheable.
 
     Uncacheable means: solver options that do not canonicalize to JSON
@@ -304,7 +304,6 @@ def fiedler_params(method: str, tol: float, tol_policy: str,
     return {
         "method": str(method),
         "tol": repr(float(tol)),
-        "tol_policy": str(tol_policy),
         "options": options_text,
         "rng": rng_state_digest(rng_state_text),
     }

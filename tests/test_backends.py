@@ -540,6 +540,17 @@ class TestBenchBackendDimension:
         assert trend["steps"][0]["cumulative"]["graph"] == pytest.approx(1.0)
         assert "[numpy->python]" in format_trend(trend)
 
+    def test_trend_labels_follow_their_artifacts(self):
+        from repro.bench import format_trend, trend_bench
+
+        a = _bench_artifact("r1", 1.0, "numpy", {"graph/bfs/X": 1.0})
+        b = _bench_artifact("r1", 2.0, "numpy", {"graph/bfs/X": 0.5})
+        trend = trend_bench([b, a], ["r1-late", "r1-early"])
+        assert trend["revisions"] == ["r1-early", "r1-late"]
+        assert format_trend(trend).splitlines()[2].startswith("r1-early -> r1-late ")
+        with pytest.raises(ValueError, match="1 label"):
+            trend_bench([a, b], ["only-one"])
+
     def test_trend_requires_two_artifacts(self):
         from repro.bench import trend_bench
 
@@ -605,8 +616,9 @@ class TestCliBackend:
         assert payload["backend"]["requested"] == "python"
 
     def test_bench_trend_cli(self, tmp_path, capsys):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
+        # Each artifact is labelled by its file name without "BENCH_".
+        a = tmp_path / "BENCH_r1.json"
+        b = tmp_path / "BENCH_r2.json"
         a.write_text(json.dumps(_bench_artifact(
             "r1", 100.0, "numpy", {"graph/bfs/X": 1.0})))
         b.write_text(json.dumps(_bench_artifact(

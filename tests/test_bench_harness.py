@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -458,15 +459,62 @@ def test_gate_geomean_ignores_sub_noise_floor_rows(tmp_path, monkeypatch):
 
 
 def test_fiedler_policy_recorded_and_mismatch_flagged():
-    fast = run_bench(quick=True, repeats=1, name_filter="graph/mis",
-                     fiedler_policy="fast", rev="f")
-    assert fast["config"]["fiedler_policy"] == "fast"
+    """A fresh artifact records no Fiedler policy (it reads as "default");
+    an artifact recorded under the retired fast policy still diffs as not
+    like-for-like."""
     default = run_bench(quick=True, repeats=1, name_filter="graph/mis", rev="d")
-    diff = diff_bench(default, fast)
-    assert diff["fiedler_policies"] == ("default", "fast")
+    assert "fiedler_policy" not in default["config"]
+    assert diff_bench(default, default)["fiedler_policies"] == ("default", "default")
+    legacy = json.loads(json.dumps(default))
+    legacy["config"]["fiedler_policy"] = "fast"
+    diff = diff_bench(legacy, default)
+    assert diff["fiedler_policies"] == ("fast", "default")
     assert "not like-for-like" in format_diff(diff)
 
 
-def test_run_bench_rejects_unknown_policy():
-    with pytest.raises(ValueError, match="fiedler_policy"):
-        run_bench(quick=True, repeats=1, fiedler_policy="warp")
+def test_against_legacy_fast_baseline_refuses_to_gate(tmp_path, monkeypatch,
+                                                      capsys):
+    import repro.bench
+    import repro.cli
+
+    baseline = _artifact_with([{"name": "real", "best_s": 0.010}])
+    baseline["config"]["fiedler_policy"] = "fast"
+    base_path = tmp_path / "BENCH_fast.json"
+    base_path.write_text(json.dumps(baseline))
+    current = _artifact_with([{"name": "real", "best_s": 0.010}], rev="n")
+    monkeypatch.setattr(repro.bench, "run_bench", lambda **_: current)
+    code = repro.cli.main(["bench", "--output", str(tmp_path / "BENCH_now.json"),
+                           "--against", str(base_path), "--gate", "geomean"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot gate" in err and "'fast'" in err
+
+
+#: The bench artifacts checked in at the repository root, by file label, in
+#: the order they were recorded.
+CHECKED_IN_BENCH = ["bba6733-pre", "d140bb2", "9e34b08", "9e34b08-fast",
+                    "50d809a", "633d3cd", "4218932", "9472061", "d635354",
+                    "875fad0", "d3c155d", "8bd0441"]
+
+
+def test_trend_over_checked_in_artifacts_labels_them_by_file_name(capsys):
+    """Two artifacts record rev 9e34b08; their file names tell them apart,
+    and the labels follow their artifacts through the created_s sort."""
+    root = Path(__file__).resolve().parent.parent
+    paths = [str(root / f"BENCH_{label}.json") for label in sorted(CHECKED_IN_BENCH)]
+    assert main(["bench", "--trend", *paths]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "bench trend: " + " -> ".join(CHECKED_IN_BENCH)
+    # The legacy config.fiedler_policy is still read: both steps across the
+    # fast artifact stay out of the cumulative product.
+    marked = [line for line in lines if "(not in cumulative:" in line]
+    assert len(marked) == 2
+    assert marked[0].startswith("9e34b08 -> 9e34b08-fast ")
+    assert marked[0].endswith("(not in cumulative: fiedler_policy changed)")
+    assert marked[1].startswith("9e34b08-fast -> 50d809a ")
+    assert marked[1].endswith(
+        "(not in cumulative: fiedler_policy, platform, cpu_count changed)")
+    assert lines[1].split() == ["step", "collections", "eigen", "graph",
+                                "orderings", "powerlaw"]
+    assert lines[-1].split() == ["cumulative", "1.09x", "1.97x", "12.03x",
+                                 "17.73x", "5.04x"]

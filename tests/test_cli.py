@@ -587,8 +587,8 @@ class TestResumeGuardScope:
 
 
 class TestTimeoutAutoAndFiedlerPolicy:
-    """--timeout auto (cost-model-derived per-cell limits) and
-    --fiedler-policy fast (the spectral rank-stability path)."""
+    """--timeout auto (cost-model-derived per-cell limits) and the deleted
+    rank-stability stopping rule (--fiedler-policy fast, tol_policy)."""
 
     def test_timeout_auto_rejects_garbage(self, capsys):
         code = main(["suite", "POW9", "--algorithms", "rcm", "--scale", "0.02",
@@ -626,28 +626,22 @@ class TestTimeoutAutoAndFiedlerPolicy:
         out = capsys.readouterr().out
         assert "TIMEOUT POW9/sleepy" in out
 
-    def test_fiedler_policy_fast_suite_stays_ok_and_comparable(self):
-        """The fast policy is opt-in: it must keep every cell ok and the
-        envelope quality in the same class as the default path (the golden
-        suite separately pins that the *default* path is untouched)."""
+    @pytest.mark.parametrize("command", ["suite", "bench"])
+    def test_fiedler_policy_flag_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--fiedler-policy", "fast"])
+        assert exc.value.code == 2
+        assert "--fiedler-policy" in capsys.readouterr().err
+
+    def test_tol_policy_option_fails_its_cell(self):
         from repro.batch import run_suite
 
-        default = run_suite(["CAN1072", "POW9"], ("spectral", "hybrid"),
-                            scale=0.02)
-        fast = run_suite(["CAN1072", "POW9"], ("spectral", "hybrid"),
-                         scale=0.02,
-                         algorithm_options={"spectral": {"tol_policy": "ordering"},
-                                            "hybrid": {"tol_policy": "ordering"}})
-        assert fast.failures == []
-        for d, f in zip(default.records, fast.records):
-            assert f.status == "ok"
-            assert f.metrics["envelope_size"] <= 1.05 * d.metrics["envelope_size"]
-
-    def test_fiedler_policy_flag_accepted(self, capsys):
-        code = main(["suite", "POW9", "--algorithms", "spectral",
-                     "--scale", "0.02", "--fiedler-policy", "fast",
-                     "--no-progress"])
-        assert code == 0
+        suite = run_suite(["POW9"], ("spectral",), scale=0.02,
+                          algorithm_options={"spectral": {"tol_policy": "ordering"}})
+        [record] = suite.records
+        assert record.status == "error"
+        assert record.error["type"] == "TypeError"
+        assert "tol_policy" in record.error["message"]
 
 
 class TestMergeAllowPartialCli:

@@ -99,3 +99,37 @@ class TestFiedlerVectorProperties:
     def test_fiedler_value_positive_for_connected(self, geometric200):
         result = fiedler_vector(geometric200, method="lanczos")
         assert result.eigenvalue > 0
+
+
+def _bcsstk30_quarter():
+    from repro.collections.registry import load_problem
+
+    return load_problem("BCSSTK30", scale=0.25)[0]
+
+
+#: ``(method, pattern factory, solver options, expected converged)``: each
+#: iterative solver once converged and once not, all above 2000 vertices.
+CONVERGENCE_CASES = {
+    "lanczos-converges": ("lanczos", lambda: grid2d_pattern(60, 48), {}, True),
+    "lanczos-capped": ("lanczos", lambda: grid2d_pattern(60, 48),
+                       {"max_iter": 5, "restarts": 1}, False),
+    "multilevel-converges": ("multilevel", _bcsstk30_quarter, {}, True),
+    "multilevel-stalls": ("multilevel", lambda: grid2d_pattern(60, 48), {}, False),
+}
+
+
+@pytest.mark.parametrize("case", list(CONVERGENCE_CASES))
+def test_converged_means_the_residual_meets_tol(case):
+    """``converged`` is ``||Lx - λx|| <= tol * max(1, |λ|)`` recomputed from
+    the returned pair, and ``residual_norm`` is that residual."""
+    method, build, options, expected = CONVERGENCE_CASES[case]
+    pattern = build()
+    assert pattern.n > 2000
+    tol = 1e-8
+    result = fiedler_vector(pattern, method=method, tol=tol, rng=0, **options)
+    x, lam = result.eigenvector, result.eigenvalue
+    residual = float(np.linalg.norm(laplacian_matrix(pattern) @ x - lam * x))
+    assert result.residual_norm == pytest.approx(residual, rel=1e-6)
+    assert result.converged == (residual <= tol * max(1.0, abs(lam)))
+    # The cases must keep covering both outcomes of each solver.
+    assert result.converged is expected
