@@ -97,7 +97,7 @@ def _cached_pattern(problem: str, scale: float | None):
     ``tests/test_batch_cache.py``).
 
     When a persistent store is configured (``--store`` / ``REPRO_STORE``)
-    the built structure is additionally spilled to disk keyed by
+    the built structure is additionally stored on disk keyed by
     ``(problem, scale)`` and loaded from there on a cold in-process cache —
     the cross-process extension of this cache that lets every suite worker,
     bench repeat and ``repro cache prewarm`` share one build.

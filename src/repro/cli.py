@@ -67,7 +67,7 @@ actually runs (full reference: ``docs/running.md``):
 
         repro cache ls --store ./cache           # one row per entry
         repro cache info --store ./cache --json  # per-kind counts and bytes
-        repro cache prewarm POW9 --store ./cache # build + store ahead of time
+        repro cache prewarm POW9 --store ./cache # store patterns ahead of time
         repro cache clear --store ./cache        # delete every entry
 
     The store is pure: warm-from-disk results are byte-identical to cold,
@@ -782,7 +782,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.store import ArtifactStore, set_default_store
+    from repro.store import ArtifactStore
 
     if args.store:
         store = ArtifactStore(args.store)
@@ -837,14 +837,12 @@ def _cmd_cache(args) -> int:
                   f"'repro cache clear --quarantine' removes them)")
         return 0
 
-    # prewarm: build each problem's structural plan into the store so a
-    # later suite/bench run starts warm.  Fiedler/hierarchy entries key on
-    # solver configuration and rng state, so they populate on first real use.
-    from repro.eigen.workspace import spectral_workspace
+    # prewarm: build and store each problem's pattern so a later suite/bench
+    # run skips assembly.  Hierarchy and Fiedler entries key on solver
+    # configuration and rng state, so they populate on first real use.
     from repro.store import spectral as codecs
 
     names = args.problems or available_problems()
-    set_default_store(store)
     failures = 0
     for name in names:
         try:
@@ -858,19 +856,7 @@ def _cmd_cache(args) -> int:
         except OSError as exc:
             print(f"cannot write to store {store.root}: {exc}", file=sys.stderr)
             return 2
-        workspace = spectral_workspace(pattern)
-        workspace.laplacian()
-        workspace.components()
-        workspace.component_split()
-        # Per-component subpatterns carry their own workspaces; warm the
-        # nontrivial ones too (they are what the spectral ordering solves).
-        for _vertices, sub in workspace.component_split():
-            if sub is not None and sub is not pattern:
-                sub_ws = spectral_workspace(sub)
-                sub_ws.laplacian()
-                sub_ws.components()
-        print(f"  {spec.name}: n={pattern.n} prewarmed "
-              f"(pattern, laplacian, components, split)")
+        print(f"  {spec.name}: n={pattern.n} prewarmed (pattern)")
     print(_store_stats_line(store))
     return 1 if failures else 0
 
@@ -1293,8 +1279,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="reuse the completed records of a killed run's "
                                    "--stream-output file and run only the rest")
     suite_parser.add_argument("--store", default=None, metavar="DIR",
-                              help="persistent artifact store directory: spill "
-                                   "Laplacians, component splits, hierarchies and "
+                              help="persistent artifact store directory: store "
+                                   "problem patterns, coarsening hierarchies and "
                                    "converged Fiedler vectors there and reload them "
                                    "across runs and worker processes (exported as "
                                    "REPRO_STORE; results are byte-identical with "
@@ -1399,7 +1385,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="machine-readable output (CI stats artifact)")
     cache_info.set_defaults(func=_cmd_cache)
     cache_prewarm = cache_sub.add_parser(
-        "prewarm", help="build problems' structural plans into the store"
+        "prewarm", help="build and store problems' patterns ahead of a run"
     )
     cache_prewarm.add_argument("problems", nargs="*",
                                help="registered problem names (default: all)")

@@ -241,7 +241,7 @@ def _fiedler_eigsh(laplacian, *, tol: float, rng, maxiter: int | None = None):
     vector /= norm
     eigenvalue = float(values[1])
     residual = float(np.linalg.norm(laplacian @ vector - eigenvalue * vector))
-    return eigenvalue, vector, residual, residual <= max(tol, 1e-6) * max(1.0, eigenvalue)
+    return eigenvalue, vector, residual, residual <= tol * max(1.0, abs(eigenvalue))
 
 
 def _fiedler_lobpcg(laplacian, *, tol: float, rng, maxiter: int = 500):
@@ -264,4 +264,4 @@ def _fiedler_lobpcg(laplacian, *, tol: float, rng, maxiter: int = 500):
     vector /= np.linalg.norm(vector)
     eigenvalue = float(values[0])
     residual = float(np.linalg.norm(laplacian @ vector - eigenvalue * vector))
-    return eigenvalue, vector, residual, residual <= max(tol, 1e-6) * max(1.0, eigenvalue)
+    return eigenvalue, vector, residual, residual <= tol * max(1.0, abs(eigenvalue))

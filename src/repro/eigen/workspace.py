@@ -45,13 +45,17 @@ plans of every problem it had been dealt before, and its peak memory would
 depend on which cells those were.
 
 Persistence: when a default :mod:`repro.store` is configured (``--store`` /
-``REPRO_STORE``), each artifact is loaded from disk on first touch and
-spilled to disk on first build, so suite workers, bench repeats and future
-server processes share warm state across process boundaries.  Loaded
-artifacts are byte-identical to built ones (deterministic pure functions of
-the structure), so the warm-vs-cold identity above extends across processes;
-store I/O failures and corrupt entries silently fall back to building.
-The searches are the exception: they stay in memory only.
+``REPRO_STORE``), a coarsening hierarchy is loaded from disk on first touch
+and stored on first build, so suite workers, bench repeats and server
+processes share it across process boundaries.  A loaded hierarchy is
+byte-identical to a built one, so the warm-vs-cold identity above extends
+across processes; store I/O failures and corrupt entries silently fall back
+to building.  (Converged Fiedler vectors are stored by
+:func:`repro.eigen.fiedler.fiedler_vector`, addressed by :meth:`digest`.)
+Everything else here stays in memory only: the Laplacian, the component
+labels and the component split are one pass over the structure each, and a
+search costs less than a store read, so none of them loads faster than it
+builds (``docs/performance.md``, "Persistent artifact store").
 """
 
 from __future__ import annotations
@@ -92,7 +96,6 @@ class SpectralWorkspace:
             "hierarchy_uncached": 0,
             "peripheral_builds": 0, "peripheral_hits": 0,
             "diameter_builds": 0, "diameter_hits": 0,
-            "store_loads": 0, "store_spills": 0,
         }
         self._laplacian = None
         self._components = None
@@ -102,7 +105,7 @@ class SpectralWorkspace:
         self._digest = None
 
     # ------------------------------------------------------------------ #
-    # persistent store plumbing
+    # persistent store address
     # ------------------------------------------------------------------ #
     def digest(self) -> str:
         """Structural content digest of the pattern (memoized — it is the
@@ -112,21 +115,6 @@ class SpectralWorkspace:
 
             self._digest = pattern_digest(self.pattern)
         return self._digest
-
-    def _store(self):
-        """The ambient :class:`repro.store.ArtifactStore`, or ``None``."""
-        from repro.store.core import get_default_store
-
-        return get_default_store()
-
-    def _spill(self, save, *args) -> None:
-        """Persist one artifact, swallowing I/O failures (a read-only or
-        full store directory must never fail the computation itself)."""
-        try:
-            save(*args)
-        except OSError:
-            return
-        self.info["store_spills"] += 1
 
     # ------------------------------------------------------------------ #
     # Laplacian
@@ -138,24 +126,10 @@ class SpectralWorkspace:
         across every solver invocation on this pattern.
         """
         if self._laplacian is None:
-            store = self._store()
-            if store is not None:
-                from repro.store import spectral as codecs
-
-                loaded = codecs.load_laplacian(store, self.digest())
-                if loaded is not None:
-                    self._laplacian = loaded
-                    self.info["store_loads"] += 1
-                    return self._laplacian
             from repro.graph.laplacian import laplacian_matrix
 
             self._laplacian = laplacian_matrix(self.pattern)
             self.info["laplacian_builds"] += 1
-            if store is not None:
-                from repro.store import spectral as codecs
-
-                self._spill(codecs.save_laplacian, store, self.digest(),
-                            self._laplacian)
         else:
             self.info["laplacian_hits"] += 1
         return self._laplacian
@@ -166,24 +140,10 @@ class SpectralWorkspace:
     def components(self):
         """``(num_components, labels)`` of the adjacency graph (cached)."""
         if self._components is None:
-            store = self._store()
-            if store is not None:
-                from repro.store import spectral as codecs
-
-                loaded = codecs.load_components(store, self.digest())
-                if loaded is not None:
-                    self._components = loaded
-                    self.info["store_loads"] += 1
-                    return self._components
             from repro.graph.components import connected_components
 
             self._components = connected_components(self.pattern)
             self.info["components_builds"] += 1
-            if store is not None:
-                from repro.store import spectral as codecs
-
-                self._spill(codecs.save_components, store, self.digest(),
-                            self._components[0], self._components[1])
         else:
             self.info["components_hits"] += 1
         return self._components
@@ -196,15 +156,6 @@ class SpectralWorkspace:
         their own workspaces (and degree caches) warm up across algorithms.
         """
         if self._split is None:
-            store = self._store()
-            if store is not None:
-                from repro.store import spectral as codecs
-
-                loaded = codecs.load_split(store, self.digest())
-                if loaded is not None:
-                    self._split = loaded
-                    self.info["store_loads"] += 1
-                    return self._split
             num_components, labels = self.components()
             split = []
             for c in range(num_components):
@@ -213,10 +164,6 @@ class SpectralWorkspace:
                 split.append((vertices, sub))
             self._split = split
             self.info["split_builds"] += 1
-            if store is not None:
-                from repro.store import spectral as codecs
-
-                self._spill(codecs.save_split, store, self.digest(), split)
         else:
             self.info["split_hits"] += 1
         return self._split
@@ -252,29 +199,25 @@ class SpectralWorkspace:
         cached = self._hierarchies.get(key)
         if cached is None:
             self._hold_hierarchies()
-            store = self._store()
-            if store is not None:
-                from repro.store import spectral as codecs
+            from repro.store import spectral as codecs
+            from repro.store.core import get_default_store
 
-                levels = codecs.load_hierarchy(store, self.digest(), *key)
-                if levels is not None:
-                    cached = (levels,
-                              [laplacian_matrix(lvl.coarse_pattern) for lvl in levels])
-                    self._hierarchies[key] = cached
-                    self.info["store_loads"] += 1
-                    return cached
-            levels = coarsening_hierarchy(
-                self.pattern, coarsest_size=coarsest_size,
-                max_levels=max_levels, rng=rng, strategy=strategy,
-            )
+            store = get_default_store()
+            levels = (None if store is None
+                      else codecs.load_hierarchy(store, self.digest(), *key))
+            if levels is None:
+                levels = coarsening_hierarchy(
+                    self.pattern, coarsest_size=coarsest_size,
+                    max_levels=max_levels, rng=rng, strategy=strategy,
+                )
+                self.info["hierarchy_builds"] += 1
+                if store is not None:
+                    try:
+                        codecs.save_hierarchy(store, self.digest(), *key, levels)
+                    except OSError:
+                        pass  # a read-only/full store must never fail the solve
             cached = (levels, [laplacian_matrix(lvl.coarse_pattern) for lvl in levels])
             self._hierarchies[key] = cached
-            self.info["hierarchy_builds"] += 1
-            if store is not None:
-                from repro.store import spectral as codecs
-
-                self._spill(codecs.save_hierarchy, store, self.digest(),
-                            key[0], key[1], key[2], levels)
         else:
             self.info["hierarchy_hits"] += 1
         return cached

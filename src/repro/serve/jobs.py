@@ -8,10 +8,11 @@ evicted first, so a long-lived server cannot leak memory).
 With ``--journal PATH.jsonl`` the server also appends one JSON line per
 finished job — the same crash-tolerant JSONL discipline as the batch
 engine's ``--stream-output``: a header line first, one flushed object per
-event after, and read-back through
-:func:`repro.batch.stream.read_jsonl_objects`, which tolerates exactly the
-damage a killed process can cause (a truncated final line, even with
-trailing blank bytes) and rejects genuine mid-file corruption.
+event after.  Replay reads back through
+:func:`repro.batch.stream.read_jsonl_objects_partial`, which salvages every
+complete line and counts the damaged ones — a truncated final write and
+mid-file corruption alike — in :attr:`ReplayedJobs.skipped` instead of
+rejecting the file (see :meth:`JobJournal.replay`).
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ Public surface:
   resolved from an explicit override or the ``REPRO_STORE`` environment
   variable (``repro suite/bench --store DIR`` sets the latter so worker
   processes inherit it);
-* :mod:`repro.store.spectral` — the codecs that move Laplacians, component
-  splits, coarsening hierarchies, Fiedler vectors and registry patterns in
-  and out of a store.
+* :mod:`repro.store.spectral` — the codecs that move registry patterns,
+  coarsening hierarchies and converged Fiedler vectors in and out of a
+  store (the only kinds that load faster than they build).
 
 See ``docs/performance.md`` ("Persistent artifact store") for the
 content-address scheme and invalidation rules.

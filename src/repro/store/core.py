@@ -22,18 +22,20 @@ Durability contract
   always "rebuild from scratch", never a crash.
 
 The store itself is format-agnostic (it moves dictionaries of numpy arrays
-plus a JSON metadata blob); the spectral artifact codecs — Laplacians,
-component splits, coarsening hierarchies, Fiedler vectors, registry
-patterns — live in :mod:`repro.store.spectral`.
+plus a JSON metadata blob); the codecs of the three stored kinds — registry
+patterns, coarsening hierarchies and converged Fiedler vectors — live in
+:mod:`repro.store.spectral`.  Only artifacts that load measurably faster
+than they build are stored: Laplacians, component labels and component
+splits are cheaper to rebuild than to read and write, and stay in memory.
 
 Process-wide default
 --------------------
 :func:`get_default_store` resolves the ambient store: an explicit
 :func:`set_default_store` override first, else the ``REPRO_STORE``
 environment variable (which child worker processes inherit — that is how one
-``--store DIR`` flag reaches every suite worker).  Both the workspace spill
-hooks and the per-worker problem cache consult it lazily, so a run without a
-store configured pays one ``os.environ`` lookup and nothing else.
+``--store DIR`` flag reaches every suite worker).  The per-worker problem
+cache, the hierarchy memo and the Fiedler solve consult it lazily, so a run
+without a store configured pays one ``os.environ`` lookup and nothing else.
 """
 
 from __future__ import annotations

@@ -10,16 +10,18 @@ stop being addressed.
 
 Artifact kinds
 --------------
+Only artifacts that load measurably faster than they build are stored:
+
 ``pattern``
-    A problem's surrogate structure, keyed by registry name + scale (the
-    cross-process twin of the per-worker problem cache, and the unit
-    ``repro cache prewarm`` builds).
-``laplacian`` / ``components`` / ``split`` / ``hierarchy``
-    The :class:`~repro.eigen.workspace.SpectralWorkspace` artifacts, keyed by
-    the pattern's structural digest.  Hierarchy entries additionally key on
-    ``(coarsest_size, max_levels, strategy)`` and exist only for the
-    deterministic MIS strategies; per-level Laplacians are *not* stored —
-    they are rebuilt bit-identically by
+    A problem's surrogate structure, keyed by registry name + resolved
+    scale (the cross-process twin of the per-worker problem cache, and the
+    unit ``repro cache prewarm`` builds).
+``hierarchy``
+    A :class:`~repro.eigen.workspace.SpectralWorkspace` coarsening
+    hierarchy, keyed by the pattern's structural digest and
+    ``(coarsest_size, max_levels, strategy)``; only the deterministic MIS
+    strategies are stored.  Per-level Laplacians are *not* stored — they
+    are rebuilt bit-identically by
     :func:`repro.graph.laplacian.laplacian_matrix` on load.
 ``fiedler``
     A converged :class:`~repro.eigen.fiedler.FiedlerResult`, keyed by solver
@@ -27,6 +29,12 @@ Artifact kinds
     solve**; the entry stores the rng state *after* the solve, which the
     loader restores so a warm run consumes exactly the random stream a cold
     run does.
+
+The Laplacian, the component labels and the component split are one pass
+over the structure each: at serving sizes a read is no faster than a build,
+and at paper size a write costs more than the build it saves.  They stay in
+the workspace's memory only (``docs/performance.md``, "Persistent artifact
+store").
 """
 
 from __future__ import annotations
@@ -37,22 +45,15 @@ import json
 import numpy as np
 
 __all__ = [
-    "PATTERN_VERSION", "LAPLACIAN_VERSION", "COMPONENTS_VERSION",
-    "SPLIT_VERSION", "HIERARCHY_VERSION", "FIEDLER_VERSION",
+    "PATTERN_VERSION", "HIERARCHY_VERSION", "FIEDLER_VERSION",
     "pattern_digest", "problem_digest", "rng_state_json", "rng_state_digest",
     "save_pattern", "load_pattern",
-    "save_laplacian", "load_laplacian",
-    "save_components", "load_components",
-    "save_split", "load_split",
     "save_hierarchy", "load_hierarchy",
     "save_fiedler", "load_fiedler",
 ]
 
 #: Builder versions — bump when the producing algorithm's output can change.
 PATTERN_VERSION = 1      # repro.collections registry generators
-LAPLACIAN_VERSION = 1    # repro.graph.laplacian.laplacian_matrix
-COMPONENTS_VERSION = 1   # repro.graph.components.connected_components
-SPLIT_VERSION = 1        # SpectralWorkspace.component_split
 HIERARCHY_VERSION = 1    # repro.graph.coarsen.coarsening_hierarchy
 FIEDLER_VERSION = 1      # repro.eigen lanczos / multilevel solvers
 
@@ -103,9 +104,20 @@ def rng_state_digest(state_text: str) -> str:
 # --------------------------------------------------------------------- #
 # pattern (the problem-cache artifact)
 # --------------------------------------------------------------------- #
+def _pattern_address(problem: str, scale) -> str:
+    """A pattern entry's digest, by the *resolved* scale: ``None`` reads
+    ``REPRO_BENCH_SCALE`` (:func:`~repro.collections.registry.default_scale`),
+    which can differ between runs sharing one store."""
+    if scale is None:
+        from repro.collections.registry import default_scale
+
+        scale = default_scale()
+    return problem_digest(problem, scale)
+
+
 def save_pattern(store, problem: str, scale, pattern):
     return store.save(
-        "pattern", PATTERN_VERSION, problem_digest(problem, scale),
+        "pattern", PATTERN_VERSION, _pattern_address(problem, scale),
         {"indptr": pattern.indptr, "indices": pattern.indices},
     )
 
@@ -113,7 +125,7 @@ def save_pattern(store, problem: str, scale, pattern):
 def load_pattern(store, problem: str, scale):
     """Load a problem surrogate structure (``n`` is recovered from the CSR)."""
     arrays = store.load("pattern", PATTERN_VERSION,
-                        problem_digest(problem, scale))
+                        _pattern_address(problem, scale))
     if arrays is None:
         return None
     from repro.sparse.pattern import SymmetricPattern
@@ -124,112 +136,6 @@ def load_pattern(store, problem: str, scale):
         return SymmetricPattern(int(indptr.size - 1), indptr, indices)
     except ValueError:
         return None
-
-
-# --------------------------------------------------------------------- #
-# laplacian
-# --------------------------------------------------------------------- #
-def save_laplacian(store, digest: str, laplacian):
-    return store.save(
-        "laplacian", LAPLACIAN_VERSION, digest,
-        {"indptr": laplacian.indptr, "indices": laplacian.indices,
-         "data": laplacian.data},
-    )
-
-
-def load_laplacian(store, digest: str):
-    arrays = store.load("laplacian", LAPLACIAN_VERSION, digest)
-    if arrays is None:
-        return None
-    import scipy.sparse as sp
-
-    indptr = arrays["indptr"]
-    n = int(indptr.size - 1)
-    try:
-        lap = sp.csr_matrix(
-            (arrays["data"], arrays["indices"], indptr), shape=(n, n)
-        )
-    except (ValueError, IndexError):
-        return None
-    lap.has_sorted_indices = True  # stored from a canonically-sorted build
-    return lap
-
-
-# --------------------------------------------------------------------- #
-# connected components
-# --------------------------------------------------------------------- #
-def save_components(store, digest: str, num: int, labels):
-    return store.save(
-        "components", COMPONENTS_VERSION, digest,
-        {"labels": labels, "num": np.asarray(int(num), dtype=np.int64)},
-    )
-
-
-def load_components(store, digest: str):
-    arrays = store.load("components", COMPONENTS_VERSION, digest)
-    if arrays is None:
-        return None
-    return int(arrays["num"][()]), arrays["labels"].astype(np.intp, copy=False)
-
-
-# --------------------------------------------------------------------- #
-# component split
-# --------------------------------------------------------------------- #
-def save_split(store, digest: str, split):
-    """Pack ``[(vertices, subpattern-or-None), ...]`` into flat arrays.
-
-    Per-component vertex lists and sub-CSR arrays are concatenated; sizes and
-    per-component nnz counts carry the segmentation.  Singleton components
-    (``sub is None``) contribute a size of 1 and an nnz of -1.
-    """
-    sizes = np.asarray([v.size for v, _sub in split], dtype=np.int64)
-    nnzs = np.asarray(
-        [-1 if sub is None else sub.indices.size for _v, sub in split],
-        dtype=np.int64,
-    )
-    vertices = (np.concatenate([v for v, _sub in split])
-                if split else np.empty(0, dtype=np.intp))
-    indptrs = [sub.indptr for _v, sub in split if sub is not None]
-    indices = [sub.indices for _v, sub in split if sub is not None]
-    cat = lambda parts: (np.concatenate(parts) if parts
-                         else np.empty(0, dtype=np.intp))
-    return store.save(
-        "split", SPLIT_VERSION, digest,
-        {"sizes": sizes, "nnzs": nnzs, "vertices": vertices,
-         "sub_indptr": cat(indptrs), "sub_indices": cat(indices)},
-    )
-
-
-def load_split(store, digest: str):
-    arrays = store.load("split", SPLIT_VERSION, digest)
-    if arrays is None:
-        return None
-    from repro.sparse.pattern import SymmetricPattern
-
-    sizes = arrays["sizes"]
-    nnzs = arrays["nnzs"]
-    vertices = arrays["vertices"].astype(np.intp, copy=False)
-    sub_indptr = arrays["sub_indptr"].astype(np.intp, copy=False)
-    sub_indices = arrays["sub_indices"].astype(np.intp, copy=False)
-    split = []
-    v_at = p_at = i_at = 0
-    try:
-        for size, nnz in zip(sizes.tolist(), nnzs.tolist()):
-            verts = vertices[v_at:v_at + size]
-            v_at += size
-            if nnz < 0:
-                split.append((verts, None))
-                continue
-            indptr = sub_indptr[p_at:p_at + size + 1]
-            p_at += size + 1
-            indices = sub_indices[i_at:i_at + nnz]
-            i_at += nnz
-            split.append((verts, SymmetricPattern(int(size), indptr, indices)))
-    except (ValueError, IndexError):
-        return None
-    if v_at != vertices.size or p_at != sub_indptr.size or i_at != sub_indices.size:
-        return None
-    return split
 
 
 # --------------------------------------------------------------------- #

@@ -14,6 +14,7 @@ import pytest
 from repro.batch import SuiteResult
 from repro.batch.engine import clear_problem_cache
 from repro.cli import main
+from repro.collections.registry import load_problem
 from repro.store import ArtifactStore, reset_default_store
 
 
@@ -24,7 +25,7 @@ def _isolated(monkeypatch):
     ``--store`` exports ``REPRO_STORE``.  ``delenv`` on an absent variable
     records nothing to restore, so ``setenv`` first records the variable's
     state before the test; undoing it drops the export — otherwise later
-    tests would load cached Laplacians from this test's directory.
+    tests would load cached patterns from this test's directory.
     """
     monkeypatch.setenv("REPRO_STORE", "")
     monkeypatch.delenv("REPRO_STORE")
@@ -141,8 +142,8 @@ class TestCacheCommand:
         assert main(["cache", "ls", "--store", str(cache)]) == 0
         out = capsys.readouterr().out
         assert "KIND" in out
-        for kind in ("pattern", "laplacian", "components", "fiedler"):
-            assert kind in out
+        kinds = {line.split()[1] for line in out.splitlines()[1:-1]}
+        assert kinds == {"pattern", "fiedler"}  # POW9@0.05 never coarsens
 
     def test_info_json_is_machine_readable(self, tmp_path, capsys):
         cache = self._populate(tmp_path)
@@ -162,7 +163,7 @@ class TestCacheCommand:
         assert "POW9" in out
         store = ArtifactStore(cache)
         kinds = {row["kind"] for row in store.entries()}
-        assert {"pattern", "laplacian", "components"} <= kinds
+        assert kinds == {"pattern"}
 
         reset_default_store()
         clear_problem_cache()
@@ -171,6 +172,32 @@ class TestCacheCommand:
         stats = [line for line in suite_out.splitlines() if line.startswith("store ")]
         hits = int(stats[0].split(":")[1].split("hit")[0].strip())
         assert hits > 0
+
+    def test_default_scale_addresses_the_resolved_scale(self, tmp_path,
+                                                         monkeypatch, capsys):
+        """A run at the default scale is not served another default's pattern,
+        and ``None`` shares the entry of the explicit scale it resolves to."""
+        cache = tmp_path / "cache"
+        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
+        assert main(["cache", "prewarm", "POW9", "--store", str(cache)]) == 0
+        assert "n=1723" in capsys.readouterr().out  # the 0.125 default
+
+        def suite(name, *extra):
+            reset_default_store()
+            clear_problem_cache()
+            assert main(["suite", "POW9", "--algorithms", "rcm", "--jobs", "1",
+                         "--no-progress", "--store", str(cache),
+                         "--output", str(tmp_path / name), *extra]) == 0
+            stats = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("store ")]
+            return SuiteResult.load(tmp_path / name).records[0], stats[0]
+
+        record, stats = suite("explicit.json", "--scale", "0.125")
+        assert record.n == 1723 and " 1 hit(s), 0 miss(es), 0 write(s)" in stats
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.05")
+        record, _stats = suite("env.json")
+        assert record.n == load_problem("POW9", scale=0.05)[0].n
+        assert len(ArtifactStore(cache).entries()) == 2
 
     def test_prewarm_unknown_problem_fails(self, tmp_path, capsys):
         code = main(["cache", "prewarm", "NOSUCH", "--store", str(tmp_path / "c")])

@@ -107,6 +107,12 @@ def _bcsstk30_quarter():
     return load_problem("BCSSTK30", scale=0.25)[0]
 
 
+def _dwt2680_tenth():
+    from repro.collections.registry import load_problem
+
+    return load_problem("DWT2680", scale=0.1)[0]
+
+
 #: ``(method, pattern factory, solver options, expected converged)``: each
 #: iterative solver once converged and once not, all above 2000 vertices.
 CONVERGENCE_CASES = {
@@ -115,6 +121,8 @@ CONVERGENCE_CASES = {
                        {"max_iter": 5, "restarts": 1}, False),
     "multilevel-converges": ("multilevel", _bcsstk30_quarter, {}, True),
     "multilevel-stalls": ("multilevel", lambda: grid2d_pattern(60, 48), {}, False),
+    "lobpcg-capped": ("lobpcg", _dwt2680_tenth, {"maxiter": 250}, False),
+    "eigsh-converges": ("eigsh", lambda: grid2d_pattern(60, 48), {}, True),
 }
 
 
