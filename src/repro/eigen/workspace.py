@@ -52,10 +52,11 @@ byte-identical to a built one, so the warm-vs-cold identity above extends
 across processes; store I/O failures and corrupt entries silently fall back
 to building.  (Converged Fiedler vectors are stored by
 :func:`repro.eigen.fiedler.fiedler_vector`, addressed by :meth:`digest`.)
-Everything else here stays in memory only: the Laplacian, the component
-labels and the component split are one pass over the structure each, and a
-search costs less than a store read, so none of them loads faster than it
-builds (``docs/performance.md``, "Persistent artifact store").
+Everything else here stays in memory only.  The Laplacian, the component
+labels and the component split are one pass over the structure each, and
+their entries showed no end-to-end gain, weighed against their write cost; a
+search costs less than a store read (``docs/performance.md``, "Persistent
+artifact store").
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ Public surface:
   processes inherit it);
 * :mod:`repro.store.spectral` — the codecs that move registry patterns,
   coarsening hierarchies and converged Fiedler vectors in and out of a
-  store (the only kinds that load faster than they build).
+  store (the only kinds whose entries show a measured end-to-end gain,
+  weighed against their write cost).
 
 See ``docs/performance.md`` ("Persistent artifact store") for the
 content-address scheme and invalidation rules.

@@ -24,9 +24,9 @@ Durability contract
 The store itself is format-agnostic (it moves dictionaries of numpy arrays
 plus a JSON metadata blob); the codecs of the three stored kinds — registry
 patterns, coarsening hierarchies and converged Fiedler vectors — live in
-:mod:`repro.store.spectral`.  Only artifacts that load measurably faster
-than they build are stored: Laplacians, component labels and component
-splits are cheaper to rebuild than to read and write, and stay in memory.
+:mod:`repro.store.spectral`.  Only artifacts whose entries show a measured
+end-to-end gain, weighed against their write cost, are stored: Laplacians,
+component labels and component splits showed none and stay in memory.
 
 Process-wide default
 --------------------

@@ -10,7 +10,8 @@ stop being addressed.
 
 Artifact kinds
 --------------
-Only artifacts that load measurably faster than they build are stored:
+Only artifacts whose entries show a measured end-to-end gain, weighed
+against their write cost, are stored:
 
 ``pattern``
     A problem's surrogate structure, keyed by registry name + resolved
@@ -30,11 +31,11 @@ Only artifacts that load measurably faster than they build are stored:
     loader restores so a warm run consumes exactly the random stream a cold
     run does.
 
-The Laplacian, the component labels and the component split are one pass
-over the structure each: at serving sizes a read is no faster than a build,
-and at paper size a write costs more than the build it saves.  They stay in
-the workspace's memory only (``docs/performance.md``, "Persistent artifact
-store").
+The Laplacian, the component labels and the component split showed none.
+Each is one pass over the structure: at serving sizes a read is no faster
+than a build, and at paper size a write costs what 7 to 21 warm reads save.
+They stay in the workspace's memory only (``docs/performance.md``,
+"Persistent artifact store").
 """
 
 from __future__ import annotations
@@ -77,10 +78,18 @@ def pattern_digest(pattern) -> str:
 
 
 def problem_digest(problem: str, scale) -> str:
-    """Address digest of a registry problem surrogate (name + scale)."""
-    scale_text = "default" if scale is None else repr(float(scale))
+    """Address digest of a registry problem surrogate (name + scale).
+
+    The scale is the *resolved* one: ``None`` reads ``REPRO_BENCH_SCALE``
+    (:func:`~repro.collections.registry.default_scale`), which can differ
+    between runs sharing one store, and shares the explicit default's entry.
+    """
+    if scale is None:
+        from repro.collections.registry import default_scale
+
+        scale = default_scale()
     return hashlib.sha256(
-        f"problem:{str(problem).strip().upper()}|scale:{scale_text}".encode()
+        f"problem:{str(problem).strip().upper()}|scale:{float(scale)!r}".encode()
     ).hexdigest()
 
 
@@ -104,20 +113,9 @@ def rng_state_digest(state_text: str) -> str:
 # --------------------------------------------------------------------- #
 # pattern (the problem-cache artifact)
 # --------------------------------------------------------------------- #
-def _pattern_address(problem: str, scale) -> str:
-    """A pattern entry's digest, by the *resolved* scale: ``None`` reads
-    ``REPRO_BENCH_SCALE`` (:func:`~repro.collections.registry.default_scale`),
-    which can differ between runs sharing one store."""
-    if scale is None:
-        from repro.collections.registry import default_scale
-
-        scale = default_scale()
-    return problem_digest(problem, scale)
-
-
 def save_pattern(store, problem: str, scale, pattern):
     return store.save(
-        "pattern", PATTERN_VERSION, _pattern_address(problem, scale),
+        "pattern", PATTERN_VERSION, problem_digest(problem, scale),
         {"indptr": pattern.indptr, "indices": pattern.indices},
     )
 
@@ -125,7 +123,7 @@ def save_pattern(store, problem: str, scale, pattern):
 def load_pattern(store, problem: str, scale):
     """Load a problem surrogate structure (``n`` is recovered from the CSR)."""
     arrays = store.load("pattern", PATTERN_VERSION,
-                        _pattern_address(problem, scale))
+                        problem_digest(problem, scale))
     if arrays is None:
         return None
     from repro.sparse.pattern import SymmetricPattern

@@ -15,6 +15,7 @@ from repro.batch import SuiteResult
 from repro.batch.engine import clear_problem_cache
 from repro.cli import main
 from repro.collections.registry import load_problem
+from repro.serve.api import parse_order_request
 from repro.store import ArtifactStore, reset_default_store
 
 
@@ -176,7 +177,8 @@ class TestCacheCommand:
     def test_default_scale_addresses_the_resolved_scale(self, tmp_path,
                                                          monkeypatch, capsys):
         """A run at the default scale is not served another default's pattern,
-        and ``None`` shares the entry of the explicit scale it resolves to."""
+        and ``None`` shares the entry (and the serve job key) of the explicit
+        scale it resolves to."""
         cache = tmp_path / "cache"
         monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
         assert main(["cache", "prewarm", "POW9", "--store", str(cache)]) == 0
@@ -198,6 +200,9 @@ class TestCacheCommand:
         record, _stats = suite("env.json")
         assert record.n == load_problem("POW9", scale=0.05)[0].n
         assert len(ArtifactStore(cache).entries()) == 2
+        request = {"problem": "POW9", "algorithm": "rcm"}
+        assert (parse_order_request(request).key
+                == parse_order_request({**request, "scale": 0.05}).key)
 
     def test_prewarm_unknown_problem_fails(self, tmp_path, capsys):
         code = main(["cache", "prewarm", "NOSUCH", "--store", str(tmp_path / "c")])
