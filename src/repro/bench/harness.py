@@ -191,6 +191,7 @@ def _graph_bench(problem: str, scale: float, kernel: str) -> KernelBench:
             "pseudo_diameter": lambda: pseudo_diameter(pattern.copy()),  # cold search
             "mis": lambda: maximal_independent_set(pattern),
             "coarsen": lambda: coarsen_graph(pattern),
+            "validate": pattern.validate,
         }
         return kernels[kernel]
 
@@ -278,6 +279,8 @@ def pinned_micro_suite(quick: bool = False) -> list[KernelBench]:
     # and a stiff 3-D solid's are wide and high-degree.
     benches.append(_graph_bench("RANDOM/WS", ws_scale, "number_by_levels"))
     benches.append(_graph_bench(*stiff_case, "number_by_levels"))
+    # The structural check of an inline CSR upload, at an upload's size.
+    benches.append(_graph_bench(*stiff_case, "validate"))
     # PWT's sweeps are cheap; a stiff 3-D problem's pseudo-diameter search
     # runs ~150-200 costly ones.  Sloan on a small-world graph spreads its
     # priorities over many values.

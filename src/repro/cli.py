@@ -965,8 +965,8 @@ def _order_request_payload(args) -> dict:
         pattern, _matrix, _label = _load_input(args.input)
         payload["csr"] = {
             "n": int(pattern.n),
-            "indptr": [int(i) for i in pattern.indptr],
-            "indices": [int(i) for i in pattern.indices],
+            "indptr": pattern.indptr.tolist(),
+            "indices": pattern.indices.tolist(),
         }
     return payload
 

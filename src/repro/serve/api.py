@@ -144,8 +144,8 @@ def _build_inline_pattern(payload: dict, max_inline_n: int):
         source = payload["coo"]
         if not isinstance(source, dict):
             raise _bad("'coo' must be an object with keys n, rows, cols")
-        n = _require_int(source, "n", minimum=0, maximum=max_inline_n, default=-1)
-        if n is None or n < 0:
+        n = _require_int(source, "n", minimum=0, maximum=max_inline_n)
+        if n is None:
             raise _bad("'coo' needs an integer 'n' >= 0 "
                        f"(<= {max_inline_n})")
         rows = _int_list(source, "rows", "coo")
@@ -159,14 +159,14 @@ def _build_inline_pattern(payload: dict, max_inline_n: int):
         source = payload["csr"]
         if not isinstance(source, dict):
             raise _bad("'csr' must be an object with keys n, indptr, indices")
-        n = _require_int(source, "n", minimum=0, maximum=max_inline_n, default=-1)
-        if n is None or n < 0:
+        n = _require_int(source, "n", minimum=0, maximum=max_inline_n)
+        if n is None:
             raise _bad("'csr' needs an integer 'n' >= 0 "
                        f"(<= {max_inline_n})")
         indptr = _int_list(source, "indptr", "csr")
         indices = _int_list(source, "indices", "csr")
         try:
-            pattern = SymmetricPattern(n, indptr, indices, copy=True)
+            pattern = SymmetricPattern(n, indptr, indices)
             pattern.validate()
         except (ValueError, TypeError, IndexError, OverflowError) as exc:
             raise _bad(f"invalid CSR pattern: {exc}") from None

@@ -405,28 +405,41 @@ class SymmetricPattern:
     def validate(self) -> None:
         """Check all structural invariants; raise :class:`ValueError` on violation.
 
-        Invariants: sorted, duplicate-free rows; no self indices; symmetric
-        structure (``j in row(i)`` iff ``i in row(j)``); indices in range.
+        Invariants, checked in this order: indices in range; ``indptr``
+        nondecreasing; sorted, duplicate-free rows without a self index;
+        symmetric structure (``j in row(i)`` iff ``i in row(j)``).  The
+        error names the lowest row with a row defect, and within a row an
+        order or duplicate defect before a diagonal index.  An asymmetry
+        names the first one-sided entry ``(i, j)`` in row-major order.
+
+        A fixed number of O(nnz) array passes, no loop over rows or
+        entries: each entry is keyed by its row-major position
+        ``i * n + j`` (exact in int64 for n below 3e9), so the keys increase
+        strictly iff every row does.
         """
-        if self.indices.size:
-            if self.indices.min() < 0 or self.indices.max() >= self.n:
+        n, indptr, indices = self.n, self.indptr, self.indices
+        if indices.size:
+            if indices.min() < 0 or indices.max() >= n:
                 raise ValueError("column indices out of range")
-        if np.any(np.diff(self.indptr) < 0):
+        counts = np.diff(indptr)
+        if np.any(counts < 0):
             raise ValueError("indptr must be nondecreasing")
-        for i in range(self.n):
-            row = self.neighbors(i)
-            if row.size == 0:
-                continue
-            if np.any(np.diff(row) <= 0):
-                raise ValueError(f"row {i} is not strictly increasing / has duplicates")
-            if np.any(row == i):
-                raise ValueError(f"row {i} contains a diagonal index")
-        # symmetry
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        forward = set(zip(rows.tolist(), self.indices.tolist()))
-        for i, j in forward:
-            if (j, i) not in forward:
-                raise ValueError(f"structure is not symmetric: ({i},{j}) without ({j},{i})")
+        rows = np.repeat(np.arange(n, dtype=np.intp), counts)
+        keys = rows * n + indices
+        # Across a row boundary the key rises by at least 1 (indices < n),
+        # so a key that fails to rise is an order or duplicate defect.
+        unordered = rows[1:][np.diff(keys) <= 0]
+        diagonal = rows[indices == rows]
+        if unordered.size and (not diagonal.size or unordered[0] <= diagonal[0]):
+            raise ValueError(f"row {unordered[0]} is not strictly increasing / has duplicates")
+        if diagonal.size:
+            raise ValueError(f"row {diagonal[0]} contains a diagonal index")
+        # Symmetric iff the sorted keys of the transposed entries are the keys.
+        mirror = indices * n + rows
+        if not np.array_equal(np.sort(mirror), keys):
+            k = np.flatnonzero(~np.isin(mirror, keys))[0]
+            i, j = rows[k], indices[k]
+            raise ValueError(f"structure is not symmetric: ({i},{j}) without ({j},{i})")
 
     # ------------------------------------------------------------------ #
     # dunder helpers

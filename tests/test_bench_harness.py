@@ -161,6 +161,16 @@ def test_numbering_entry_times_king_rule_on_wide_levels():
                     "graph/number_by_levels/FLAP@0.25"]
 
 
+def test_validate_entry_checks_a_stiff_pattern():
+    """The structural check of an inline CSR upload, on the stiff 3-D case."""
+    for quick, name in ((True, "graph/validate/BCSSTK30@0.05"),
+                        (False, "graph/validate/FLAP@0.25")):
+        assert [b.name for b in pinned_micro_suite(quick) if "/validate/" in b.name] == [name]
+    artifact = run_bench(quick=True, repeats=1, name_filter="graph/validate", rev="test-rev")
+    (kernel,) = artifact["kernels"]
+    assert kernel["group"] == "graph" and kernel["best_s"] > 0.0
+
+
 def test_sweep_and_sloan_entries_run_on_wide_inputs():
     """A stiff problem's costly pseudo-diameter sweeps and Sloan on a
     small-world graph, in both suites."""

@@ -220,6 +220,21 @@ class TestValidation4xx:
             {"algorithm": "rcm", "coo": {"n": 4, "rows": [0], "cols": [9]}})
         assert status == 400
 
+    @pytest.mark.parametrize("source, arrays", [
+        ("csr", {"indptr": [0], "indices": []}),
+        ("coo", {"rows": [], "cols": []}),
+    ])
+    def test_inline_pattern_without_n(self, source, arrays):
+        from repro.serve.api import DEFAULT_MAX_INLINE_N, parse_order_request
+        from repro.serve.protocol import ProtocolError
+
+        with pytest.raises(ProtocolError) as info:
+            parse_order_request({"algorithm": "rcm", source: arrays})
+        assert info.value.status == 400
+        assert info.value.error_type == "InvalidOrderRequest"
+        assert info.value.message == (
+            f"{source!r} needs an integer 'n' >= 0 (<= {DEFAULT_MAX_INLINE_N})")
+
 
 class TestStoreIntegration:
     def test_warm_request_hits_the_artifact_store(self, tmp_path):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro.collections.registry import available_problems, load_problem
 from repro.sparse.pattern import SymmetricPattern
 from tests.conftest import small_patterns
 
@@ -192,6 +194,142 @@ class TestOperations:
 
     def test_repr_mentions_size(self):
         assert "n=3" in repr(SymmetricPattern.empty(3))
+
+
+def _csr(rows: list[list[int]]) -> tuple[list[int], list[int]]:
+    """``(indptr, indices)`` of a pattern given row by row."""
+    indptr = np.cumsum([0] + [len(row) for row in rows]).tolist()
+    return indptr, [j for row in rows for j in row]
+
+
+#: Rows of a valid 5-vertex pattern (edges 0-1, 1-2, 2-3, 3-4, 0-4, 1-3).
+VALID_ROWS = [[1, 4], [0, 2, 3], [1, 3], [1, 2, 4], [0, 3]]
+
+
+def _mutated(**rows: list[int]) -> tuple[list[int], list[int]]:
+    """VALID_ROWS with the rows named ``r<i>`` replaced."""
+    return _csr([rows.get(f"r{i}", row) for i, row in enumerate(VALID_ROWS)])
+
+
+NOT_INCREASING = "is not strictly increasing / has duplicates"
+
+#: One valid pattern and one mutation per invariant, with the message the
+#: per-row loop this check replaced raised on each.
+VALIDATE_CASES = {
+    "valid": (_csr(VALID_ROWS), None),
+    "index out of range": (_mutated(r1=[0, 2, 5]), "column indices out of range"),
+    "negative index": (_mutated(r4=[-1, 3]), "column indices out of range"),
+    "decreasing indptr": (([0, 2, 5, 4, 10, 12], _csr(VALID_ROWS)[1]),
+                          "indptr must be nondecreasing"),
+    "unsorted row": (_mutated(r1=[2, 0, 3]), f"row 1 {NOT_INCREASING}"),
+    "duplicate entry": (_mutated(r3=[1, 2, 2]), f"row 3 {NOT_INCREASING}"),
+    "diagonal entry": (_mutated(r2=[1, 2]), "row 2 contains a diagonal index"),
+    "one-sided entry": (_mutated(r0=[1, 2, 4]),
+                        "structure is not symmetric: (0,2) without (2,0)"),
+    # Defects in two rows: the lower row is reported, whatever its defect.
+    "lower row diagonal, higher row unsorted": (
+        _mutated(r1=[0, 1, 3], r3=[2, 1, 4]), "row 1 contains a diagonal index"),
+    "lower row unsorted, higher row diagonal": (
+        _mutated(r1=[3, 2, 0], r3=[1, 2, 3]), f"row 1 {NOT_INCREASING}"),
+    # Within one row an order defect is reported before a diagonal index.
+    "diagonal then order defect in one row": (
+        _mutated(r3=[3, 2, 1]), f"row 3 {NOT_INCREASING}"),
+    "order defect then diagonal in one row": (
+        _mutated(r3=[2, 1, 3]), f"row 3 {NOT_INCREASING}"),
+}
+
+#: Every paper problem at 0.25 and every random family at 0.01.
+REGISTRY_CASES = [(problem, 0.25) for problem in available_problems(paper_order=True)]
+REGISTRY_CASES += [(problem, 0.01)
+                   for problem in available_problems("random", paper_order=True)]
+
+
+def _validate_by_rows(pattern: SymmetricPattern) -> None:
+    """A per-row loop reference for :meth:`SymmetricPattern.validate`.
+
+    Its symmetry scan walks the entries in storage order, so that it names
+    the same one-sided entry as the array passes: the first in row-major
+    order."""
+    n, indptr, indices = pattern.n, pattern.indptr, pattern.indices
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError("column indices out of range")
+    if np.any(np.diff(indptr) < 0):
+        raise ValueError("indptr must be nondecreasing")
+    entries = []
+    for i in range(n):
+        row = indices[indptr[i]:indptr[i + 1]]
+        if np.any(np.diff(row) <= 0):
+            raise ValueError(f"row {i} {NOT_INCREASING}")
+        if np.any(row == i):
+            raise ValueError(f"row {i} contains a diagonal index")
+        entries += [(i, int(j)) for j in row]
+    stored = set(entries)
+    for i, j in entries:
+        if (j, i) not in stored:
+            raise ValueError(f"structure is not symmetric: ({i},{j}) without ({j},{i})")
+
+
+def _error(check) -> str | None:
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestValidate:
+    @pytest.mark.parametrize("case", list(VALIDATE_CASES))
+    def test_reports_each_defect_class(self, case):
+        (indptr, indices), message = VALIDATE_CASES[case]
+        pattern = SymmetricPattern(5, indptr, indices)
+        if message is None:
+            pattern.validate()
+            return
+        with pytest.raises(ValueError) as info:
+            pattern.validate()
+        assert str(info.value) == message
+
+    @given(small_patterns(min_n=2), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_deleted_entry_leaves_its_mirror_one_sided(self, pattern, data):
+        assume(pattern.indices.size > 0)
+        k = data.draw(st.integers(min_value=0, max_value=pattern.indices.size - 1))
+        i = int(np.searchsorted(pattern.indptr, k, side="right")) - 1
+        j = int(pattern.indices[k])
+        indptr = pattern.indptr.copy()
+        indptr[i + 1:] -= 1
+        broken = SymmetricPattern(pattern.n, indptr, np.delete(pattern.indices, k))
+        with pytest.raises(ValueError) as info:
+            broken.validate()
+        assert str(info.value) == f"structure is not symmetric: ({j},{i}) without ({i},{j})"
+
+    @given(small_patterns(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_row_loop_on_mutated_patterns(self, pattern, data):
+        n, indptr, indices = pattern.n, pattern.indptr.copy(), pattern.indices.copy()
+        for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+            kind = data.draw(st.sampled_from(["set", "delete", "insert", "indptr"]))
+            if kind == "insert":
+                k = data.draw(st.integers(min_value=0, max_value=indices.size))
+                indices = np.insert(indices, k, data.draw(st.integers(-1, n)))
+                indptr[1:][indptr[1:] >= k] += 1
+            elif kind == "indptr" and n > 1:
+                indptr[data.draw(st.integers(1, n - 1))] = data.draw(
+                    st.integers(0, indices.size))
+            elif indices.size and kind in ("set", "delete"):
+                k = data.draw(st.integers(min_value=0, max_value=indices.size - 1))
+                if kind == "set":
+                    indices[k] = data.draw(st.integers(-1, n))
+                else:
+                    indices = np.delete(indices, k)
+                    indptr[indptr > k] -= 1
+        broken = SymmetricPattern(n, indptr, indices)
+        assert _error(broken.validate) == _error(lambda: _validate_by_rows(broken))
+
+    @pytest.mark.parametrize("problem,scale", REGISTRY_CASES)
+    def test_registry_patterns_are_valid(self, problem, scale):
+        pattern, _spec = load_problem(problem, scale=scale)
+        pattern.validate()
 
 
 class TestPatternProperties:
