@@ -555,8 +555,6 @@ def run_suite(
     if not keep_orderings:
         for record in records:
             record.ordering = None
-    from repro import backends
-
     return SuiteResult(
         problems=problems,
         algorithms=list(algorithms),
@@ -566,5 +564,4 @@ def run_suite(
         records=records,
         wall_time_s=wall_time_s,
         shard=shard,
-        backend=backends.backend_summary(),
     )

@@ -186,10 +186,11 @@ def read_jsonl_objects(path) -> list[dict]:
     """Parse a JSONL file into its complete object lines, tolerating exactly
     the damage a killed appender can cause.
 
-    The shared tolerant reader behind :func:`read_stream` (``--resume``) and
-    the ``repro serve`` job journal.  A killed process's final ``write`` may
-    have flushed any prefix of its last line — including, on some
-    filesystems, a prefix followed by stray newline bytes from a torn
+    The tolerant reader behind :func:`read_stream` (``--resume``); the
+    ``repro serve`` job journal is replayed with
+    :func:`read_jsonl_objects_partial` instead.  A killed process's final
+    ``write`` may have flushed any prefix of its last line — including, on
+    some filesystems, a prefix followed by stray newline bytes from a torn
     buffered write — so the **final non-blank line** being malformed JSON is
     treated as that truncated tail and dropped, wherever trailing blank
     lines put it.  A malformed line with complete lines after it is genuine

@@ -36,7 +36,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro import backends
 from repro.bench.core import measure
 
 __all__ = [
@@ -67,11 +66,15 @@ _NOISE_FLOOR_S = 1e-3
 
 #: Run configuration switches that change what a bench artifact timed, with
 #: the value a missing (or null) entry reads as: artifacts recorded before a
-#: switch existed ran its default (every kernel before the backend registry
-#: ran the numpy code).  ``fiedler_policy`` is only read: artifacts recorded
-#: before the rank-stability stopping rule was deleted may say ``"fast"``,
-#: and new ones omit it because every run now uses the residual test.
+#: switch existed ran its default.
 _CONFIG_DEFAULTS = {"fiedler_policy": "default", "backend": "numpy", "quick": False}
+
+#: Switches this build no longer has, so new artifacts omit them: an artifact
+#: recorded with another value than the default timed code that is gone.
+#: Artifacts recorded before the rank-stability stopping rule was deleted may
+#: say ``fiedler_policy: "fast"``, and ones recorded on the loop reference
+#: kernels ``backend: "python"``.
+_RETIRED = ("fiedler_policy", "backend")
 
 #: ``machine`` fields that identify the host and library stack a bench ran on.
 _HOST_FIELDS = ("platform", "machine", "python", "numpy", "scipy", "cpu_count")
@@ -83,9 +86,10 @@ def _config_value(artifact: dict, key: str):
     return _CONFIG_DEFAULTS[key] if value is None else value
 
 
-def _artifact_backend(artifact: dict) -> str:
-    """The backend tier an artifact was recorded on."""
-    return _config_value(artifact, "backend")
+def _retired_settings(artifact: dict) -> list[str]:
+    """The retired switches (see ``_RETIRED``) *artifact* was recorded under."""
+    return [f"{key}={_config_value(artifact, key)!r}" for key in _RETIRED
+            if _config_value(artifact, key) != _CONFIG_DEFAULTS[key]]
 
 
 def _incomparable(base: dict, new: dict) -> list[str]:
@@ -113,10 +117,7 @@ class KernelBench:
 
 
 def machine_info() -> dict:
-    """Platform / library versions recorded into every artifact.
-
-    The kernel backend tier an artifact timed is ``config.backend``.
-    """
+    """Platform / library versions recorded into every artifact."""
     import scipy
 
     return {
@@ -409,8 +410,7 @@ def run_bench(
         "created_s": time.time(),
         "machine": machine_info(),
         "config": {"quick": quick, "repeats": repeats,
-                   "filter": name_filter, "include_suite": include_suite,
-                   "backend": backends.requested_backend()},
+                   "filter": name_filter, "include_suite": include_suite},
         "kernels": kernels,
         "suite": suite_section,
         "total_s": time.perf_counter() - start,
@@ -489,9 +489,9 @@ def diff_bench(baseline: dict, current: dict, *, threshold: float = 0.25) -> dic
         (names only in one artifact), ``geomean_speedup`` over comparable
         rows, ``gate_geomean_speedup`` (geomean over rows above the noise
         floor — the ``--gate geomean`` CI statistic), the two revisions,
-        and ``fiedler_policies`` (the baseline's and current's recorded
-        Fiedler policy, ``"default"`` when absent; a mismatch means a legacy
-        ``"fast"`` artifact timed a different solver configuration).
+        and ``retired`` (each retired setting either artifact was recorded
+        under, such as ``"baseline fiedler_policy='fast'"``: that artifact
+        timed code this build no longer runs).
     """
     base_times = {k["name"]: float(k["best_s"]) for k in baseline.get("kernels", [])}
     base_times.update(_cell_rows(baseline))
@@ -526,9 +526,9 @@ def diff_bench(baseline: dict, current: dict, *, threshold: float = 0.25) -> dic
     return {
         "baseline_rev": baseline.get("rev", "?"),
         "current_rev": current.get("rev", "?"),
-        "fiedler_policies": (_config_value(baseline, "fiedler_policy"),
-                             _config_value(current, "fiedler_policy")),
-        "backends": (_artifact_backend(baseline), _artifact_backend(current)),
+        "retired": [f"{side} {setting}"
+                    for side, artifact in (("baseline", baseline), ("current", current))
+                    for setting in _retired_settings(artifact)],
         "threshold": threshold,
         "rows": rows,
         "regressions": regressions,
@@ -559,15 +559,15 @@ def trend_bench(artifacts: list[dict], labels: list[str] | None = None) -> dict:
     last step's ``cumulative`` column answers "how much faster is the newest
     artifact than the oldest, per group".
     A step between artifacts that differ in a configuration switch
-    (``config.backend``, ``quick`` or a legacy artifact's Fiedler policy) or
+    (``quick``, or a legacy artifact's backend tier or Fiedler policy) or
     a host field (``machine.platform``, ``machine``, ``python``, ``numpy``,
     ``scipy`` or ``cpu_count``) measures that change, not the revision: it
     keeps its speedups but stays out of the cumulative product.
 
     Returns a dict with ``groups`` (sorted union of group names),
     ``revisions`` (the labels in time order), ``steps`` (one per consecutive
-    pair: the ``base_rev`` and ``new_rev`` labels, the two ``backend``
-    tiers, the ``changed`` switch and host field names, per-group
+    pair: the ``base_rev`` and ``new_rev`` labels, the ``changed`` switch
+    and host field names, per-group
     ``speedups``/``cumulative`` maps and ``common`` row counts), suitable
     for :func:`format_trend`.
     """
@@ -614,7 +614,6 @@ def trend_bench(artifacts: list[dict], labels: list[str] | None = None) -> dict:
         steps.append({
             "base_rev": base_label,
             "new_rev": new_label,
-            "backends": (_artifact_backend(base), _artifact_backend(new)),
             "changed": changed,
             "speedups": speedups,
             "cumulative": dict(cumulative),
@@ -637,8 +636,6 @@ def format_trend(trend: dict) -> str:
 
     for step in trend["steps"]:
         label = f"{step['base_rev']} -> {step['new_rev']}"
-        if step["backends"][0] != step["backends"][1]:
-            label += f" [{step['backends'][0]}->{step['backends'][1]}]"
         row = f"{label:<28} " + " ".join(cell(step["speedups"].get(g)) for g in groups)
         if step["changed"]:
             row += f"  (not in cumulative: {', '.join(step['changed'])} changed)"
@@ -669,16 +666,9 @@ def format_diff(diff: dict) -> str:
     lines.append(f"geometric-mean speedup over {len(diff['rows'])} kernels: "
                  f"{diff['geomean_speedup']:.2f}x "
                  f"(above noise floor: {diff.get('gate_geomean_speedup', 1.0):.2f}x)")
-    policies = diff.get("fiedler_policies", ("default", "default"))
-    if policies[0] != policies[1]:
-        lines.append(f"WARNING: fiedler policies differ (baseline {policies[0]}, "
-                     f"current {policies[1]}) — timings are not like-for-like")
-    tiers = diff.get("backends", ("numpy", "numpy"))
-    if tiers[0] != tiers[1]:
-        # A NOTE, not a gate failure: a cross-tier diff measures the tier.
-        lines.append(f"NOTE: backend tiers differ (baseline {tiers[0]}, "
-                     f"current {tiers[1]}) — this diff measures the backend, "
-                     f"not the revision")
+    if diff["retired"]:
+        lines.append(f"WARNING: recorded under retired settings "
+                     f"({', '.join(diff['retired'])}) — timings are not like-for-like")
     lines.append(f"total micro-suite wall time: {diff['total_base_s']:.3f}s -> "
                  f"{diff['total_new_s']:.3f}s ({diff['total_speedup']:.2f}x)")
     if diff["regressions"]:

@@ -339,27 +339,7 @@ def _activate_faults(spec_arg) -> "int | None":
     return None
 
 
-def _activate_backend(backend_arg) -> None:
-    """Activate ``--backend NAME`` (argparse has already checked the name).
-
-    The choice is exported as ``REPRO_BACKEND`` so worker processes inherit
-    it (same pattern as ``REPRO_STORE`` / ``REPRO_FAULTS``).  Without the
-    flag an inherited ``REPRO_BACKEND`` applies as it is: an unrecognized
-    value is served as numpy and reported in the artifact's backend block.
-    """
-    if backend_arg is None:
-        return
-    import os
-
-    from repro import backends
-
-    backends.set_backend(backend_arg)
-    os.environ["REPRO_BACKEND"] = backend_arg
-    print(f"kernel backend: {backend_arg}", file=sys.stderr)
-
-
 def _cmd_suite(args) -> int:
-    _activate_backend(args.backend)
     store = _activate_store(args.store)
     failed_faults = _activate_faults(args.inject_faults)
     if failed_faults is not None:
@@ -692,7 +672,7 @@ def _cmd_bench(args) -> int:
     )
 
     if args.trend is not None:
-        # Pure artifact analysis: no kernels run, no store or backend needed.
+        # Pure artifact analysis: no kernels run, no store needed.
         if len(args.trend) < 2:
             print("--trend needs at least two bench artifacts", file=sys.stderr)
             return 2
@@ -711,7 +691,6 @@ def _cmd_bench(args) -> int:
         print(format_trend(trend_bench(artifacts, labels)))
         return 0
 
-    _activate_backend(args.backend)
     store = _activate_store(args.store)
     if args.repeats is not None and args.repeats < 1:
         print(f"--repeats must be a positive integer, got {args.repeats}",
@@ -762,12 +741,10 @@ def _cmd_bench(args) -> int:
     if baseline is not None:
         diff = diff_bench(baseline, artifact, threshold=args.threshold)
         print(format_diff(diff))
-        policies = diff["fiedler_policies"]
-        if policies[0] != policies[1]:
-            print(f"cannot gate: baseline {args.against} was recorded with "
-                  f"the retired Fiedler policy {policies[0]!r}, which this "
-                  f"build no longer runs — the timings are not like-for-like "
-                  f"(record a new baseline)", file=sys.stderr)
+        if diff["retired"]:
+            print(f"cannot gate: {', '.join(diff['retired'])} — recorded "
+                  f"under a setting this build no longer runs, so the timings "
+                  f"are not like-for-like (record a new baseline)", file=sys.stderr)
             return 2
         if args.gate == "geomean":
             floor = 1.0 / (1.0 + args.threshold)
@@ -866,7 +843,6 @@ def _cmd_serve(args) -> int:
 
     from repro.serve import ServeConfig
 
-    _activate_backend(args.backend)
     _activate_store(args.store)
     failed_faults = _activate_faults(args.inject_faults)
     if failed_faults is not None:
@@ -1285,13 +1261,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "across runs and worker processes (exported as "
                                    "REPRO_STORE; results are byte-identical with "
                                    "the store on or off)")
-    suite_parser.add_argument("--backend", default=None,
-                              choices=["numpy", "python"],
-                              help="kernel backend tier (default: numpy; "
-                                   "exported as REPRO_BACKEND so workers "
-                                   "inherit it): 'python' runs the loop "
-                                   "reference kernels; results are "
-                                   "bit-identical across tiers")
     suite_parser.add_argument("--baseline", default=None,
                               help="diff against a saved results.json (exit 1 on drift)")
     suite_parser.add_argument("--progress", default=None, action=argparse.BooleanOptionalAction,
@@ -1353,10 +1322,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "note: warm structural artifacts change what a "
                                    "timed kernel measures, so compare like against "
                                    "like")
-    bench_parser.add_argument("--backend", default=None,
-                              choices=["numpy", "python"],
-                              help="kernel backend tier to time (default: "
-                                   "numpy; recorded in the artifact config)")
     bench_parser.add_argument("--trend", default=None, nargs="+",
                               metavar="BENCH.json",
                               help="no bench run: chart the kernel-group geomean "
@@ -1574,12 +1539,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="activate deterministic fault injection "
                                    "(exported as REPRO_FAULTS; see "
                                    "docs/robustness.md)")
-    serve_parser.add_argument("--backend", default=None,
-                              choices=["numpy", "python"],
-                              help="kernel backend tier for served orderings "
-                                   "(default: numpy; exported as REPRO_BACKEND "
-                                   "so subprocess workers inherit it; reported "
-                                   "by /statsz)")
     serve_parser.set_defaults(func=_cmd_serve)
 
     order_parser = sub.add_parser(

@@ -239,8 +239,8 @@ class SpectralWorkspace:
         """The memoized result of the start-free search *key*.
 
         :mod:`repro.graph.peripheral` keys its ``"peripheral"`` and
-        ``"diameter"`` searches by name, parameters and backend tier; *run*
-        searches on a miss.  Results stay in memory: a search is cheaper
+        ``"diameter"`` searches by name and parameters; *run* searches on a
+        miss.  Results stay in memory: a search is cheaper
         than a store read, so it is never spilled.
         """
         cached = self._searches.get(key)

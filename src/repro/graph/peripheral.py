@@ -12,18 +12,19 @@ additionally needs the *pair* of endpoints (a pseudo-diameter), which
 The paper also cites Grimes, Pierce & Simon (1990) who find a
 pseudo-peripheral node from the eigenvector of the adjacency matrix for the
 largest eigenvalue; that variant is provided as
-:func:`spectral_pseudo_peripheral_node` for completeness and is exercised by
-the ablation benchmarks.
+:func:`spectral_pseudo_peripheral_node` for completeness.  No ordering or
+benchmark uses it; only its unit tests call it.
 
 A search called without ``start`` is a pure function of the structure, so
 its result is memoized on the pattern's
 :class:`~repro.eigen.workspace.SpectralWorkspace`: the GK, GPS, Sloan and
-RCM cells of one cached problem share one search.  The memo is keyed by
-the backend tier that serves ``bfs_levels``, so a run on the reference
-``python`` tier never reuses a numpy-tier search, and its level structures
+RCM cells of one cached problem share one search.  The memo is keyed by the
+search's name and parameters only, so a test that runs the reference BFS
+(:func:`repro.reference.breadth_first_levels_reference`) inside a search
+must use a pattern object that has not searched yet.  Its level structures
 hold read-only arrays, so a caller that writes to one raises instead of
-corrupting the next caller's result.  A call with an explicit ``start``
-(a restart included) always searches.
+corrupting the next caller's result.  A call with an explicit ``start`` (a
+restart included) always searches.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import operator
 
 import numpy as np
 
-from repro import backends
 from repro.graph.traversal import RootedLevelStructure, bfs_graph, breadth_first_levels
 from repro.sparse.pattern import SymmetricPattern
 
@@ -52,9 +52,7 @@ def _read_only(structure: RootedLevelStructure) -> None:
 def _memoized(pattern: SymmetricPattern, key: tuple, search):
     """The memoized result of a start-free search on *pattern*.
 
-    *key* names the search and its parameters; the requested backend tier,
-    read without recording a dispatch event, is appended to it.  *search*
-    runs on a miss.
+    *key* names the search and its parameters; *search* runs on a miss.
     """
     from repro.eigen.workspace import spectral_workspace
 
@@ -65,7 +63,7 @@ def _memoized(pattern: SymmetricPattern, key: tuple, search):
                 _read_only(part)
         return result
 
-    return spectral_workspace(pattern).search((*key, backends.requested_backend()), run)
+    return spectral_workspace(pattern).search(key, run)
 
 
 def pseudo_peripheral_node(

@@ -9,12 +9,9 @@ levels ``L_0 = {r}, L_1 = adj(L_0), ...`` from a root ``r`` (George & Liu,
 :func:`bfs_order` expands whole levels over CSR neighbor slabs
 (:meth:`repro.sparse.pattern.SymmetricPattern.claim_frontier`).
 Both reproduce the discovery order of the vertex-at-a-time queue scans of
-:mod:`repro.backends.kernels`, the reference they are tested against
-(``tests/test_backends.py``), so orderings built on them are bit-for-bit
-unchanged.
-
-Both entry points are backend-dispatched (:mod:`repro.backends`): when the
-``python`` tier is selected, the loop kernel runs instead.
+:mod:`repro.reference`, the references they are tested against
+(``tests/test_kernels_reference.py``), so orderings built on them are
+bit-for-bit unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
 
-from repro import backends
 from repro.sparse.pattern import SymmetricPattern
 
 __all__ = [
@@ -108,6 +104,15 @@ def bfs_graph(pattern: SymmetricPattern) -> sp.csr_matrix:
     )
 
 
+def _checked_root(root, n: int) -> int:
+    """*root* as an int: ``TypeError`` unless it is integral, ``ValueError``
+    unless it lies in ``0..n-1``."""
+    root = operator.index(root)
+    if root < 0 or root >= n:
+        raise ValueError(f"root {root} out of range for n={n}")
+    return root
+
+
 def breadth_first_levels(
     pattern: SymmetricPattern, root: int, *, graph: sp.csr_matrix | None = None
 ) -> RootedLevelStructure:
@@ -120,8 +125,7 @@ def breadth_first_levels(
     root:
         The root vertex (an integer; a sequence raises ``TypeError``).
     graph:
-        :func:`bfs_graph` of *pattern*, built per call when omitted.  Only
-        the numpy tier reads it.
+        :func:`bfs_graph` of *pattern*, built per call when omitted.
 
     Returns
     -------
@@ -130,22 +134,8 @@ def breadth_first_levels(
         has ``level_of == -1``.
     """
     n = pattern.n
-    root = operator.index(root)
-    if root < 0 or root >= n:
-        raise ValueError(f"root {root} out of range for n={n}")
-
-    impl = backends.kernel_impl("bfs_levels")
-    if impl is not None:
-        level_of, order, level_starts, num_levels = impl(
-            pattern.indptr, pattern.indices, root, n
-        )
-        levels = [
-            order[level_starts[k] : level_starts[k + 1]].copy()
-            for k in range(num_levels)
-        ]
-        return RootedLevelStructure(root, level_of, levels)
-
-    # scipy's directed BFS is the same queue scan as bfs_levels_kernel: each
+    root = _checked_root(root, n)
+    # scipy's directed BFS is the same queue scan as the reference: each
     # dequeued vertex appends its undiscovered neighbors in row order.
     if graph is None:
         graph = bfs_graph(pattern)
@@ -200,19 +190,8 @@ def bfs_order(
         Vertices in visitation order (only the component containing *root*).
     """
     n = pattern.n
-    root = operator.index(root)
-    if root < 0 or root >= n:
-        raise ValueError(f"root {root} out of range for n={n}")
+    root = _checked_root(root, n)
     degrees = pattern.degree()
-
-    impl = backends.kernel_impl("bfs_order")
-    if impl is not None:
-        order, tail = impl(
-            pattern.indptr, pattern.indices, degrees, root,
-            bool(sort_by_degree), n,
-        )
-        return order[:tail]
-
     fresh = np.ones(n, dtype=bool)
     order = np.empty(n, dtype=np.intp)
     order[0] = root

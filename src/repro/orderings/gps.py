@@ -33,7 +33,6 @@ import operator
 
 import numpy as np
 
-from repro import backends
 from repro.envelope.metrics import envelope_size
 from repro.graph.components import connected_components
 from repro.graph.peripheral import pseudo_diameter
@@ -109,8 +108,9 @@ def _checked_numbering_input(levels, start, n: int) -> tuple[np.ndarray, int]:
 
     Raises ``TypeError`` for a non-integral *start* or non-integer *levels*,
     and ``ValueError`` for a *start* outside ``0..n-1`` or *levels* that is
-    not 1-D of length *n* or holds a negative value: the same errors on
-    every backend tier.
+    not 1-D of length *n* or holds a negative value.  The reference
+    numbering (:func:`repro.reference.number_by_levels_reference`) checks
+    its input here too, so both raise the same errors.
     """
     start = operator.index(start)
     if not 0 <= start < n:
@@ -145,7 +145,7 @@ def number_by_levels(
 
     *levels* is a 1-D integer array giving every vertex a nonnegative level,
     and *start*, the vertex numbered first, an integer in ``0..n-1``; other
-    input raises ``TypeError`` or ``ValueError`` on every backend tier.
+    input raises ``TypeError`` or ``ValueError``.
 
     Returns
     -------
@@ -158,10 +158,6 @@ def number_by_levels(
     n = pattern.n
     levels, start = _checked_numbering_input(levels, start, n)
     degrees = pattern.degree()
-
-    impl = backends.kernel_impl("number_by_levels")
-    if impl is not None:
-        return impl(pattern.indptr, pattern.indices, degrees, levels, start, king, n)
 
     # Python lists: the loop touches single entries, where list indexing
     # beats numpy scalar access.  Rows are converted when scanned.

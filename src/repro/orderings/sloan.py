@@ -27,7 +27,6 @@ from collections import deque
 
 import numpy as np
 
-from repro import backends
 from repro.graph.peripheral import pseudo_diameter
 from repro.orderings.base import Ordering, order_by_components
 from repro.sparse.pattern import SymmetricPattern
@@ -64,17 +63,6 @@ def _sloan_component(pattern: SymmetricPattern, w1: int, w2: int) -> np.ndarray:
     dist_to_end = end_structure.level_of
     degrees = pattern.degree()
 
-    # Backend dispatch: the loop kernel's heap of (negated priority, push
-    # counter) entries pops in exactly the bucket order below and dedupes
-    # push batches by the same rule, so the numbering is bit-identical on
-    # every tier.
-    impl = backends.kernel_impl("sloan")
-    if impl is not None:
-        return impl(
-            pattern.indptr, pattern.indices, degrees, dist_to_end,
-            int(start), int(w1), int(w2), n,
-        )
-
     # Python lists: the loop touches single entries, where list indexing
     # beats numpy scalar access.  Rows are converted when scanned.
     indptr, indices = pattern.indptr.tolist(), pattern.indices
@@ -88,7 +76,7 @@ def _sloan_component(pattern: SymmetricPattern, w1: int, w2: int) -> np.ndarray:
     # priority value, and a heap of the (negated) values that have a live
     # bucket.  Popping the front of the highest bucket is the (highest
     # priority, earliest push) order of a heap of (-priority, counter, v)
-    # entries, the order sloan_kernel pops in.
+    # entries, the order sloan_component_reference pops in.
     buckets: dict[int, deque] = {}
     tops: list[int] = []
 
@@ -165,8 +153,7 @@ def sloan_ordering(pattern, *, w1: int = 2, w2: int = 1) -> Ordering:
     w1, w2:
         Sloan's weights for the front-growth and distance-to-end terms
         (defaults 2 and 1, the values recommended in the original paper).
-        Both must be integers: a float raises ``TypeError`` on every backend
-        tier.
+        Both must be integers: a float raises ``TypeError``.
 
     Returns
     -------

@@ -39,7 +39,7 @@ import time
 import traceback
 from dataclasses import dataclass
 
-from repro import backends, faults
+from repro import faults
 from repro.serve.api import DEFAULT_MAX_INLINE_N, parse_order_request
 from repro.serve.breaker import BreakerBoard
 from repro.serve.jobs import JobJournal, JobRegistry
@@ -500,7 +500,6 @@ class OrderingServer:
                      "journaled": self.counters["journaled"],
                      "journal_write_errors": self.counters["journal_write_errors"]},
             "store": store_stats,
-            "backend": backends.backend_summary(),
         }
 
 

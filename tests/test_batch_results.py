@@ -114,6 +114,20 @@ class TestSuiteResult:
         assert loaded.shard is None
         assert [r.algorithm for r in loaded.records] == ["rcm", "gps", "boom"]
 
+    @pytest.mark.parametrize("block", [
+        {"requested": "python"},
+        {"requested": "numpy", "ignored_invalid_env": "numba"},
+        {"requested": "numpy", "numba_available": False, "fallback": False},
+    ])
+    def test_legacy_backend_block_loads_and_is_not_written(self, suite, block):
+        """Artifacts recorded while a kernel backend could be chosen carry a
+        ``backend`` block in their timing form; it is ignored on read."""
+        payload = suite.to_dict()
+        assert "backend" not in payload
+        payload["backend"] = block
+        loaded = SuiteResult.from_json(json.dumps(payload))
+        assert loaded.to_dict() == suite.to_dict()
+
     def test_shard_round_trips_and_is_absent_when_none(self, suite):
         assert "shard" not in suite.to_dict()
         suite.shard = (2, 3)

@@ -468,28 +468,39 @@ def test_gate_geomean_ignores_sub_noise_floor_rows(tmp_path, monkeypatch):
     assert code == 0
 
 
-def test_fiedler_policy_recorded_and_mismatch_flagged():
-    """A fresh artifact records no Fiedler policy (it reads as "default");
-    an artifact recorded under the retired fast policy still diffs as not
-    like-for-like."""
+def test_retired_settings_recorded_nowhere_and_flagged_in_legacy_artifacts():
+    """A fresh artifact records neither retired switch (each reads as its
+    default); an artifact recorded under the retired fast policy or on the
+    loop reference tier still diffs as not like-for-like."""
     default = run_bench(quick=True, repeats=1, name_filter="graph/mis", rev="d")
     assert "fiedler_policy" not in default["config"]
-    assert diff_bench(default, default)["fiedler_policies"] == ("default", "default")
+    assert "backend" not in default["config"]
+    same = diff_bench(default, default)
+    assert same["retired"] == []
+    assert "retired" not in format_diff(same)
     legacy = json.loads(json.dumps(default))
     legacy["config"]["fiedler_policy"] = "fast"
     diff = diff_bench(legacy, default)
-    assert diff["fiedler_policies"] == ("fast", "default")
+    assert diff["retired"] == ["baseline fiedler_policy='fast'"]
     assert "not like-for-like" in format_diff(diff)
+    loops = json.loads(json.dumps(default))
+    loops["config"]["backend"] = "python"
+    diff = diff_bench(legacy, loops)
+    assert diff["retired"] == ["baseline fiedler_policy='fast'",
+                               "current backend='python'"]
+    assert format_diff(diff).count("WARNING") == 1
 
 
-def test_against_legacy_fast_baseline_refuses_to_gate(tmp_path, monkeypatch,
-                                                      capsys):
+@pytest.mark.parametrize("key, value", [("fiedler_policy", "fast"),
+                                        ("backend", "python")])
+def test_against_a_retired_setting_refuses_to_gate(tmp_path, monkeypatch, capsys,
+                                                  key, value):
     import repro.bench
     import repro.cli
 
     baseline = _artifact_with([{"name": "real", "best_s": 0.010}])
-    baseline["config"]["fiedler_policy"] = "fast"
-    base_path = tmp_path / "BENCH_fast.json"
+    baseline["config"][key] = value
+    base_path = tmp_path / "BENCH_retired.json"
     base_path.write_text(json.dumps(baseline))
     current = _artifact_with([{"name": "real", "best_s": 0.010}], rev="n")
     monkeypatch.setattr(repro.bench, "run_bench", lambda **_: current)
@@ -497,7 +508,7 @@ def test_against_legacy_fast_baseline_refuses_to_gate(tmp_path, monkeypatch,
                            "--against", str(base_path), "--gate", "geomean"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "cannot gate" in err and "'fast'" in err
+    assert "cannot gate" in err and f"{key}='{value}'" in err
 
 
 #: The bench artifacts checked in at the repository root, by file label, in
@@ -528,3 +539,182 @@ def test_trend_over_checked_in_artifacts_labels_them_by_file_name(capsys):
                                 "orderings", "powerlaw"]
     assert lines[-1].split() == ["cumulative", "1.09x", "1.97x", "12.03x",
                                  "17.73x", "5.04x"]
+
+
+# --------------------------------------------------------------------- #
+# trend and diff across configurations and hosts
+# --------------------------------------------------------------------- #
+def _bench_artifact(rev, created_s, backend, times):
+    """A minimal bench artifact; ``backend=None`` omits ``config.backend``,
+    like the artifacts recorded before the backend registry existed and
+    after it was retired."""
+    return {
+        "kind": "repro-bench", "schema_version": 1, "rev": rev,
+        "created_s": created_s,
+        "config": {} if backend is None else {"backend": backend},
+        "kernels": [{"name": name, "group": name.split("/")[0], "best_s": t}
+                    for name, t in times.items()],
+    }
+
+
+class TestBenchTrendAndDiff:
+    def test_machine_info_is_the_host_only(self):
+        from repro.bench import machine_info
+
+        assert set(machine_info()) == {"platform", "machine", "python", "numpy",
+                                       "scipy", "cpu_count"}
+
+    def test_diff_warns_of_a_python_tier_artifact(self):
+        a = _bench_artifact("r1", 1.0, "numpy", {"graph/bfs/X": 1.0})
+        b = _bench_artifact("r2", 2.0, "python", {"graph/bfs/X": 0.5})
+        diff = diff_bench(a, b)
+        assert diff["retired"] == ["current backend='python'"]
+        assert ("WARNING: recorded under retired settings (current backend='python')"
+                in format_diff(diff))
+        same = diff_bench(a, _bench_artifact("r3", 3.0, "numpy",
+                                             {"graph/bfs/X": 0.9}))
+        assert same["retired"] == []
+        assert "WARNING" not in format_diff(same)
+
+    def test_trend_sorts_by_creation_and_chains_geomeans(self):
+        from repro.bench import format_trend, trend_bench
+
+        a = _bench_artifact("r1", 100.0, "numpy",
+                            {"orderings/rcm/X": 1.0, "graph/bfs/X": 0.8})
+        b = _bench_artifact("r2", 200.0, "numpy",
+                            {"orderings/rcm/X": 0.5, "graph/bfs/X": 0.8})
+        c = _bench_artifact("r3", 300.0, "numpy",
+                            {"orderings/rcm/X": 0.25, "graph/bfs/X": 0.2})
+        trend = trend_bench([c, a, b])  # order on disk must not matter
+        assert trend["revisions"] == ["r1", "r2", "r3"]
+        last = trend["steps"][-1]
+        assert last["cumulative"]["orderings"] == pytest.approx(4.0)
+        assert last["cumulative"]["graph"] == pytest.approx(4.0)
+        text = format_trend(trend)
+        assert "cumulative" in text and "not in cumulative" not in text
+
+    def test_trend_leaves_config_and_host_changes_out_of_cumulative(self):
+        from repro.bench import format_trend, trend_bench
+
+        def artifact(rev, created_s, best_s, policy="default", cpus=2):
+            art = _bench_artifact(rev, created_s, "numpy", {"eigen/lanczos/X": best_s})
+            art["config"]["fiedler_policy"] = policy
+            art["machine"] = {"platform": "Linux", "machine": "x86_64",
+                              "python": "3.11.7", "numpy": "2.4.6",
+                              "scipy": "1.17.1", "cpu_count": cpus,
+                              "backend": "numpy", "numba_available": False}
+            return art
+
+        chain = [
+            artifact("r1", 1.0, 8.0),
+            artifact("r2", 2.0, 4.0),                  # a revision: 2x
+            artifact("r3", 3.0, 2.0, policy="fast"),   # a policy switch
+            artifact("r4", 4.0, 4.0, cpus=1),          # back, on another host
+            artifact("r5", 5.0, 2.0, cpus=1),          # a revision: 2x
+        ]
+        # A machine block without the fields it used to carry is no change.
+        for key in ("backend", "numba_available"):
+            del chain[-1]["machine"][key]
+        trend = trend_bench(chain)
+        assert [step["changed"] for step in trend["steps"]] == [
+            [], ["fiedler_policy"], ["fiedler_policy", "cpu_count"], []]
+        assert [step["speedups"]["eigen"] for step in trend["steps"]] == \
+            pytest.approx([2.0, 2.0, 0.5, 2.0])
+        assert trend["steps"][-1]["cumulative"]["eigen"] == pytest.approx(4.0)
+        rows = format_trend(trend).splitlines()
+        assert rows[3].startswith("r2 -> r3") and rows[3].endswith(
+            "(not in cumulative: fiedler_policy changed)")
+        assert rows[4].endswith("(not in cumulative: fiedler_policy, cpu_count changed)")
+        assert rows[-1].split() == ["cumulative", "4.00x"]
+
+    def test_trend_reads_missing_switches_as_their_defaults(self):
+        from repro.bench import trend_bench
+
+        legacy = _bench_artifact("r1", 1.0, None, {"graph/bfs/X": 1.0})
+        current = _bench_artifact("r2", 2.0, "numpy", {"graph/bfs/X": 0.5})
+        current["config"].update(fiedler_policy="default", quick=False)
+        assert trend_bench([legacy, current])["steps"][0]["changed"] == []
+        current["config"]["quick"] = True
+        assert trend_bench([legacy, current])["steps"][0]["changed"] == ["quick"]
+
+    def test_artifact_without_backend_reads_as_numpy(self):
+        from repro.bench import trend_bench
+
+        unrecorded = _bench_artifact("r1", 1.0, None, {"graph/bfs/X": 1.0})
+        recorded = _bench_artifact("r2", 2.0, "numpy", {"graph/bfs/X": 0.9})
+        diff = diff_bench(unrecorded, recorded)
+        assert diff["retired"] == []
+        assert "WARNING" not in format_diff(diff)
+        assert trend_bench([unrecorded, recorded])["steps"][0]["changed"] == []
+
+    def test_artifact_without_config_reads_as_numpy(self):
+        legacy = _bench_artifact("r1", 1.0, None, {"graph/bfs/X": 1.0})
+        del legacy["config"]
+        current = _bench_artifact("r2", 2.0, "numpy", {"graph/bfs/X": 0.9})
+        diff = diff_bench(legacy, current)
+        assert diff["retired"] == []
+        assert "WARNING" not in format_diff(diff)
+
+    def test_python_tier_step_stays_out_of_cumulative(self):
+        from repro.bench import format_trend, trend_bench
+
+        legacy = _bench_artifact("r1", 1.0, None, {"graph/bfs/X": 1.0})
+        loops = _bench_artifact("r2", 2.0, "python", {"graph/bfs/X": 2.0})
+        trend = trend_bench([legacy, loops])
+        assert trend["steps"][0]["changed"] == ["backend"]
+        assert trend["steps"][0]["cumulative"]["graph"] == pytest.approx(1.0)
+        rows = format_trend(trend).splitlines()
+        assert rows[2].startswith("r1 -> r2 ")
+        assert rows[2].endswith("(not in cumulative: backend changed)")
+        assert "[numpy->python]" not in rows[2]
+
+    def test_trend_labels_follow_their_artifacts(self):
+        from repro.bench import format_trend, trend_bench
+
+        a = _bench_artifact("r1", 1.0, "numpy", {"graph/bfs/X": 1.0})
+        b = _bench_artifact("r1", 2.0, "numpy", {"graph/bfs/X": 0.5})
+        trend = trend_bench([b, a], ["r1-late", "r1-early"])
+        assert trend["revisions"] == ["r1-early", "r1-late"]
+        assert format_trend(trend).splitlines()[2].startswith("r1-early -> r1-late ")
+        with pytest.raises(ValueError, match="1 label"):
+            trend_bench([a, b], ["only-one"])
+
+    def test_trend_requires_two_artifacts(self):
+        from repro.bench import trend_bench
+
+        with pytest.raises(ValueError, match="at least two"):
+            trend_bench([_bench_artifact("r1", 1.0, "numpy", {})])
+
+    def test_trend_disjoint_kernels_yield_no_speedup(self):
+        from repro.bench import trend_bench
+
+        a = _bench_artifact("r1", 1.0, "numpy", {"graph/old/X": 1.0})
+        b = _bench_artifact("r2", 2.0, "numpy", {"graph/new/X": 0.1})
+        trend = trend_bench([a, b])
+        assert trend["steps"][0]["speedups"]["graph"] is None
+        assert trend["steps"][0]["cumulative"]["graph"] == pytest.approx(1.0)
+
+    def test_bench_trend_cli(self, tmp_path, capsys):
+        # Each artifact is labelled by its file name without "BENCH_".
+        a = tmp_path / "BENCH_r1.json"
+        b = tmp_path / "BENCH_r2.json"
+        a.write_text(json.dumps(_bench_artifact(
+            "r1", 100.0, "numpy", {"graph/bfs/X": 1.0})))
+        b.write_text(json.dumps(_bench_artifact(
+            "r2", 200.0, "numpy", {"graph/bfs/X": 0.25})))
+        code = main(["bench", "--trend", str(a), str(b)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "bench trend: r1 -> r2" in out
+        assert "4.00x" in out
+
+    def test_bench_trend_needs_two_files(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps(_bench_artifact("r1", 1.0, "numpy", {})))
+        assert main(["bench", "--trend", str(a)]) == 2
+        assert "at least two" in capsys.readouterr().err
+
+    def test_bench_trend_unreadable_file_exits_2(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps(_bench_artifact("r1", 1.0, "numpy", {})))
+        assert main(["bench", "--trend", str(a), str(tmp_path / "nope.json")]) == 2

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -642,6 +644,34 @@ class TestTimeoutAutoAndFiedlerPolicy:
         assert record.status == "error"
         assert record.error["type"] == "TypeError"
         assert "tol_policy" in record.error["message"]
+
+
+class TestRetiredBackendFlag:
+    """The kernel backend switch is gone: every kernel runs its production
+    path, and only tests substitute a reference."""
+
+    @pytest.mark.parametrize("tier", ["numpy", "python", "numba"])
+    @pytest.mark.parametrize("argv", [["suite", "POW9"], ["bench"], ["serve"]],
+                             ids=lambda argv: argv[0])
+    def test_backend_flag_is_rejected(self, argv, tier, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--backend", tier])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["suite", "bench", "serve"])
+    def test_help_lists_no_backend(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        assert "--backend" not in capsys.readouterr().out
+
+    def test_suite_artifact_has_no_backend_block(self, tmp_path, capsys):
+        out = tmp_path / "results.json"
+        code = main(["suite", "POW9", "--scale", "0.05", "--algorithms", "rcm",
+                     "--output", str(out)])
+        assert code == 0
+        assert "backend" not in json.loads(out.read_text())
 
 
 class TestMergeAllowPartialCli:

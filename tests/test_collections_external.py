@@ -12,12 +12,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.collections.external import (
     fetch_problem,
     fetch_url,
     ingest_file,
     suitesparse_url,
 )
+from repro.collections.meshes import grid2d_pattern
 from repro.sparse.pattern import SymmetricPattern
 from repro.store.download import DownloadCache, default_fetch_cache_root
 
@@ -279,3 +281,66 @@ class TestFetchCli:
                      "--cache", str(tmp_path / "cache")])
         assert code == 1
         assert "cannot fetch" in capsys.readouterr().err
+
+
+class TestExternalRegistration:
+    def _register(self, tmp_path, monkeypatch, name="tiny5"):
+        from repro.collections.external import register_external
+
+        monkeypatch.setenv("REPRO_EXTERNAL_DIR", str(tmp_path / "ext"))
+        pattern = grid2d_pattern(5, 4)
+        return register_external(name, pattern, meta={"source": "test"})
+
+    def test_register_and_resolve_as_problem(self, tmp_path, monkeypatch):
+        from repro.collections.registry import (
+            available_problems,
+            expected_problem_size,
+            get_problem_spec,
+            has_analytic_size,
+            load_problem,
+        )
+
+        spec = self._register(tmp_path, monkeypatch)
+        assert spec.name == "EXT/TINY5"
+        assert "EXT/TINY5" in available_problems("external")
+        resolved = get_problem_spec("ext/tiny5")
+        assert resolved is not None and resolved.n == spec.n
+        pattern, loaded = load_problem("EXT/TINY5")
+        assert pattern.n == spec.n and loaded.name == "EXT/TINY5"
+        # fixed size: scale is ignored, exact n*nnz feeds the cost model
+        big, _ = load_problem("EXT/TINY5", scale=0.001)
+        assert big.n == pattern.n
+        assert expected_problem_size("EXT/TINY5", scale=0.001) == spec.n * spec.nnz
+        assert has_analytic_size("EXT/TINY5")
+
+    def test_invalid_names_rejected(self, tmp_path, monkeypatch):
+        with pytest.raises(ValueError, match="external problem name"):
+            self._register(tmp_path, monkeypatch, name="bad name!")
+
+    def test_suite_runs_external_problem(self, tmp_path, monkeypatch, capsys):
+        self._register(tmp_path, monkeypatch)
+        code = main(["suite", "EXT/TINY5", "--algorithms", "rcm"])
+        assert code == 0
+        assert "EXT/TINY5" in capsys.readouterr().out
+
+    def test_fetch_register_via_file_url(self, tmp_path, monkeypatch, capsys):
+        from repro.sparse.io_mm import write_matrix_market
+
+        monkeypatch.setenv("REPRO_EXTERNAL_DIR", str(tmp_path / "ext"))
+        mtx = tmp_path / "tiny.mtx"
+        write_matrix_market(mtx, grid2d_pattern(4, 4).to_scipy(), field="pattern")
+        code = main(["fetch", mtx.as_uri(), "--cache", str(tmp_path / "cache"),
+                     "--register", "grid44"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "registered as EXT/GRID44" in out
+        from repro.collections.registry import load_problem
+
+        pattern, _spec = load_problem("EXT/GRID44")
+        assert pattern.n == 16
+
+    def test_fetch_register_conflicts_with_no_ingest(self, tmp_path, capsys):
+        code = main(["fetch", "HB/bcsstk13", "--cache", str(tmp_path),
+                     "--no-ingest", "--register", "x"])
+        assert code == 2
+        assert "--register needs the ingest step" in capsys.readouterr().err

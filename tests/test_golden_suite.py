@@ -3,8 +3,8 @@
 ``tests/golden/suite_small.json`` is the canonical (timing-free) JSON
 artifact of a suite run over three tiny registered problems with the paper's
 four algorithms at scale 0.02.  A fresh run — serial, over two worker
-processes, or on the loop reference kernels (the ``python`` backend tier) —
-must reproduce it *byte for byte*: any drift in envelope size,
+processes, or with every kernel replaced by its :mod:`repro.reference` loop
+form — must reproduce it *byte for byte*: any drift in envelope size,
 bandwidth, frontwidth statistics, seeding or the schema itself fails here.
 
 ``tests/golden/suite_random.json`` pins the same contract for the five
@@ -34,9 +34,9 @@ from pathlib import Path
 
 import pytest
 
-from repro import backends
 from repro.batch import SuiteResult, merge_results, run_suite
 from repro.orderings.registry import PAPER_ALGORITHMS
+from tests.test_kernels_reference import _patch_reference_kernels
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "suite_small.json"
 PROBLEMS = ("CAN1072", "DWT2680", "POW9")
@@ -49,13 +49,11 @@ def _fresh_suite(n_jobs: int, shard: tuple | None = None) -> SuiteResult:
 
 
 def _on_loop_kernels(run):
-    """Run a suite with every dispatched kernel on the ``python`` tier: the
-    loop kernels every vectorized path is held to."""
-    backends.set_backend("python")
-    try:
+    """Run a suite with every kernel replaced by its loop reference, the
+    form every vectorized path is held to (on freshly built patterns: the
+    substitution clears the problem cache)."""
+    with _patch_reference_kernels():
         return run()
-    finally:
-        backends.set_backend(None)
 
 
 @pytest.fixture(scope="module")

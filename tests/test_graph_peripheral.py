@@ -8,7 +8,6 @@ from hypothesis import given, settings
 
 import repro.graph.peripheral as peripheral
 import repro.graph.traversal as traversal
-from repro import backends
 from repro.batch import build_task, clear_problem_cache, execute_task
 from repro.collections.meshes import grid2d_pattern, path_pattern, star_pattern
 from repro.collections.registry import load_problem
@@ -124,7 +123,7 @@ class TestOneGraphPerSearch:
 
 
 class TestSearchMemo:
-    """A start-free search runs once per pattern object and backend tier."""
+    """A start-free search runs once per pattern object."""
 
     def test_second_pseudo_diameter_call_runs_no_sweep(self, calls):
         grid = grid2d_pattern(7, 11)
@@ -200,30 +199,6 @@ class TestSearchMemo:
     def test_explicit_start_results_stay_writable(self):
         _node, structure = pseudo_peripheral_node(grid2d_pattern(7, 11), start=0)
         assert structure.level_of.flags.writeable
-
-    def test_python_tier_does_not_reuse_a_numpy_tier_search(self):
-        grid = grid2d_pattern(7, 11)
-        numpy_result = pseudo_diameter(grid)
-        backends.reset_events()
-        backends.set_backend("python")
-        try:
-            python_result = pseudo_diameter(grid)
-            events = backends.backend_events()
-        finally:
-            backends.set_backend(None)
-            backends.reset_events()
-        assert events.get("bfs_levels:python", 0) > 0
-        assert python_result is not numpy_result
-        assert python_result[:2] == numpy_result[:2]
-        assert spectral_workspace(grid).info["diameter_builds"] == 2
-
-    def test_memo_reading_records_no_dispatch_event(self):
-        grid = grid2d_pattern(7, 11)
-        pseudo_diameter(grid)
-        backends.reset_events()
-        pseudo_diameter(grid)
-        pseudo_peripheral_node(grid)
-        assert backends.backend_events() == {}
 
     def test_memo_is_dropped_by_copy_and_pickle(self):
         grid = grid2d_pattern(7, 11)

@@ -4,10 +4,10 @@ Two independent oracles are checked on every ``(pattern, algorithm)`` pair:
 
 1. **Kernel equivalence** — the ordering computed on the vectorized
    production kernels must equal, permutation entry for permutation entry,
-   the ordering computed on the vertex-at-a-time references: the loop
-   kernels of the ``python`` backend tier plus the :mod:`repro.reference`
-   twins (the same patching used by ``tests/test_kernels_reference.py``,
-   here driven across a larger and nastier corpus).
+   the ordering computed on the vertex-at-a-time references of
+   :mod:`repro.reference` (the same substitution used by
+   ``tests/test_kernels_reference.py``, here driven across a larger and
+   nastier corpus).
 2. **Metric recomputation** — the envelope statistics the batch engine
    would record for that ordering (bandwidth, envelope size/work, 1-sum,
    2-sum, frontwidths) must match a brute-force recomputation from the
@@ -162,8 +162,7 @@ def test_ordering_differential_sweep(algorithm):
     func = ORDERING_ALGORITHMS[algorithm]
     for seed, pattern in enumerate(PATTERNS):
         fast = _call_with_seed(func, pattern, seed)
-        with pytest.MonkeyPatch.context() as context:
-            _patch_reference_kernels(context)
+        with _patch_reference_kernels():
             # A fresh copy: the fast call's memoized component split and
             # searches must not stand in for the reference run's.
             naive = _call_with_seed(func, pattern.copy(), seed)

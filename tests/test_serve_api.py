@@ -59,6 +59,7 @@ class TestEndpoints:
         stats = server.client.stats()
         assert stats["engine"] == "repro.serve"
         assert {"requests", "coalescing", "pool", "jobs"} <= set(stats)
+        assert "backend" not in stats  # workers always run the production kernels
         assert stats["pool"]["max_queue"] == 8
 
     def test_unknown_route_404(self, server):
