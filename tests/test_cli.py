@@ -673,6 +673,45 @@ class TestRetiredBackendFlag:
         assert code == 0
         assert "backend" not in json.loads(out.read_text())
 
+    @pytest.mark.parametrize("tier", ["python", "numba"])
+    def test_inherited_backend_env_is_not_read(self, monkeypatch, tmp_path, capsys,
+                                               tier):
+        """A ``REPRO_BACKEND`` left in the environment by an older setup
+        neither fails a run nor switches a kernel: the suite runs the
+        production kernels and writes the artifact it writes without it."""
+        from repro.batch import clear_problem_cache
+        from repro.batch.results import SuiteResult
+        from tests.test_kernels_reference import REFERENCES, _counted_calls
+
+        argv = ["suite", "POW9", "--scale", "0.05", "--algorithms", "rcm,gps,sloan"]
+        plain, inherited = tmp_path / "plain.json", tmp_path / "inherited.json"
+        loop_kernels = REFERENCES[:4]  # the kernels the retired switch swapped
+        assert main([*argv, "--output", str(plain)]) == 0
+        monkeypatch.setenv("REPRO_BACKEND", tier)
+        clear_problem_cache()  # so the second run searches and numbers afresh
+        try:
+            with _counted_calls([func for pair in loop_kernels for func in pair]) as calls:
+                assert main([*argv, "--output", str(inherited)]) == 0
+        finally:
+            clear_problem_cache()
+        for production, ref in loop_kernels:
+            assert calls[production.__name__] > 0
+            assert calls[ref.__name__] == 0
+        assert "backend" not in json.loads(inherited.read_text())
+        assert (SuiteResult.from_json(inherited.read_text()).to_json(include_timing=False)
+                == SuiteResult.from_json(plain.read_text()).to_json(include_timing=False))
+
+    @pytest.mark.parametrize("tier", ["python", "numba"])
+    def test_statsz_has_no_backend_under_an_inherited_env(self, monkeypatch, tier):
+        from repro.serve import OrderingServer
+
+        monkeypatch.setenv("REPRO_BACKEND", tier)
+        server = OrderingServer()
+        try:
+            assert "backend" not in server.statsz()
+        finally:
+            server.pool.shutdown()
+
 
 class TestMergeAllowPartialCli:
     ARGS = ["suite", "POW9", "--algorithms", "rcm,gps", "--scale", "0.02",

@@ -19,8 +19,10 @@ from repro.graph.peripheral import (
 )
 from repro.graph.traversal import bfs_graph, breadth_first_levels, distance_from
 from repro.orderings.cuthill_mckee import rcm_ordering
+from repro.reference import breadth_first_levels_reference
 from repro.sparse.pattern import SymmetricPattern
 from tests.conftest import small_connected_patterns
+from tests.test_kernels_reference import _counted_calls, _patch_reference_kernels
 
 
 class TestPseudoPeripheralNode:
@@ -199,6 +201,22 @@ class TestSearchMemo:
     def test_explicit_start_results_stay_writable(self):
         _node, structure = pseudo_peripheral_node(grid2d_pattern(7, 11), start=0)
         assert structure.level_of.flags.writeable
+
+    def test_reference_search_runs_only_on_a_fresh_pattern(self):
+        """The memo key names no kernel, so under the references a search
+        of the same pattern object reads the production search, and only a
+        copy runs the reference BFS; the reference tests search fresh
+        copies for that reason."""
+        grid = grid2d_pattern(7, 11)
+        production = pseudo_diameter(grid)
+        with _patch_reference_kernels(), \
+                _counted_calls([breadth_first_levels_reference]) as calls:
+            assert pseudo_diameter(grid) is production
+            assert calls["breadth_first_levels_reference"] == 0
+            fresh = pseudo_diameter(grid.copy())
+        assert calls["breadth_first_levels_reference"] > 0
+        assert fresh is not production
+        assert fresh[:2] == production[:2]
 
     def test_memo_is_dropped_by_copy_and_pickle(self):
         grid = grid2d_pattern(7, 11)

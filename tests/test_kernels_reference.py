@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -136,6 +137,7 @@ REFERENCES = [
     (coarsen.maximal_independent_set, reference.maximal_independent_set_reference),
     (coarsen._grow_domains, reference.grow_domains_reference),
 ]
+REFERENCE_IDS = [ref.__name__ for _production, ref in REFERENCES]
 
 
 def _bindings(func) -> list:
@@ -196,6 +198,20 @@ def _counted_calls(functions):
         yield counts
     finally:
         sys.setprofile(previous)
+
+
+@pytest.mark.parametrize("production, ref", REFERENCES, ids=REFERENCE_IDS)
+def test_reference_takes_the_arguments_of_its_production_kernel(production, ref):
+    """Each reference is a drop-in: after the pattern (``self`` for
+    :meth:`SymmetricPattern.subpattern`) its parameters match the production
+    kernel's in name, kind and default, so every call site binds the same
+    arguments whichever of the two it reaches."""
+    wanted = list(inspect.signature(production).parameters.values())
+    got = list(inspect.signature(ref).parameters.values())
+    assert len(got) == len(wanted)
+    assert got[0].kind == wanted[0].kind
+    assert [(p.name, p.kind, p.default) for p in got[1:]] == [
+        (p.name, p.kind, p.default) for p in wanted[1:]]
 
 
 # --------------------------------------------------------------------- #
@@ -455,8 +471,7 @@ def patched_suite_calls():
     return calls
 
 
-@pytest.mark.parametrize("production, ref", REFERENCES,
-                         ids=[ref.__name__ for _production, ref in REFERENCES])
+@pytest.mark.parametrize("production, ref", REFERENCES, ids=REFERENCE_IDS)
 def test_reference_patch_runs_the_loop_kernels(patched_suite_calls, production, ref):
     """Under the patch the reference runs and the production kernel does
     not, so the end-to-end comparisons cannot pass by comparing production
