@@ -1,4 +1,4 @@
-"""Reporting: text spy plots, comparison tables, and the experiment runner.
+"""Reporting: text spy plots, Table 4.x rows, and the experiment runner.
 
 * :mod:`repro.analysis.spy` — the Figure 4.1-4.5 equivalents: density grids
   and ASCII spy plots of a matrix structure under an ordering, plus numerical
@@ -11,27 +11,14 @@
 """
 
 from repro.analysis.spy import ascii_spy, density_grid, band_profile
-from repro.analysis.report import ComparisonRow, comparison_table, format_table, rank_by
+from repro.analysis.report import ComparisonRow, format_table, rank_by
 from repro.analysis.runner import ExperimentResult, run_comparison, run_problem_suite
-from repro.analysis.locality import (
-    LocalityReport,
-    average_nonzero_distance,
-    cache_line_spans,
-    locality_report,
-    partition_communication_volume,
-)
 
 __all__ = [
     "ascii_spy",
     "density_grid",
     "band_profile",
-    "LocalityReport",
-    "locality_report",
-    "average_nonzero_distance",
-    "cache_line_spans",
-    "partition_communication_volume",
     "ComparisonRow",
-    "comparison_table",
     "format_table",
     "rank_by",
     "ExperimentResult",

@@ -2,8 +2,8 @@
 
 Each paper table row reports, for one matrix and one algorithm: the envelope
 size, the bandwidth, the ordering run time and the rank of the algorithm by
-envelope size.  :func:`comparison_table` produces exactly those rows for a
-set of orderings of one matrix, and :func:`format_table` renders them as a
+envelope size.  :func:`rows_from_records` produces exactly those rows from
+the batch engine's records, and :func:`format_table` renders them as a
 fixed-width text table.
 """
 
@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.envelope.metrics import envelope_statistics
-
-__all__ = ["ComparisonRow", "comparison_table", "rank_by", "rows_from_records", "format_table"]
+__all__ = ["ComparisonRow", "rank_by", "rows_from_records", "format_table"]
 
 
 @dataclass(frozen=True)
@@ -47,50 +45,6 @@ def rank_by(rows: list[ComparisonRow], key: str = "envelope_size") -> list[Compa
         for row, rank in zip(problem_rows, ranks):
             ranked.append(ComparisonRow(**{**row.__dict__, "rank": int(rank)}))
     return ranked
-
-
-def comparison_table(
-    pattern,
-    orderings: dict,
-    problem: str = "problem",
-    run_times: dict | None = None,
-) -> list[ComparisonRow]:
-    """Build Table 4.x-style rows for several orderings of one matrix.
-
-    Parameters
-    ----------
-    pattern:
-        Matrix structure.
-    orderings:
-        Mapping ``algorithm name -> Ordering`` (or ``None`` for the natural
-        ordering).
-    problem:
-        Problem name recorded on every row.
-    run_times:
-        Optional mapping ``algorithm name -> seconds``.
-
-    Returns
-    -------
-    list of ComparisonRow, ranked by envelope size.
-    """
-    run_times = run_times or {}
-    rows = []
-    for name, ordering in orderings.items():
-        perm = None if ordering is None else ordering.perm
-        stats = envelope_statistics(pattern, perm)
-        rows.append(
-            ComparisonRow(
-                problem=problem,
-                algorithm=name,
-                n=stats.n,
-                nnz=stats.nnz,
-                envelope_size=stats.envelope_size,
-                envelope_work=stats.envelope_work,
-                bandwidth=stats.bandwidth,
-                run_time=float(run_times.get(name, 0.0)),
-            )
-        )
-    return rank_by(rows)
 
 
 def rows_from_records(records) -> list[ComparisonRow]:

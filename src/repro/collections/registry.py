@@ -33,14 +33,13 @@ import numpy as np
 from repro.collections.generators import (
     airfoil_pattern,
     annulus_pattern,
-    cylinder_shell_pattern,
     perforated_solid_pattern,
     plate_with_holes_pattern,
     power_network_pattern,
     random_geometric_pattern,
     shell_assembly_pattern,
 )
-from repro.collections.meshes import grid2d_pattern, grid3d_pattern, multi_dof_pattern
+from repro.collections.meshes import grid3d_pattern, multi_dof_pattern
 from repro.collections.random_graphs import RANDOM_PROBLEMS, GeneratorSpec
 from repro.sparse.pattern import SymmetricPattern
 from repro.utils.validation import require_positive_finite
@@ -115,11 +114,6 @@ def default_scale() -> float:
     if not value:
         return 0.125
     return require_positive_finite(value, "REPRO_BENCH_SCALE")
-
-
-def _linear(scale: float, paper_value: int, minimum: int) -> int:
-    """Scale a linear mesh dimension: ``round(paper_value * scale**(1/d))`` ~ handled by caller."""
-    return max(minimum, int(round(paper_value * scale)))
 
 
 def _dim2(scale: float, value: int, minimum: int = 4) -> int:

@@ -216,8 +216,10 @@ def fiedler_vector(
 def _fiedler_eigsh(laplacian, *, tol: float, rng, maxiter: int | None = None):
     """Second-smallest eigenpair via ARPACK shift-invert around zero.
 
-    A small positive diagonal shift keeps the factorization nonsingular; the
-    two smallest eigenpairs are requested and the nontrivial one selected.
+    The singular Laplacian is factored unshifted (``sigma=0``); when that
+    shift-invert solve fails, ARPACK's ``which="SM"`` mode runs instead.
+    Either way the two smallest eigenpairs are requested and the nontrivial
+    one selected.
     """
     n = laplacian.shape[0]
     v0 = default_rng(rng).standard_normal(n)

@@ -1,9 +1,9 @@
-"""Envelope parameters, p-sums, spectral bounds and ordering theory (paper Section 2).
+"""Envelope parameters, 1- and 2-sums, spectral bounds and ordering theory (paper Section 2).
 
 * :mod:`repro.envelope.metrics` — row widths, bandwidth, envelope size,
   envelope work, frontwidths/wavefront (Section 2.1 and 2.4 definitions);
-* :mod:`repro.envelope.sums` — the 1-sum and 2-sum (and general p-sums)
-  linking the envelope problem to the quadratic assignment formulation;
+* :mod:`repro.envelope.sums` — the 1-sum and 2-sum linking the envelope
+  problem to the quadratic assignment formulation;
 * :mod:`repro.envelope.bounds` — the inequalities of Theorem 2.1 and the
   Laplacian-eigenvalue bounds of Theorem 2.2;
 * :mod:`repro.envelope.theory` — closest permutation vectors (Theorem 2.3 /
@@ -21,7 +21,7 @@ from repro.envelope.metrics import (
     frontwidths,
     row_widths,
 )
-from repro.envelope.sums import one_sum, p_sum, two_sum
+from repro.envelope.sums import one_sum, two_sum
 from repro.envelope.bounds import (
     envelope_size_bounds,
     envelope_work_bounds,
@@ -51,7 +51,6 @@ __all__ = [
     "envelope_statistics",
     "one_sum",
     "two_sum",
-    "p_sum",
     "envelope_size_bounds",
     "envelope_work_bounds",
     "two_sum_lower_bound",

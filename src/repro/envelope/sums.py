@@ -1,11 +1,10 @@
-"""The 1-sum, 2-sum and general p-sums of a symmetric matrix (Section 2.1, 2.3).
+"""The 1-sum and 2-sum of a symmetric matrix (Section 2.1, 2.3).
 
 With ``row(i) = { j : a_ij != 0, j <= i }`` (lower triangle, diagonal
 included — the diagonal contributes ``i - i = 0``):
 
 * ``sigma_1(A)   = sum_i sum_{j in row(i)} (i - j)``  — the 1-sum,
-* ``sigma_2^2(A) = sum_i sum_{j in row(i)} (i - j)^2`` — the squared 2-sum,
-* more generally the p-sum is ``sum |i - j|^p`` over the same index set.
+* ``sigma_2^2(A) = sum_i sum_{j in row(i)} (i - j)^2`` — the squared 2-sum.
 
 Equivalently, over the *edges* of the adjacency graph and an ordering
 ``alpha``: ``sigma_1 = sum_{(u,v) in E} |alpha(u) - alpha(v)|`` and
@@ -24,7 +23,7 @@ import numpy as np
 from repro.sparse.ops import structure_from_matrix
 from repro.utils.validation import check_permutation
 
-__all__ = ["one_sum", "two_sum", "p_sum"]
+__all__ = ["one_sum", "two_sum"]
 
 
 def _edge_position_differences(pattern, perm) -> np.ndarray:
@@ -55,19 +54,3 @@ def two_sum(pattern, perm=None) -> int:
     """The squared 2-sum ``sigma_2^2`` of the (re)ordered matrix."""
     diffs = _edge_position_differences(pattern, perm)
     return int(np.dot(diffs, diffs))
-
-
-def p_sum(pattern, p: float, perm=None) -> float:
-    """The p-sum ``sum_{(u,v) in E} |alpha(u) - alpha(v)|^p`` (Juvan & Mohar).
-
-    ``p = 1`` and ``p = 2`` reduce to :func:`one_sum` and :func:`two_sum`;
-    ``p = inf`` (``numpy.inf``) gives the bandwidth.
-    """
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    diffs = _edge_position_differences(pattern, perm).astype(np.float64)
-    if diffs.size == 0:
-        return 0.0
-    if np.isinf(p):
-        return float(diffs.max())
-    return float(np.sum(diffs**p))

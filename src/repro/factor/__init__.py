@@ -20,15 +20,12 @@ directly reduces both memory and factorization time.
 
 from repro.factor.storage import EnvelopeStorage
 from repro.factor.cholesky import EnvelopeCholesky, envelope_cholesky, estimate_factor_work
-from repro.factor.ldlt import EnvelopeLDLT, envelope_ldlt
 from repro.factor.solve import envelope_solve
 
 __all__ = [
     "EnvelopeStorage",
     "EnvelopeCholesky",
     "envelope_cholesky",
-    "EnvelopeLDLT",
-    "envelope_ldlt",
     "estimate_factor_work",
     "envelope_solve",
 ]

@@ -80,7 +80,6 @@ __all__ = [
     "FaultError",
     "FaultPlan",
     "FaultRule",
-    "fault_point",
     "fires",
     "flaky_io",
     "get_fault_plan",
@@ -377,18 +376,6 @@ def worker_faults(key: str, point: str = "start") -> None:
         rule = plan.fires("worker.crash", key, point=point)
         if rule is not None:
             os.kill(os.getpid(), signal.SIGKILL)
-
-
-def fault_point(site: str, key: str, *, point: str | None = None) -> None:
-    """Generic action-site entry: crash/hang/slow via :func:`worker_faults`
-    semantics for worker sites, :class:`FaultError` for ``journal.flaky``."""
-    if site.startswith("worker."):
-        worker_faults(key, point=point or "start")
-        return
-    if site == "journal.flaky":
-        flaky_io(site, key)
-        return
-    raise ValueError(f"{site!r} is a caller-handled site; use fires()")
 
 
 def flaky_io(site: str, key: str) -> None:

@@ -19,30 +19,21 @@ from repro.graph.traversal import (
     RootedLevelStructure,
     bfs_order,
     breadth_first_levels,
-    distance_from,
-    rooted_level_structure,
 )
 from repro.graph.components import connected_components, is_connected, largest_component
 from repro.graph.peripheral import pseudo_diameter, pseudo_peripheral_node
-from repro.graph.laplacian import (
-    adjacency_matrix,
-    laplacian_matrix,
-    normalized_laplacian_matrix,
-)
+from repro.graph.laplacian import adjacency_matrix, laplacian_matrix
 from repro.graph.coarsen import (
     CoarseLevel,
     coarsen_graph,
     coarsening_hierarchy,
-    interpolate_vector,
     maximal_independent_set,
 )
 
 __all__ = [
     "RootedLevelStructure",
     "breadth_first_levels",
-    "rooted_level_structure",
     "bfs_order",
-    "distance_from",
     "connected_components",
     "is_connected",
     "largest_component",
@@ -50,10 +41,8 @@ __all__ = [
     "pseudo_diameter",
     "laplacian_matrix",
     "adjacency_matrix",
-    "normalized_laplacian_matrix",
     "maximal_independent_set",
     "coarsen_graph",
     "coarsening_hierarchy",
-    "interpolate_vector",
     "CoarseLevel",
 ]

@@ -31,7 +31,6 @@ __all__ = [
     "maximal_independent_set",
     "coarsen_graph",
     "coarsening_hierarchy",
-    "interpolate_vector",
     "interpolate_block",
     "CoarseLevel",
 ]
@@ -252,30 +251,14 @@ def coarsening_hierarchy(
     return levels
 
 
-def interpolate_vector(level: CoarseLevel, coarse_vector: np.ndarray) -> np.ndarray:
-    """Prolong a coarse-graph vector to the fine graph of *level*.
-
-    Each fine vertex receives the value of the coarse vertex whose domain it
-    belongs to (piecewise-constant interpolation).  This "provides a good
-    approximation to an eigenvector of the larger graph" (Section 3) which the
-    Rayleigh Quotient Iteration then refines.
-    """
-    coarse_vector = np.asarray(coarse_vector, dtype=np.float64)
-    if coarse_vector.shape != (level.coarse_pattern.n,):
-        raise ValueError(
-            f"coarse_vector must have shape ({level.coarse_pattern.n},), "
-            f"got {coarse_vector.shape}"
-        )
-    return coarse_vector[level.domain_of]
-
-
 def interpolate_block(level: CoarseLevel, coarse_block: np.ndarray) -> np.ndarray:
     """Prolong a block of coarse-graph column vectors to the fine graph.
 
-    One fancy-indexing gather for the whole ``(n_coarse, k)`` block — the
-    column-at-a-time equivalent (``interpolate_vector`` per column plus a
-    ``column_stack`` copy) allocates ``k + 1`` intermediate arrays for the
-    same values.  Used by the multilevel solver's robustness block.
+    Each fine vertex receives the row of the coarse vertex whose domain it
+    belongs to (piecewise-constant interpolation).  This "provides a good
+    approximation to an eigenvector of the larger graph" (Section 3) which the
+    Rayleigh Quotient Iteration then refines.  One fancy-indexing gather
+    prolongs the whole ``(n_coarse, k)`` block.
     """
     coarse_block = np.asarray(coarse_block, dtype=np.float64)
     if coarse_block.ndim != 2 or coarse_block.shape[0] != level.coarse_pattern.n:

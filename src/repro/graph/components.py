@@ -14,7 +14,7 @@ from scipy.sparse import csgraph
 
 from repro.sparse.pattern import SymmetricPattern
 
-__all__ = ["connected_components", "is_connected", "largest_component", "component_subpatterns"]
+__all__ = ["connected_components", "is_connected", "largest_component"]
 
 
 def connected_components(pattern: SymmetricPattern) -> tuple[int, np.ndarray]:
@@ -59,20 +59,3 @@ def largest_component(pattern: SymmetricPattern) -> np.ndarray:
         return np.arange(pattern.n, dtype=np.intp)
     sizes = np.bincount(labels, minlength=count)
     return np.flatnonzero(labels == int(np.argmax(sizes))).astype(np.intp)
-
-
-def component_subpatterns(pattern: SymmetricPattern):
-    """Split the pattern into per-component sub-patterns.
-
-    Returns
-    -------
-    list of (vertices, subpattern):
-        For each component, the original vertex indices (ascending) and the
-        induced :class:`SymmetricPattern` on them.
-    """
-    count, labels = connected_components(pattern)
-    result = []
-    for c in range(count):
-        vertices = np.flatnonzero(labels == c).astype(np.intp)
-        result.append((vertices, pattern.subpattern(vertices)))
-    return result

@@ -19,13 +19,11 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.sparse.pattern import SymmetricPattern
 from repro.sparse.ops import structure_from_matrix
 
 __all__ = [
     "adjacency_matrix",
     "laplacian_matrix",
-    "normalized_laplacian_matrix",
     "laplacian_quadratic_form",
 ]
 
@@ -103,24 +101,6 @@ def laplacian_matrix(pattern, dtype=np.float64, weights=None) -> sp.csr_matrix:
     lap = sp.csr_matrix((data, new_indices, new_indptr), shape=(n, n))
     lap.has_sorted_indices = True  # inserted at the in-row sorted position
     return lap
-
-
-def normalized_laplacian_matrix(pattern, dtype=np.float64) -> sp.csr_matrix:
-    """Symmetric normalized Laplacian ``D^{-1/2} Q D^{-1/2}``.
-
-    Not used by the paper's algorithm (which uses the combinatorial
-    Laplacian), but provided because it is the standard alternative and the
-    ablation benchmarks compare the two.  Isolated vertices (degree 0) get a
-    zero row/column.
-    """
-    b = adjacency_matrix(pattern, dtype=dtype)
-    degrees = np.asarray(b.sum(axis=1)).ravel()
-    inv_sqrt = np.zeros_like(degrees)
-    nonzero = degrees > 0
-    inv_sqrt[nonzero] = 1.0 / np.sqrt(degrees[nonzero])
-    d_inv = sp.diags(inv_sqrt, format="csr", dtype=dtype)
-    lap = sp.diags(degrees, format="csr", dtype=dtype) - b
-    return (d_inv @ lap @ d_inv).tocsr()
 
 
 def laplacian_quadratic_form(pattern, x) -> float:

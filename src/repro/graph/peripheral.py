@@ -9,12 +9,6 @@ until the eccentricity stops increasing.  The Gibbs-Poole-Stockmeyer algorithm
 additionally needs the *pair* of endpoints (a pseudo-diameter), which
 :func:`pseudo_diameter` returns.
 
-The paper also cites Grimes, Pierce & Simon (1990) who find a
-pseudo-peripheral node from the eigenvector of the adjacency matrix for the
-largest eigenvalue; that variant is provided as
-:func:`spectral_pseudo_peripheral_node` for completeness.  No ordering or
-benchmark uses it; only its unit tests call it.
-
 A search called without ``start`` is a pure function of the structure, so
 its result is memoized on the pattern's
 :class:`~repro.eigen.workspace.SpectralWorkspace`: the GK, GPS, Sloan and
@@ -39,7 +33,6 @@ from repro.sparse.pattern import SymmetricPattern
 __all__ = [
     "pseudo_peripheral_node",
     "pseudo_diameter",
-    "spectral_pseudo_peripheral_node",
 ]
 
 
@@ -184,30 +177,3 @@ def _pseudo_diameter(pattern, start, graph):
         if trial.width < best_width:
             best_v, best_structure, best_width = int(candidate), trial, trial.width
     return u, best_v, structure_u, best_structure
-
-
-def spectral_pseudo_peripheral_node(pattern: SymmetricPattern) -> int:
-    """Pseudo-peripheral node from the dominant adjacency eigenvector.
-
-    Grimes, Pierce & Simon (1990) observe that a vertex minimizing the entry
-    of the Perron eigenvector of the adjacency matrix is a good
-    pseudo-peripheral node.  A few power iterations suffice.
-    """
-    n = pattern.n
-    if n == 0:
-        raise ValueError("empty graph")
-    if pattern.nnz_offdiag == 0:
-        return 0
-    adjacency = pattern.to_scipy("adjacency")
-    x = np.ones(n) / np.sqrt(n)
-    for _ in range(50):
-        y = adjacency @ x
-        norm = np.linalg.norm(y)
-        if norm == 0:
-            break
-        y /= norm
-        if np.linalg.norm(y - x) < 1e-10:
-            x = y
-            break
-        x = y
-    return int(np.argmin(np.abs(x)))

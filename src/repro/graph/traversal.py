@@ -29,9 +29,7 @@ __all__ = [
     "RootedLevelStructure",
     "bfs_graph",
     "breadth_first_levels",
-    "rooted_level_structure",
     "bfs_order",
-    "distance_from",
 ]
 
 
@@ -161,11 +159,6 @@ def breadth_first_levels(
     return RootedLevelStructure(root, level_of, levels)
 
 
-def rooted_level_structure(pattern: SymmetricPattern, root: int) -> RootedLevelStructure:
-    """Rooted level structure from a single root (alias of :func:`breadth_first_levels`)."""
-    return breadth_first_levels(pattern, root)
-
-
 def bfs_order(
     pattern: SymmetricPattern,
     root: int,
@@ -215,8 +208,3 @@ def bfs_order(
         tail += candidates.size
         frontier = candidates
     return order[:tail]
-
-
-def distance_from(pattern: SymmetricPattern, root: int) -> np.ndarray:
-    """Unweighted graph distance of every vertex from *root* (``-1`` if unreachable)."""
-    return breadth_first_levels(pattern, root).level_of

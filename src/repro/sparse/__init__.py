@@ -7,22 +7,15 @@ off-diagonal nonzeros (diagonal entries are assumed nonzero, as in the paper,
 Section 2.1).
 
 The subpackage also contains structural operations (symmetrization, symmetric
-permutation, triangle extraction) and readers/writers for the two file formats
-the original test matrices are distributed in: Harwell-Boeing and Matrix
-Market.  Real Boeing-Harwell files can therefore be dropped into the benchmark
-harness when available; the shipped benchmarks use synthetic surrogates from
+permutation) and readers/writers for the two file formats the original test
+matrices are distributed in: Harwell-Boeing and Matrix Market.  Real
+Boeing-Harwell files can therefore be dropped into the benchmark harness when
+available; the shipped benchmarks use synthetic surrogates from
 :mod:`repro.collections`.
 """
 
 from repro.sparse.pattern import SymmetricPattern
-from repro.sparse.ops import (
-    lower_triangle,
-    permute_pattern,
-    permute_symmetric,
-    structural_density,
-    structure_from_matrix,
-    symmetrize,
-)
+from repro.sparse.ops import permute_symmetric, structure_from_matrix, symmetrize
 from repro.sparse.io_mm import read_matrix_market, write_matrix_market
 from repro.sparse.io_hb import read_harwell_boeing, write_harwell_boeing
 
@@ -31,9 +24,6 @@ __all__ = [
     "structure_from_matrix",
     "symmetrize",
     "permute_symmetric",
-    "permute_pattern",
-    "lower_triangle",
-    "structural_density",
     "read_matrix_market",
     "write_matrix_market",
     "read_harwell_boeing",

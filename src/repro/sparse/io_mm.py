@@ -11,7 +11,6 @@ round-trips against SciPy in the test suite.
 
 from __future__ import annotations
 
-import io
 import os
 from typing import TextIO, Union
 
@@ -200,10 +199,3 @@ def write_matrix_market(
     finally:
         if should_close:
             stream.close()
-
-
-def matrix_market_string(matrix, **kwargs) -> str:
-    """Serialize *matrix* to a Matrix Market string (convenience for tests)."""
-    buf = io.StringIO()
-    write_matrix_market(buf, matrix, **kwargs)
-    return buf.getvalue()

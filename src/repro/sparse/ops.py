@@ -2,7 +2,7 @@
 
 These are thin, well-tested wrappers around SciPy sparse operations expressed
 in the vocabulary of the paper (structural symmetry, symmetric permutations
-``P^T A P``, lower triangles for envelope definitions).
+``P^T A P``).
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ __all__ = [
     "structure_from_matrix",
     "symmetrize",
     "permute_symmetric",
-    "permute_pattern",
-    "lower_triangle",
-    "structural_density",
 ]
 
 
@@ -86,24 +83,3 @@ def permute_symmetric(matrix, perm) -> sp.csr_matrix:
     ).tocsr()
     permuted.sort_indices()
     return permuted
-
-
-def permute_pattern(pattern: SymmetricPattern, perm) -> SymmetricPattern:
-    """Symmetric permutation of a :class:`SymmetricPattern` (new-to-old *perm*)."""
-    return pattern.permute(perm)
-
-
-def lower_triangle(matrix, include_diagonal: bool = True) -> sp.csr_matrix:
-    """Lower-triangular part of *matrix* (the part the envelope is defined on)."""
-    matrix, _ = check_square(matrix, "matrix")
-    a = sp.csr_matrix(matrix)
-    k = 0 if include_diagonal else -1
-    return sp.tril(a, k=k).tocsr()
-
-
-def structural_density(pattern: SymmetricPattern) -> float:
-    """Fraction of structurally nonzero entries (diagonal included)."""
-    n = pattern.n
-    if n == 0:
-        return 0.0
-    return pattern.nnz / float(n * n)

@@ -8,7 +8,6 @@ them without creating import cycles.
 from repro.utils.validation import (
     check_permutation,
     check_square,
-    check_symmetric_structure,
     require_positive_int,
 )
 from repro.utils.atomic import atomic_output_file, atomic_write_bytes, atomic_write_text
@@ -17,7 +16,6 @@ from repro.utils.rng import default_rng
 __all__ = [
     "check_permutation",
     "check_square",
-    "check_symmetric_structure",
     "require_positive_int",
     "atomic_output_file",
     "atomic_write_bytes",

@@ -17,7 +17,6 @@ __all__ = [
     "require_positive_finite",
     "check_permutation",
     "check_square",
-    "check_symmetric_structure",
     "as_int_array",
 ]
 
@@ -134,36 +133,3 @@ def check_square(matrix, name: str = "matrix"):
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"{name} must be square, got shape {shape}")
     return matrix, shape[0]
-
-
-def check_symmetric_structure(matrix, name: str = "matrix", tol: float = 0.0) -> None:
-    """Raise :class:`ValueError` if the sparsity structure of *matrix* is not symmetric.
-
-    Only the *structure* (position of nonzeros) is checked, because every
-    algorithm in this library consumes structure only.
-
-    Parameters
-    ----------
-    matrix:
-        SciPy sparse matrix or dense array.
-    name:
-        Argument name for error messages.
-    tol:
-        Entries with absolute value ``<= tol`` are treated as zero.
-    """
-    matrix, n = check_square(matrix, name)
-    if sp.issparse(matrix):
-        m = matrix.tocsr(copy=True)
-        if tol > 0:
-            m.data[np.abs(m.data) <= tol] = 0.0
-        m.eliminate_zeros()
-        pattern = m.copy()
-        pattern.data = np.ones_like(pattern.data)
-        diff = (pattern - pattern.T).tocoo()
-        if diff.nnz and np.any(diff.data != 0):
-            raise ValueError(f"{name} does not have a symmetric sparsity structure")
-    else:
-        dense = np.asarray(matrix)
-        mask = np.abs(dense) > tol
-        if not np.array_equal(mask, mask.T):
-            raise ValueError(f"{name} does not have a symmetric sparsity structure")

@@ -1,12 +1,11 @@
-"""Unit tests for the 1-sum / 2-sum / p-sums (repro.envelope.sums)."""
+"""Unit tests for the 1-sum / 2-sum (repro.envelope.sums)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.collections.meshes import complete_pattern, path_pattern, star_pattern
-from repro.envelope.metrics import bandwidth
-from repro.envelope.sums import one_sum, p_sum, two_sum
+from repro.collections.meshes import path_pattern
+from repro.envelope.sums import one_sum, two_sum
 from repro.envelope.theory import permutation_vector_from_ordering
 from repro.graph.laplacian import laplacian_quadratic_form
 from tests.conftest import small_patterns
@@ -58,27 +57,6 @@ class TestTwoSum:
         # every per-edge difference is >= 1, so squaring can only increase it
         perm = rng.permutation(geometric200.n)
         assert two_sum(geometric200, perm) >= one_sum(geometric200, perm)
-
-
-class TestPSum:
-    def test_p1_matches_one_sum(self, geometric200):
-        assert p_sum(geometric200, 1.0) == pytest.approx(one_sum(geometric200))
-
-    def test_p2_matches_two_sum(self, geometric200):
-        assert p_sum(geometric200, 2.0) == pytest.approx(two_sum(geometric200))
-
-    def test_p_inf_matches_bandwidth(self, geometric200, rng):
-        perm = rng.permutation(geometric200.n)
-        assert p_sum(geometric200, np.inf, perm) == bandwidth(geometric200, perm)
-
-    def test_empty_graph(self):
-        from repro.sparse.pattern import SymmetricPattern
-
-        assert p_sum(SymmetricPattern.empty(3), 2.0) == 0.0
-
-    def test_invalid_p(self, path10):
-        with pytest.raises(ValueError):
-            p_sum(path10, 0.0)
 
 
 class TestSumProperties:

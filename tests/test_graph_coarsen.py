@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 
 from repro.collections.generators import random_geometric_pattern
-from repro.collections.meshes import grid2d_pattern, path_pattern, star_pattern
+from repro.collections.meshes import grid2d_pattern
 from repro.graph.coarsen import (
     coarsen_graph,
     coarsening_hierarchy,
-    interpolate_vector,
+    interpolate_block,
     maximal_independent_set,
 )
 from repro.graph.components import connected_components, is_connected
@@ -126,21 +126,25 @@ class TestCoarseningHierarchy:
         assert len(hierarchy) <= 3
 
 
-class TestInterpolateVector:
+class TestInterpolateBlock:
     def test_piecewise_constant(self, grid_8x6):
         level = coarsen_graph(grid_8x6)
-        coarse = np.arange(level.coarse_pattern.n, dtype=float)
-        fine = interpolate_vector(level, coarse)
-        assert fine.shape == (grid_8x6.n,)
-        np.testing.assert_allclose(fine, coarse[level.domain_of])
+        for k in (1, 3):
+            coarse = np.arange(level.coarse_pattern.n * k, dtype=float).reshape(-1, k)
+            fine = interpolate_block(level, coarse)
+            assert fine.shape == (grid_8x6.n, k)
+            np.testing.assert_allclose(fine, coarse[level.domain_of])
 
     def test_seed_vertices_keep_their_value(self, geometric200):
         level = coarsen_graph(geometric200)
-        coarse = np.random.default_rng(0).standard_normal(level.coarse_pattern.n)
-        fine = interpolate_vector(level, coarse)
-        np.testing.assert_allclose(fine[level.coarse_vertices], coarse)
+        rng = np.random.default_rng(0)
+        for k in (1, 3):
+            coarse = rng.standard_normal((level.coarse_pattern.n, k))
+            fine = interpolate_block(level, coarse)
+            np.testing.assert_allclose(fine[level.coarse_vertices], coarse)
 
     def test_shape_mismatch(self, grid_8x6):
         level = coarsen_graph(grid_8x6)
-        with pytest.raises(ValueError):
-            interpolate_vector(level, np.ones(level.coarse_pattern.n + 1))
+        for k in (1, 3):
+            with pytest.raises(ValueError):
+                interpolate_block(level, np.ones((level.coarse_pattern.n + 1, k)))

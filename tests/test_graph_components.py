@@ -3,12 +3,7 @@
 import numpy as np
 from hypothesis import given, settings
 
-from repro.graph.components import (
-    component_subpatterns,
-    connected_components,
-    is_connected,
-    largest_component,
-)
+from repro.graph.components import connected_components, is_connected, largest_component
 from repro.sparse.pattern import SymmetricPattern
 from tests.conftest import small_patterns
 
@@ -57,24 +52,6 @@ class TestLargestComponent:
         edges = [(0, 1), (2, 3), (3, 4)]
         pattern = SymmetricPattern.from_edges(6, edges)
         np.testing.assert_array_equal(largest_component(pattern), [2, 3, 4])
-
-
-class TestComponentSubpatterns:
-    def test_partition_covers_everything(self, disconnected_pattern):
-        pieces = component_subpatterns(disconnected_pattern)
-        assert len(pieces) == 3
-        total_vertices = sorted(
-            int(v) for vertices, _ in pieces for v in vertices
-        )
-        assert total_vertices == list(range(disconnected_pattern.n))
-
-    def test_each_subpattern_is_connected(self, disconnected_pattern):
-        for _vertices, sub in component_subpatterns(disconnected_pattern):
-            assert is_connected(sub)
-
-    def test_edge_counts_preserved(self, disconnected_pattern):
-        pieces = component_subpatterns(disconnected_pattern)
-        assert sum(sub.num_edges for _v, sub in pieces) == disconnected_pattern.num_edges
 
 
 class TestComponentsProperties:

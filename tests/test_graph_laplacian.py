@@ -9,7 +9,6 @@ from repro.graph.laplacian import (
     adjacency_matrix,
     laplacian_matrix,
     laplacian_quadratic_form,
-    normalized_laplacian_matrix,
 )
 from repro.sparse.pattern import SymmetricPattern
 from tests.conftest import small_patterns
@@ -85,18 +84,6 @@ class TestLaplacianMatrix:
         graph.add_edges_from(geometric200.edges())
         reference = nx.laplacian_matrix(graph, nodelist=range(geometric200.n)).toarray()
         np.testing.assert_allclose(laplacian_matrix(geometric200).toarray(), reference)
-
-
-class TestNormalizedLaplacian:
-    def test_eigenvalues_in_zero_two(self, geometric200):
-        values = np.linalg.eigvalsh(normalized_laplacian_matrix(geometric200).toarray())
-        assert values.min() > -1e-10
-        assert values.max() < 2.0 + 1e-10
-
-    def test_isolated_vertex_row_is_zero(self):
-        p = SymmetricPattern.from_edges(3, [(0, 1)])
-        norm = normalized_laplacian_matrix(p).toarray()
-        np.testing.assert_allclose(norm[2], 0.0)
 
 
 class TestQuadraticForm:

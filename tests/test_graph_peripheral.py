@@ -9,15 +9,11 @@ from hypothesis import given, settings
 import repro.graph.peripheral as peripheral
 import repro.graph.traversal as traversal
 from repro.batch import build_task, clear_problem_cache, execute_task
-from repro.collections.meshes import grid2d_pattern, path_pattern, star_pattern
+from repro.collections.meshes import grid2d_pattern
 from repro.collections.registry import load_problem
 from repro.eigen.workspace import spectral_workspace
-from repro.graph.peripheral import (
-    pseudo_diameter,
-    pseudo_peripheral_node,
-    spectral_pseudo_peripheral_node,
-)
-from repro.graph.traversal import bfs_graph, breadth_first_levels, distance_from
+from repro.graph.peripheral import pseudo_diameter, pseudo_peripheral_node
+from repro.graph.traversal import bfs_graph, breadth_first_levels
 from repro.orderings.cuthill_mckee import rcm_ordering
 from repro.reference import breadth_first_levels_reference
 from repro.sparse.pattern import SymmetricPattern
@@ -60,7 +56,7 @@ class TestPseudoDiameter:
     def test_endpoints_are_distant(self):
         grid = grid2d_pattern(9, 5)
         u, v, su, sv = pseudo_diameter(grid)
-        dist = distance_from(grid, u)
+        dist = breadth_first_levels(grid, u).level_of
         true_diameter = 8 + 4
         assert dist[v] >= true_diameter - 2
 
@@ -223,18 +219,6 @@ class TestSearchMemo:
         pseudo_diameter(grid)
         assert grid.copy()._workspace is None
         assert pickle.loads(pickle.dumps(grid))._workspace is None
-
-
-class TestSpectralPseudoPeripheral:
-    def test_path_returns_endpointish_vertex(self, path10):
-        node = spectral_pseudo_peripheral_node(path10)
-        ecc = breadth_first_levels(path10, node).height
-        assert ecc >= 7  # close to the true eccentricity 9
-
-    def test_empty_adjacency(self):
-        from repro.sparse.pattern import SymmetricPattern
-
-        assert spectral_pseudo_peripheral_node(SymmetricPattern.empty(3)) == 0
 
 
 class TestPeripheralProperties:

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.collections.meshes import grid2d_pattern, path_pattern, star_pattern
-from repro.graph.traversal import (
-    bfs_order,
-    breadth_first_levels,
-    distance_from,
-    rooted_level_structure,
-)
+from repro.collections.meshes import grid2d_pattern, star_pattern
+from repro.graph.traversal import bfs_order, breadth_first_levels
 from tests.conftest import small_connected_patterns
 
 
@@ -56,10 +51,13 @@ class TestBreadthFirstLevels:
         structure = breadth_first_levels(grid_8x6, 3)
         assert sorted(structure.vertices().tolist()) == list(range(grid_8x6.n))
 
-    def test_rooted_level_structure_alias(self, path10):
-        a = rooted_level_structure(path10, 2)
-        b = breadth_first_levels(path10, 2)
-        np.testing.assert_array_equal(a.level_of, b.level_of)
+    def test_grid_levels_are_manhattan_distances(self):
+        grid = grid2d_pattern(5, 7)
+        level_of = breadth_first_levels(grid, 0).level_of
+        # vertex (i, j) has index i*7+j; distance from (0,0) is i+j
+        for i in range(5):
+            for j in range(7):
+                assert level_of[i * 7 + j] == i + j
 
 
 class TestBfsOrder:
@@ -90,22 +88,6 @@ class TestBfsOrder:
     def test_invalid_root(self, path10):
         with pytest.raises(ValueError):
             bfs_order(path10, -1)
-
-
-class TestDistanceFrom:
-    def test_path_distances(self, path10):
-        np.testing.assert_array_equal(distance_from(path10, 0), np.arange(10))
-
-    def test_grid_distance_is_manhattan(self):
-        grid = grid2d_pattern(5, 7)
-        dist = distance_from(grid, 0)
-        # vertex (i, j) has index i*7+j; distance from (0,0) is i+j
-        for i in range(5):
-            for j in range(7):
-                assert dist[i * 7 + j] == i + j
-
-    def test_unreachable_is_minus_one(self, disconnected_pattern):
-        assert distance_from(disconnected_pattern, 0)[16] == -1
 
 
 class TestTraversalProperties:

@@ -7,7 +7,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from repro.sparse.io_mm import matrix_market_string, read_matrix_market, write_matrix_market
+from repro.sparse.io_mm import read_matrix_market, write_matrix_market
 
 
 def _random_symmetric(n=12, density=0.2, seed=0):
@@ -43,13 +43,16 @@ class TestRoundTrip:
 
     def test_stream_roundtrip(self):
         a = _random_symmetric(6)
-        text = matrix_market_string(a)
-        b = read_matrix_market(io.StringIO(text))
+        stream = io.StringIO()
+        write_matrix_market(stream, a)
+        b = read_matrix_market(io.StringIO(stream.getvalue()))
         np.testing.assert_allclose(b.toarray(), a.toarray(), atol=1e-14)
 
     def test_comment_lines_are_written_and_skipped(self):
         a = sp.eye(3, format="csr")
-        text = matrix_market_string(a, comment="generated by tests\nsecond line")
+        stream = io.StringIO()
+        write_matrix_market(stream, a, comment="generated by tests\nsecond line")
+        text = stream.getvalue()
         assert "% generated by tests" in text
         b = read_matrix_market(io.StringIO(text))
         np.testing.assert_allclose(b.toarray(), np.eye(3))

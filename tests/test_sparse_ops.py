@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.sparse.ops import (
-    lower_triangle,
-    permute_pattern,
-    permute_symmetric,
-    structural_density,
-    structure_from_matrix,
-    symmetrize,
-)
+from repro.sparse.ops import permute_symmetric, structure_from_matrix, symmetrize
 from repro.sparse.pattern import SymmetricPattern
 
 
@@ -76,31 +69,3 @@ class TestPermuteSymmetric:
     def test_invalid_permutation_rejected(self):
         with pytest.raises(ValueError):
             permute_symmetric(np.eye(3), [0, 0, 1])
-
-
-class TestPermutePattern:
-    def test_delegates_to_pattern(self):
-        p = SymmetricPattern.from_edges(3, [(0, 1)])
-        q = permute_pattern(p, [1, 2, 0])
-        assert q.num_edges == 1
-
-
-class TestLowerTriangle:
-    def test_includes_diagonal_by_default(self):
-        a = np.array([[1.0, 2.0], [2.0, 3.0]])
-        lower = lower_triangle(a).toarray()
-        np.testing.assert_allclose(lower, [[1.0, 0.0], [2.0, 3.0]])
-
-    def test_excludes_diagonal_when_asked(self):
-        a = np.array([[1.0, 2.0], [2.0, 3.0]])
-        lower = lower_triangle(a, include_diagonal=False).toarray()
-        np.testing.assert_allclose(lower, [[0.0, 0.0], [2.0, 0.0]])
-
-
-class TestStructuralDensity:
-    def test_empty_graph(self):
-        assert structural_density(SymmetricPattern.empty(4)) == pytest.approx(4 / 16)
-
-    def test_complete_graph(self):
-        p = SymmetricPattern.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        assert structural_density(p) == pytest.approx(1.0)

@@ -8,7 +8,6 @@ from repro.utils.validation import (
     as_int_array,
     check_permutation,
     check_square,
-    check_symmetric_structure,
     require_positive_finite,
     require_positive_int,
 )
@@ -122,27 +121,3 @@ class TestCheckSquare:
     def test_1d_rejected(self):
         with pytest.raises(ValueError):
             check_square(np.zeros(3))
-
-
-class TestCheckSymmetricStructure:
-    def test_symmetric_sparse_ok(self):
-        a = sp.csr_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        check_symmetric_structure(a)  # structure symmetric even if values differ
-
-    def test_unsymmetric_structure_sparse(self):
-        a = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 4.0]]))
-        with pytest.raises(ValueError, match="symmetric"):
-            check_symmetric_structure(a)
-
-    def test_unsymmetric_structure_dense(self):
-        a = np.array([[1.0, 0.0], [5.0, 1.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            check_symmetric_structure(a)
-
-    def test_tolerance_drops_small_entries(self):
-        a = sp.csr_matrix(np.array([[1.0, 1e-14], [0.0, 1.0]]))
-        check_symmetric_structure(a, tol=1e-12)  # tiny entry ignored
-
-    def test_rectangular_rejected(self):
-        with pytest.raises(ValueError):
-            check_symmetric_structure(np.zeros((2, 3)))
