@@ -130,26 +130,44 @@ def callers(definition: tuple[str, int, str], references: dict) -> set:
     return references.get(name, set()) - {(path, name)}
 
 
+def orphans(definitions: dict, references: dict, allowlist: dict) -> list[str]:
+    """``path:line qualified`` of each caller-less definition *allowlist* lacks."""
+    return [
+        f"{path}:{line} {qualified}"
+        for qualified, (path, line, name) in sorted(definitions.items())
+        if qualified not in allowlist and not callers((path, line, name), references)
+    ]
+
+
+def stale_entry(qualified: str, definitions: dict, references: dict) -> str | None:
+    """Why the allowlist entry *qualified* must go, or ``None`` if it holds."""
+    if qualified not in definitions:
+        return f"{qualified} is gone; drop its allowlist entry"
+    found = sorted(callers(definitions[qualified], references), key=str)
+    if found:
+        return f"{qualified} has callers {found}; drop its allowlist entry"
+    return None
+
+
 @lru_cache(maxsize=1)
-def _repository_scan() -> tuple[dict, dict]:
-    sources = {
+def _repository_sources() -> dict[str, str]:
+    return {
         path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
         for top in SCANNED
         for path in sorted((ROOT / top).rglob("*.py"))
     }
-    return scan(sources)
+
+
+@lru_cache(maxsize=1)
+def _repository_scan() -> tuple[dict, dict]:
+    return scan(_repository_sources())
 
 
 def test_every_definition_has_a_caller():
-    definitions, references = _repository_scan()
-    orphans = [
-        f"{path}:{line} {qualified}"
-        for qualified, (path, line, name) in sorted(definitions.items())
-        if qualified not in ALLOWLIST and not callers((path, line, name), references)
-    ]
-    assert not orphans, (
+    found = orphans(*_repository_scan(), ALLOWLIST)
+    assert not found, (
         "definitions with no caller outside tests; delete them, or allowlist "
-        "one that a stated reason keeps:\n" + "\n".join(orphans)
+        "one that a stated reason keeps:\n" + "\n".join(found)
     )
 
 
@@ -158,10 +176,8 @@ def test_allowlisted_definition_exists_and_has_no_caller(qualified):
     assert ALLOWLIST[qualified] in (
         TEST_REFERENCE, PAPER_STATEMENT, TEST_HOOK, FIXTURE_GRAPH, DOCUMENTED_API
     )
-    definitions, references = _repository_scan()
-    assert qualified in definitions, f"{qualified} is gone; drop its allowlist entry"
-    found = sorted(callers(definitions[qualified], references))
-    assert not found, f"{qualified} has callers {found}; drop its allowlist entry"
+    reason = stale_entry(qualified, *_repository_scan())
+    assert reason is None, reason
 
 
 RULE_SOURCES = {
@@ -171,17 +187,33 @@ RULE_SOURCES = {
     ),
     "src/repro/pkg/mod.py": (
         "__all__ = ['exported', 'recursive', 'called', 'by_attribute', 'by_string']\n"
+        "__all__ += ['in_augmented_all']\n"
         "def exported(): pass\n"
         "def recursive(k): return recursive(k - 1)\n"
         "def called(): pass\n"
         "def by_attribute(): pass\n"
         "def by_string(): pass\n"
+        "def in_augmented_all(): pass\n"
+        "def imported_only(): pass\n"
+        "def named_in_longer_string(): pass\n"
+        "def called_by_sibling(): pass\n"
+        "def sibling(): return called_by_sibling()\n"
+        "class Base: pass\n"
+        "class Derived(Base): pass\n"
+        "def run_at_import(): return {}\n"
+        "TABLE = run_at_import()\n"
+    ),
+    "src/repro/pkg/typed.py": (
+        "__all__: list[str] = ['in_annotated_all']\n"
+        "def in_annotated_all(): pass\n"
     ),
     "examples/use.py": (
         "import repro.pkg.mod as mod\n"
+        "from repro.pkg.mod import imported_only\n"
         "called()\n"
         "mod.by_attribute()\n"
         "getattr(mod, 'by_string')\n"
+        "print('repro.pkg.mod:named_in_longer_string')\n"
     ),
 }
 
@@ -194,8 +226,78 @@ RULE_SOURCES = {
         ("called", True),
         ("by_attribute", True),
         ("by_string", True),
+        ("in_augmented_all", False),  # named only by ``__all__ +=``
+        ("in_annotated_all", False),  # named only by ``__all__: list[str] =``
+        ("imported_only", False),  # imported by an example that never uses it
+        ("named_in_longer_string", False),  # a string counts only when equal to the name
+        ("called_by_sibling", True),  # another definition's body is a caller
+        ("Base", True),  # a base class is a use
+        ("run_at_import", True),  # module-level code of its own file is a caller
     ],
 )
 def test_what_counts_as_a_reference(name, referenced):
     definitions, references = scan(RULE_SOURCES)
-    assert bool(callers(definitions[f"repro.pkg.mod.{name}"], references)) is referenced
+    by_name = {definition[2]: definition for definition in definitions.values()}
+    assert bool(callers(by_name[name], references)) is referenced
+
+
+# The scan run on the repository with one edit made in memory: each edit is a
+# regression the test above exists to catch.
+
+FAULT_POINT = '''
+
+def fault_point(site: str, key: str, *, point: str | None = None) -> None:
+    if site.startswith("worker."):
+        worker_faults(key, point=point or "start")
+        return
+    if site == "journal.flaky":
+        flaky_io(site, key)
+        return
+    raise ValueError(f"{site!r} is a caller-handled site; use fires()")
+'''
+
+
+def _edited_scan(path: str, edit) -> tuple[dict, dict]:
+    sources = dict(_repository_sources())
+    sources[path] = edit(sources[path])
+    return scan(sources)
+
+
+@pytest.mark.parametrize(
+    "name, source",
+    [
+        ("unused_helper", "def unused_helper(pattern):\n    return pattern.n\n"),
+        ("_unused_helper", "def _unused_helper(pattern):\n    return pattern.n\n"),
+        ("UnusedHelper", "class UnusedHelper:\n    pass\n"),
+    ],
+)
+def test_an_added_definition_without_a_caller_is_an_orphan(name, source):
+    path = "src/repro/sparse/ops.py"
+    definitions, references = _edited_scan(path, lambda text: text + "\n\n" + source)
+    line = definitions[f"repro.sparse.ops.{name}"][1]
+    assert orphans(definitions, references, ALLOWLIST) == [f"{path}:{line} repro.sparse.ops.{name}"]
+
+
+def test_restored_fault_point_is_an_orphan():
+    def restore(text):
+        assert '__all__ = [\n    "FAULT_SITES",' in text
+        return text.replace("__all__ = [", '__all__ = [\n    "fault_point",', 1) + FAULT_POINT
+
+    definitions, references = _edited_scan("src/repro/faults.py", restore)
+    found = orphans(definitions, references, ALLOWLIST)
+    assert [entry.split()[-1] for entry in found] == ["repro.faults.fault_point"]
+
+
+def test_an_allowlist_entry_for_a_deleted_name_is_stale():
+    assert stale_entry("repro.faults.fault_point", *_repository_scan()) == (
+        "repro.faults.fault_point is gone; drop its allowlist entry"
+    )
+
+
+def test_an_allowlisted_name_that_gains_a_caller_is_stale():
+    qualified = "repro.collections.meshes.path_pattern"
+    assert stale_entry(qualified, *_repository_scan()) is None
+    edited = _edited_scan("examples/quickstart.py", lambda text: text + "\npath_pattern(3)\n")
+    assert stale_entry(qualified, *edited) == (
+        f"{qualified} has callers [('examples/quickstart.py', None)]; drop its allowlist entry"
+    )

@@ -23,6 +23,7 @@ from repro.collections.meshes import grid2d_pattern
 from repro.eigen.multilevel import multilevel_fiedler
 from repro.eigen.workspace import SpectralWorkspace, spectral_workspace
 from repro.envelope.metrics import envelope_statistics
+from repro.graph.components import is_connected
 from repro.graph.laplacian import adjacency_matrix, laplacian_matrix
 from repro.orderings.registry import ORDERING_ALGORITHMS
 from repro.sparse.pattern import SymmetricPattern
@@ -118,6 +119,26 @@ def test_component_split_matches_manual_split():
     again = ws.component_split()
     assert all(a is b or (a[1] is b[1]) for a, b in zip(split, again))
     assert ws.info["split_hits"] >= 1
+
+
+def test_component_split_covers_every_vertex_once(disconnected_pattern):
+    split = spectral_workspace(disconnected_pattern).component_split()
+    assert len(split) == 3
+    covered = np.sort(np.concatenate([vertices for vertices, _sub in split]))
+    np.testing.assert_array_equal(covered, np.arange(disconnected_pattern.n))
+
+
+def test_component_split_pieces_are_connected(disconnected_pattern):
+    for vertices, sub in spectral_workspace(disconnected_pattern).component_split():
+        assert (sub is None) == (vertices.size == 1)
+        if sub is not None:
+            assert sub.n == vertices.size and is_connected(sub)
+
+
+def test_component_split_keeps_every_edge(disconnected_pattern):
+    split = spectral_workspace(disconnected_pattern).component_split()
+    kept = sum(sub.num_edges for _vertices, sub in split if sub is not None)
+    assert kept == disconnected_pattern.num_edges
 
 
 def test_hierarchy_cached_for_deterministic_strategies():
