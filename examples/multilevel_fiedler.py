@@ -15,8 +15,6 @@ from __future__ import annotations
 import sys
 import time
 
-import numpy as np
-
 from repro.collections import airfoil_pattern
 from repro.eigen import fiedler_vector, multilevel_fiedler
 from repro.graph.coarsen import coarsening_hierarchy

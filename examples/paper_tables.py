@@ -23,8 +23,6 @@ from __future__ import annotations
 import argparse
 import time
 
-import numpy as np
-
 from repro.analysis.runner import run_problem_suite
 from repro.collections.registry import available_problems, default_scale, load_problem
 from repro.envelope.metrics import envelope_size

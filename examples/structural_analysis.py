@@ -32,7 +32,6 @@ from repro.analysis.runner import run_comparison
 from repro.collections import cylinder_shell_pattern
 from repro.envelope.metrics import envelope_size
 from repro.factor.cholesky import envelope_cholesky, estimate_factor_work
-from repro.orderings import rcm_ordering, spectral_ordering
 
 
 def main(argv: list[str]) -> None:

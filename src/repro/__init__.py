@@ -33,25 +33,7 @@ Quick start
 True
 """
 
-from repro.core.pipeline import EnvelopeReport, compare_orderings, reorder
-from repro.eigen.fiedler import FiedlerResult, fiedler_vector
-from repro.envelope.metrics import (
-    EnvelopeStatistics,
-    bandwidth,
-    envelope_size,
-    envelope_statistics,
-    envelope_work,
-)
-from repro.factor.cholesky import EnvelopeCholesky, envelope_cholesky
-from repro.factor.solve import envelope_solve
-from repro.orderings.base import Ordering
-from repro.orderings.cuthill_mckee import cuthill_mckee_ordering, rcm_ordering
-from repro.orderings.gibbs_king import gibbs_king_ordering
-from repro.orderings.gps import gps_ordering
-from repro.orderings.hybrid import hybrid_spectral_ordering
-from repro.orderings.sloan import sloan_ordering
-from repro.orderings.spectral import spectral_ordering
-from repro.sparse.pattern import SymmetricPattern
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -86,3 +68,25 @@ __all__ = [
     # structure
     "SymmetricPattern",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.pipeline": ("EnvelopeReport", "compare_orderings", "reorder"),
+    "repro.eigen.fiedler": ("FiedlerResult", "fiedler_vector"),
+    "repro.envelope.metrics": (
+        "EnvelopeStatistics",
+        "bandwidth",
+        "envelope_size",
+        "envelope_statistics",
+        "envelope_work",
+    ),
+    "repro.factor.cholesky": ("EnvelopeCholesky", "envelope_cholesky"),
+    "repro.factor.solve": ("envelope_solve",),
+    "repro.orderings.base": ("Ordering",),
+    "repro.orderings.cuthill_mckee": ("cuthill_mckee_ordering", "rcm_ordering"),
+    "repro.orderings.gibbs_king": ("gibbs_king_ordering",),
+    "repro.orderings.gps": ("gps_ordering",),
+    "repro.orderings.hybrid": ("hybrid_spectral_ordering",),
+    "repro.orderings.sloan": ("sloan_ordering",),
+    "repro.orderings.spectral": ("spectral_ordering",),
+    "repro.sparse.pattern": ("SymmetricPattern",),
+})

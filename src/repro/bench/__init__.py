@@ -8,22 +8,7 @@
 True
 """
 
-from repro.bench.core import measure, time_call
-from repro.bench.harness import (
-    BENCH_SCHEMA_VERSION,
-    KernelBench,
-    bench_revision,
-    default_artifact_path,
-    diff_bench,
-    format_diff,
-    format_trend,
-    load_bench,
-    machine_info,
-    pinned_micro_suite,
-    run_bench,
-    save_bench,
-    trend_bench,
-)
+from repro.lazy import lazy_exports
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -42,3 +27,22 @@ __all__ = [
     "time_call",
     "trend_bench",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.bench.core": ("measure", "time_call"),
+    "repro.bench.harness": (
+        "BENCH_SCHEMA_VERSION",
+        "KernelBench",
+        "bench_revision",
+        "default_artifact_path",
+        "diff_bench",
+        "format_diff",
+        "format_trend",
+        "load_bench",
+        "machine_info",
+        "pinned_micro_suite",
+        "run_bench",
+        "save_bench",
+        "trend_bench",
+    ),
+})

@@ -233,6 +233,21 @@ def _eigen_bench(problem: str, scale: float, kernel: str) -> KernelBench:
     )
 
 
+def _startup_bench(name: str, *argv: str) -> KernelBench:
+    """Process wall of ``python *argv`` in a fresh interpreter: what a user
+    of the CLI waits for before and around the work itself."""
+    def setup():
+        import repro
+
+        env = dict(os.environ)
+        source = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        command = [sys.executable, *argv]
+        return lambda: subprocess.run(command, env=env, check=True, capture_output=True)
+
+    return KernelBench(name=f"startup/{name}", group="startup", setup=setup)
+
+
 def pinned_micro_suite(quick: bool = False) -> list[KernelBench]:
     """The fixed benchmark list compared across revisions.
 
@@ -293,6 +308,9 @@ def pinned_micro_suite(quick: bool = False) -> list[KernelBench]:
     ]
     # One surrogate build per call: a dense multi-dof 3-D solid.
     benches.append(_load_problem_bench(*stiff_case))
+    benches.append(_startup_bench("import_cli", "-c", "import repro.cli"))
+    benches.append(_startup_bench(
+        "suite", "-m", "repro", "suite", "POW9", "--algorithms", "rcm", "--scale", "0.05"))
     return benches
 
 

@@ -130,8 +130,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.report import format_table
-from repro.analysis.runner import run_comparison
 from repro.batch import (
     CostModel,
     SchemaVersionError,
@@ -150,18 +148,14 @@ from repro.batch import (
     validate_stream_header,
 )
 from repro.utils.atomic import atomic_write_text
-from repro.analysis.spy import ascii_spy, band_profile
 from repro.collections.registry import (
     UnknownProblemError,
     available_problems,
     load_problem,
     resolve_problems,
 )
-from repro.core.pipeline import reorder
 from repro.eigen.fiedler import FIEDLER_METHODS, fiedler_vector
 from repro.orderings.registry import ORDERING_ALGORITHMS, PAPER_ALGORITHMS
-from repro.sparse.io_hb import read_harwell_boeing, write_harwell_boeing
-from repro.sparse.io_mm import read_matrix_market, write_matrix_market
 from repro.sparse.ops import permute_symmetric, structure_from_matrix
 
 __all__ = ["main", "build_parser"]
@@ -182,6 +176,9 @@ def _load_input(source: str):
             name, scale = reference, None
         pattern, spec = load_problem(name, scale=scale)
         return pattern, None, f"{spec.name} surrogate (n={pattern.n})"
+    from repro.sparse.io_hb import read_harwell_boeing
+    from repro.sparse.io_mm import read_matrix_market
+
     lower = source.lower()
     if lower.endswith((".mtx", ".mm", ".mtx.gz")):
         matrix = read_matrix_market(source)
@@ -198,6 +195,9 @@ def _load_input(source: str):
 
 
 def _write_matrix(path: str, matrix) -> None:
+    from repro.sparse.io_hb import write_harwell_boeing
+    from repro.sparse.io_mm import write_matrix_market
+
     if path.lower().endswith((".rsa", ".psa", ".hb")):
         write_harwell_boeing(path, matrix)
     else:
@@ -205,6 +205,8 @@ def _write_matrix(path: str, matrix) -> None:
 
 
 def _cmd_reorder(args) -> int:
+    from repro.core.pipeline import reorder
+
     pattern, matrix, label = _load_input(args.input)
     report = reorder(pattern, algorithm=args.algorithm, **_algorithm_options(args))
     stats_before, stats_after = report.original, report.statistics
@@ -225,6 +227,9 @@ def _cmd_reorder(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.analysis.report import format_table
+    from repro.analysis.runner import run_comparison
+
     pattern, _matrix, label = _load_input(args.input)
     algorithms = tuple(args.algorithms.split(",")) if args.algorithms else PAPER_ALGORITHMS
     unknown = [a for a in algorithms if a not in ORDERING_ALGORITHMS]
@@ -1056,6 +1061,8 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_spy(args) -> int:
+    from repro.analysis.spy import ascii_spy, band_profile
+
     pattern, _matrix, label = _load_input(args.input)
     perm = None
     if args.algorithm != "original":
@@ -1086,6 +1093,7 @@ def _cmd_fiedler(args) -> int:
 
 def _cmd_fetch(args) -> int:
     from repro.collections.external import fetch_url, ingest_file, suitesparse_url
+    from repro.sparse.io_mm import write_matrix_market
     from repro.store.download import DownloadCache
 
     cache = DownloadCache(args.cache)

@@ -25,52 +25,7 @@ Real Boeing-Harwell / Matrix Market files can be substituted at any time via
 :func:`repro.sparse.read_harwell_boeing` / :func:`repro.sparse.read_matrix_market`.
 """
 
-from repro.collections.meshes import (
-    grid2d_pattern,
-    grid3d_pattern,
-    multi_dof_pattern,
-    path_pattern,
-    cycle_pattern,
-    star_pattern,
-    complete_pattern,
-    binary_tree_pattern,
-)
-from repro.collections.generators import (
-    airfoil_pattern,
-    annulus_pattern,
-    cylinder_shell_pattern,
-    plate_with_holes_pattern,
-    power_network_pattern,
-    random_geometric_pattern,
-)
-from repro.collections.random_graphs import (
-    RANDOM_PROBLEMS,
-    GeneratorSpec,
-    barabasi_albert_pattern,
-    erdos_renyi_gnm_pattern,
-    erdos_renyi_gnp_pattern,
-    rmat_pattern,
-    watts_strogatz_pattern,
-)
-from repro.collections.external import (
-    DownloadCache,
-    fetch_problem,
-    fetch_url,
-    ingest_file,
-    suitesparse_url,
-)
-from repro.collections.registry import (
-    PAPER_PROBLEMS,
-    ProblemSpec,
-    UnknownProblemError,
-    all_problems,
-    available_problems,
-    expected_problem_size,
-    get_problem_spec,
-    has_analytic_size,
-    load_problem,
-    resolve_problems,
-)
+from repro.lazy import lazy_exports
 
 __all__ = [
     "grid2d_pattern",
@@ -110,3 +65,52 @@ __all__ = [
     "load_problem",
     "resolve_problems",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.collections.meshes": (
+        "grid2d_pattern",
+        "grid3d_pattern",
+        "multi_dof_pattern",
+        "path_pattern",
+        "cycle_pattern",
+        "star_pattern",
+        "complete_pattern",
+        "binary_tree_pattern",
+    ),
+    "repro.collections.generators": (
+        "airfoil_pattern",
+        "annulus_pattern",
+        "cylinder_shell_pattern",
+        "plate_with_holes_pattern",
+        "power_network_pattern",
+        "random_geometric_pattern",
+    ),
+    "repro.collections.random_graphs": (
+        "RANDOM_PROBLEMS",
+        "GeneratorSpec",
+        "barabasi_albert_pattern",
+        "erdos_renyi_gnm_pattern",
+        "erdos_renyi_gnp_pattern",
+        "rmat_pattern",
+        "watts_strogatz_pattern",
+    ),
+    "repro.collections.external": (
+        "DownloadCache",
+        "fetch_problem",
+        "fetch_url",
+        "ingest_file",
+        "suitesparse_url",
+    ),
+    "repro.collections.registry": (
+        "PAPER_PROBLEMS",
+        "ProblemSpec",
+        "UnknownProblemError",
+        "all_problems",
+        "available_problems",
+        "expected_problem_size",
+        "get_problem_spec",
+        "has_analytic_size",
+        "load_problem",
+        "resolve_problems",
+    ),
+})

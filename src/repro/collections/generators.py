@@ -27,7 +27,6 @@ only the power network draws its random numbers one vertex at a time.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import Delaunay, cKDTree
 
 from repro.collections.meshes import grid2d_pattern, grid3d_pattern, multi_dof_pattern
 from repro.graph.components import largest_component
@@ -49,6 +48,10 @@ __all__ = [
 
 def _pattern_from_triangulation(points: np.ndarray) -> SymmetricPattern:
     """Delaunay-triangulate *points* and return the edge graph."""
+    # scipy.spatial takes about 0.2 s to import, and only this builder and
+    # random_geometric_pattern use it, so start-up does not pay for it.
+    from scipy.spatial import Delaunay
+
     a, b, c = Delaunay(points).simplices.T
     return SymmetricPattern.from_edge_arrays(
         points.shape[0], np.concatenate([a, a, b]), np.concatenate([b, c, c])
@@ -238,6 +241,8 @@ def random_geometric_pattern(n: int = 500, radius: float | None = None, seed=Non
     points = rng.random((n, 2))
     if radius is None:
         radius = float(np.sqrt(7.0 / (np.pi * n)))
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(points)
     pairs = tree.query_pairs(radius, output_type="ndarray")
     pattern = SymmetricPattern.from_edge_arrays(n, pairs[:, 0], pairs[:, 1])

@@ -130,9 +130,9 @@ def _int_list(source: dict, name: str, owner: str):
     value = source.get(name)
     if not isinstance(value, list):
         raise _bad(f"{owner}.{name} must be a list of integers")
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise _bad(f"{owner}.{name} must hold only integers")
+    # One pass over the item types: JSON true/false decode to bool, not int.
+    if not set(map(type, value)) <= {int}:
+        raise _bad(f"{owner}.{name} must hold only integers")
     return value
 
 

@@ -15,14 +15,13 @@ available; the shipped benchmarks use synthetic surrogates from
 """
 
 from repro.sparse.pattern import SymmetricPattern
-from repro.sparse.ops import permute_symmetric, structure_from_matrix, symmetrize
+from repro.sparse.ops import permute_symmetric, structure_from_matrix
 from repro.sparse.io_mm import read_matrix_market, write_matrix_market
 from repro.sparse.io_hb import read_harwell_boeing, write_harwell_boeing
 
 __all__ = [
     "SymmetricPattern",
     "structure_from_matrix",
-    "symmetrize",
     "permute_symmetric",
     "read_matrix_market",
     "write_matrix_market",

@@ -15,7 +15,6 @@ from repro.utils.validation import check_permutation, check_square
 
 __all__ = [
     "structure_from_matrix",
-    "symmetrize",
     "permute_symmetric",
 ]
 
@@ -30,38 +29,6 @@ def structure_from_matrix(matrix, tol: float = 0.0) -> SymmetricPattern:
     if isinstance(matrix, SymmetricPattern):
         return matrix
     return SymmetricPattern.from_scipy(matrix, tol=tol)
-
-
-def symmetrize(matrix, mode: str = "or") -> sp.csr_matrix:
-    """Return a structurally symmetric version of *matrix*.
-
-    Parameters
-    ----------
-    matrix:
-        Square SciPy sparse matrix or dense array.
-    mode:
-        ``"or"`` — union of the patterns of ``A`` and ``A.T`` with values
-        ``(A + A.T) / 2``;
-        ``"and"`` — intersection of the two patterns (entries present in both),
-        values ``(A + A.T) / 2`` restricted to the intersection.
-    """
-    matrix, n = check_square(matrix, "matrix")
-    a = sp.csr_matrix(matrix, dtype=np.float64)
-    at = a.T.tocsr()
-    if mode == "or":
-        return ((a + at) * 0.5).tocsr()
-    if mode == "and":
-        # Structure-only masks: share the index arrays and carry one byte per
-        # stored entry instead of duplicating the float data.
-        mask_a = sp.csr_matrix(
-            (np.ones(a.nnz, dtype=bool), a.indices, a.indptr), shape=a.shape
-        )
-        mask_at = sp.csr_matrix(
-            (np.ones(at.nnz, dtype=bool), at.indices, at.indptr), shape=at.shape
-        )
-        both = mask_a.multiply(mask_at)
-        return (((a + at) * 0.5).multiply(both)).tocsr()
-    raise ValueError(f"mode must be 'or' or 'and', got {mode!r}")
 
 
 def permute_symmetric(matrix, perm) -> sp.csr_matrix:

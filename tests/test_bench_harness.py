@@ -138,13 +138,16 @@ def test_pinned_micro_suite_names_are_stable_and_unique():
     for quick in (False, True):
         names = [bench.name for bench in pinned_micro_suite(quick)]
         assert len(names) == len(set(names))
+        kernels = [name for name in names if not name.startswith("startup/")]
         # group/algorithm/problem@scale — problem names may themselves
         # contain "/" (RANDOM/BA), so two slashes is the *minimum*
-        assert all(name.count("/") >= 2 for name in names)
-        assert all("@" in name for name in names)
+        assert all(name.count("/") >= 2 for name in kernels)
+        assert all("@" in name for name in kernels)
+        # whole processes, timed the same in both suites
+        assert names[len(kernels):] == ["startup/import_cli", "startup/suite"]
     # quick mode is a subset-shaped suite, not a rename of the full one
     assert {b.group for b in pinned_micro_suite(True)} == {
-        "orderings", "graph", "eigen", "powerlaw", "collections"}
+        "orderings", "graph", "eigen", "powerlaw", "collections", "startup"}
 
 
 def test_numbering_entry_times_king_rule_on_wide_levels():

@@ -9,9 +9,12 @@ included.
 * A **reference** is a ``Name`` or ``Attribute`` use of the definition's
   name, or a string constant equal to it (lookups by name, such as
   perfbench's tracer targets, count).
-* A use inside the definition's own body, an ``__all__`` entry and a
-  package re-export (an import) are **not** references, and neither is a
-  use in ``tests/``.
+* A use inside the definition's own body, an ``__all__`` entry, a package
+  re-export (an import, or an entry of a :func:`repro.lazy.lazy_exports`
+  table) and a ``Name`` that is a parameter of its enclosing function are
+  **not** references, and neither is a use in ``tests/``.
+* A module-level ``__getattr__`` or ``__dir__`` is called by the import
+  system (PEP 562), so it always has a caller.
 
 A definition with no reference fails the test unless :data:`ALLOWLIST` names
 it under one of five reasons.  An allowlist entry whose definition is gone,
@@ -29,6 +32,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "benchmarks", "examples", "perfbench")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+# Module attributes the import system calls (PEP 562).
+IMPORT_HOOKS = ("__getattr__", "__dir__")
+# The call whose table re-exports a package's names lazily (repro.lazy).
+LAZY_EXPORTS = "lazy_exports"
 
 # The loop twins of the production kernels: tests patch them in, production
 # code never imports them (repro.reference).
@@ -93,6 +101,44 @@ def _assigns_all(stmt: ast.stmt) -> bool:
     return any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets)
 
 
+def _parameters(function) -> set[str]:
+    args = function.args
+    every = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+    return {arg.arg for arg in every if arg is not None}
+
+
+def _uses(node: ast.AST, parameters: frozenset = frozenset()):
+    """The names *node* uses: ``Name`` ids, ``Attribute`` names and strings.
+
+    *parameters* holds the parameters of the enclosing functions; a ``Name``
+    among them is a use of the parameter.  Only a function's body sees its
+    parameters: decorators, defaults and annotations are evaluated outside.
+    Of a ``lazy_exports(...)`` call only the callee is a use; its arguments
+    are the export table.
+    """
+    if isinstance(node, FUNCTIONS):
+        inner = parameters | _parameters(node)
+        for field, value in ast.iter_fields(node):
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    yield from _uses(child, inner if field == "body" else parameters)
+        return
+    if isinstance(node, ast.Call):
+        callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        if callee == LAZY_EXPORTS:
+            yield from _uses(node.func, parameters)
+            return
+    if isinstance(node, ast.Name):
+        if node.id not in parameters:
+            yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value
+    for child in ast.iter_child_nodes(node):
+        yield from _uses(child, parameters)
+
+
 def scan(sources: dict[str, str]) -> tuple[dict, dict]:
     """Definitions and references in *sources* (``{path: text}``).
 
@@ -109,17 +155,11 @@ def scan(sources: dict[str, str]) -> tuple[dict, dict]:
             owner = stmt.name if isinstance(stmt, DEFINITIONS) else None
             if owner is not None and path.startswith("src/repro/"):
                 definitions[f"{_module_name(path)}.{owner}"] = (path, stmt.lineno, owner)
+            if owner in IMPORT_HOOKS:
+                references.setdefault(owner, set()).add((path, None))
             if _assigns_all(stmt):
                 continue
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    name = node.value
-                else:
-                    continue
+            for name in _uses(stmt):
                 references.setdefault(name, set()).add((path, owner))
     return definitions, references
 
@@ -202,6 +242,19 @@ RULE_SOURCES = {
         "class Derived(Base): pass\n"
         "def run_at_import(): return {}\n"
         "TABLE = run_at_import()\n"
+        "def lazily_exported(): pass\n"
+        "def shadowed(): pass\n"
+        "def default_value(): pass\n"
+        "def takes_parameter(shadowed=default_value): return run(shadowed=shadowed)\n"
+    ),
+    "src/repro/pkg/hooks.py": (
+        "def __getattr__(name): raise AttributeError(name)\n"
+        "def __dir__(): return []\n"
+    ),
+    "src/repro/pkg/lazy.py": "def lazy_exports(namespace, table): return None, None\n",
+    "src/repro/pkg/lazy_package.py": (
+        "from repro.pkg.lazy import lazy_exports\n"
+        "HOOKS = lazy_exports(globals(), {'repro.pkg.mod': ('lazily_exported',)})\n"
     ),
     "src/repro/pkg/typed.py": (
         "__all__: list[str] = ['in_annotated_all']\n"
@@ -233,6 +286,12 @@ RULE_SOURCES = {
         ("called_by_sibling", True),  # another definition's body is a caller
         ("Base", True),  # a base class is a use
         ("run_at_import", True),  # module-level code of its own file is a caller
+        ("__getattr__", True),  # the import system calls a module's hooks
+        ("__dir__", True),
+        ("lazily_exported", False),  # an entry of a lazy export table only
+        ("lazy_exports", True),  # the call is a use; its table is not
+        ("shadowed", False),  # a same-named parameter, passed on by keyword
+        ("default_value", True),  # a default is evaluated outside the function
     ],
 )
 def test_what_counts_as_a_reference(name, referenced):

@@ -236,6 +236,18 @@ class TestValidation4xx:
         assert info.value.message == (
             f"{source!r} needs an integer 'n' >= 0 (<= {DEFAULT_MAX_INLINE_N})")
 
+    @pytest.mark.parametrize("item", [True, 1.0])
+    def test_inline_indices_must_be_integers(self, item):
+        from repro.serve.api import parse_order_request
+        from repro.serve.protocol import ProtocolError
+
+        csr = {"n": 3, "indptr": [0, 1, 2, 2], "indices": [1, item]}
+        with pytest.raises(ProtocolError) as info:
+            parse_order_request({"algorithm": "rcm", "csr": csr})
+        assert info.value.status == 400
+        assert info.value.error_type == "InvalidOrderRequest"
+        assert info.value.message == "csr.indices must hold only integers"
+
 
 class TestStoreIntegration:
     def test_warm_request_hits_the_artifact_store(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.sparse.ops import permute_symmetric, structure_from_matrix, symmetrize
+from repro.sparse.ops import permute_symmetric, structure_from_matrix
 from repro.sparse.pattern import SymmetricPattern
 
 
@@ -27,29 +27,15 @@ class TestStructureFromMatrix:
         assert structure_from_matrix(a, tol=1e-10).num_edges == 0
         assert structure_from_matrix(a, tol=0.0).num_edges == 1
 
-
-class TestSymmetrize:
-    def test_or_mode_unions_patterns(self):
+    def test_structure_is_the_union_with_the_transpose(self):
         a = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        s = symmetrize(a, mode="or").toarray()
-        assert s[0, 1] == pytest.approx(1.0)
-        assert s[1, 0] == pytest.approx(1.0)
-        np.testing.assert_allclose(s, s.T)
+        s = structure_from_matrix(a).to_scipy("pattern").toarray()
+        np.testing.assert_array_equal(s, [[1.0, 1.0], [1.0, 1.0]])
 
-    def test_and_mode_intersects_patterns(self):
-        a = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [4.0, 1.0, 5.0], [0.0, 0.0, 1.0]]))
-        s = symmetrize(a, mode="and").toarray()
-        assert s[0, 1] == pytest.approx(3.0)  # (2+4)/2, present in both patterns
-        assert s[1, 2] == 0.0  # only one triangle had the entry
-        np.testing.assert_allclose(s, s.T)
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            symmetrize(np.eye(2), mode="xor")
-
-    def test_symmetric_input_unchanged(self):
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(symmetrize(a).toarray(), a)
+    def test_symmetric_input_keeps_its_structure(self):
+        a = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+        s = structure_from_matrix(a).to_scipy("pattern").toarray()
+        np.testing.assert_array_equal(s, a != 0)
 
 
 class TestPermuteSymmetric:
