@@ -157,8 +157,31 @@ from repro.collections.registry import (
 from repro.eigen.fiedler import FIEDLER_METHODS, fiedler_vector
 from repro.orderings.registry import ORDERING_ALGORITHMS, PAPER_ALGORITHMS
 from repro.sparse.ops import permute_symmetric, structure_from_matrix
+from repro.utils.validation import require_positive_finite
 
 __all__ = ["main", "build_parser"]
+
+
+class _UsageError(Exception):
+    """A malformed command-line argument; :func:`main` prints it and exits 2."""
+
+
+def _problem_reference(source: str):
+    """``(NAME, scale)`` of a ``problem:NAME[@SCALE]`` input, or ``None``
+    for a file path.  The scale is ``None`` without ``@``.
+
+    Raises :class:`_UsageError` when the text after ``@`` is not a positive,
+    finite number, an empty one included.
+    """
+    if not source.startswith("problem:"):
+        return None
+    name, at, scale_text = source[len("problem:"):].partition("@")
+    if not at:
+        return name.strip().upper(), None
+    try:
+        return name.strip().upper(), require_positive_finite(scale_text, "scale")
+    except ValueError as exc:
+        raise _UsageError(f"{source}: {exc}") from None
 
 
 def _load_input(source: str):
@@ -167,13 +190,9 @@ def _load_input(source: str):
     Returns ``(pattern, matrix_or_none, label)``: the structure, the
     values-carrying matrix when one exists (file inputs), and a display label.
     """
-    if source.startswith("problem:"):
-        reference = source[len("problem:") :]
-        if "@" in reference:
-            name, scale_text = reference.split("@", 1)
-            scale = float(scale_text)
-        else:
-            name, scale = reference, None
+    reference = _problem_reference(source)
+    if reference is not None:
+        name, scale = reference
         pattern, spec = load_problem(name, scale=scale)
         return pattern, None, f"{spec.name} surrogate (n={pattern.n})"
     from repro.sparse.io_hb import read_harwell_boeing
@@ -934,14 +953,11 @@ def _order_request_payload(args) -> dict:
     }
     if args.timeout_s is not None:
         payload["timeout_s"] = args.timeout_s
-    if args.input.startswith("problem:"):
-        reference = args.input[len("problem:"):]
-        if "@" in reference:
-            name, scale_text = reference.split("@", 1)
-            payload["scale"] = float(scale_text)
-        else:
-            name = reference
-        payload["problem"] = name.strip().upper()
+    reference = _problem_reference(args.input)
+    if reference is not None:
+        payload["problem"], scale = reference
+        if scale is not None:
+            payload["scale"] = scale
     else:
         pattern, _matrix, _label = _load_input(args.input)
         payload["csr"] = {
@@ -1009,20 +1025,17 @@ def _cmd_order(args) -> int:
         from repro.serve import inline_label
         from repro.store.spectral import pattern_digest
 
-        scale = None
-        if args.input.startswith("problem:"):
-            reference = args.input[len("problem:"):]
-            name, _, scale_text = reference.partition("@")
-            scale = float(scale_text) if scale_text else None
-            label, pattern = name.strip().upper(), None
-            registered = True
+        reference = _problem_reference(args.input)
+        if reference is not None:
+            label, scale = reference
+            pattern, registered = None, True
         else:
             try:
                 pattern, _matrix, _label = _load_input(args.input)
             except (OSError, ValueError) as exc:
                 print(f"cannot load {args.input}: {exc}", file=sys.stderr)
                 return 2
-            label, registered = inline_label(pattern_digest(pattern)), False
+            label, scale, registered = inline_label(pattern_digest(pattern)), None, False
         try:
             task = build_task(label, args.algorithm, scale=scale,
                               options=_algorithm_options(args),
@@ -1591,8 +1604,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnknownProblemError as exc:
-        # Structured unknown-problem errors (with near-miss suggestions)
-        # exit 2 like every other usage error, never as a traceback.
+    except (UnknownProblemError, _UsageError) as exc:
+        # Structured unknown-problem errors (with near-miss suggestions) and
+        # malformed arguments exit 2 like every other usage error, never as
+        # a traceback.
         print(exc, file=sys.stderr)
         return 2

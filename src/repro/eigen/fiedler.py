@@ -36,7 +36,7 @@ from repro.eigen.workspace import spectral_workspace
 from repro.sparse.ops import structure_from_matrix
 from repro.utils.rng import default_rng
 
-__all__ = ["FiedlerResult", "fiedler_vector", "FIEDLER_METHODS"]
+__all__ = ["FiedlerResult", "fiedler_vector", "FIEDLER_METHODS", "FIEDLER_SOLVERS"]
 
 #: Methods accepted by :func:`fiedler_vector`.
 FIEDLER_METHODS = ("auto", "dense", "lanczos", "multilevel", "eigsh", "lobpcg")
@@ -267,3 +267,13 @@ def _fiedler_lobpcg(laplacian, *, tol: float, rng, maxiter: int = 500):
     eigenvalue = float(values[0])
     residual = float(np.linalg.norm(laplacian @ vector - eigenvalue * vector))
     return eigenvalue, vector, residual, residual <= tol * max(1.0, abs(eigenvalue))
+
+
+#: The solver each iterative method runs: the ``**solver_options`` of
+#: :func:`fiedler_vector` are keyword arguments of the resolved method's.
+FIEDLER_SOLVERS = {
+    "lanczos": lanczos_smallest_nontrivial,
+    "multilevel": multilevel_fiedler,
+    "eigsh": _fiedler_eigsh,
+    "lobpcg": _fiedler_lobpcg,
+}

@@ -16,12 +16,13 @@ Robustness addition (documented deviation from the paper): RQI converges to
 the eigenpair *nearest its starting Rayleigh quotient*, which on graphs with
 clustered low eigenvalues (unstructured meshes, random geometric graphs) can
 be ``lambda_3`` or higher when the piecewise-constant interpolation is rough.
-To keep the solver reliable on such graphs a small *block* of the lowest
-coarse eigenvectors (``block_size``, default 3) is carried up the hierarchy
-and refined with a few warm-started LOBPCG iterations per level, with the
-constant vector constrained out.  The leading refined vector is still passed
-through RQI exactly as the paper describes; the block is the safety net that
-keeps it attached to the bottom of the spectrum.
+To keep the solver reliable on such graphs a small *block* of the three
+lowest coarse eigenvectors is carried up the hierarchy and refined with a
+few warm-started LOBPCG iterations per level (20 at the finest level and in
+the final polish, 10 below), with the constant vector constrained out.  The
+leading refined vector is still passed through RQI exactly as the paper
+describes; the block is the safety net that keeps it attached to the bottom
+of the spectrum.
 
 Hot-path layout: the Laplacian, the component split and the coarsening
 hierarchy (plus one prebuilt Laplacian per level) come from the shared
@@ -29,8 +30,8 @@ hierarchy (plus one prebuilt Laplacian per level) come from the shared
 pattern, so repeated solves — ``spectral`` and ``hybrid`` cells of one suite
 problem, bench repeats, the two sort directions of Algorithm 1 — never
 re-coarsen or re-assemble a matrix.  Per-level refinement bounds the RQI
-inner MINRES sweep (``rqi_inner_iter``, default 80 — the tail of a long
-MINRES sweep polishes digits the next level's interpolation throws away) and
+inner MINRES sweep (at most 80 iterations: the tail of a long MINRES sweep
+polishes digits the next level's interpolation throws away) and
 relaxes the intermediate-level LOBPCG tolerance to ``1e-6`` so converged
 levels exit early; the finest level and the final polish still run at the
 caller's ``tol``.  A warm-started Lanczos guard then tries to close a
@@ -53,7 +54,6 @@ from repro.eigen.lanczos import deflate_constant, lanczos_smallest_nontrivial
 from repro.eigen.rqi import rayleigh_quotient, rayleigh_quotient_iteration
 from repro.eigen.workspace import spectral_workspace
 from repro.graph.coarsen import interpolate_block
-from repro.graph.laplacian import laplacian_matrix
 from repro.sparse.pattern import SymmetricPattern
 from repro.utils.rng import default_rng
 
@@ -65,13 +65,19 @@ __all__ = ["MultilevelResult", "multilevel_fiedler"]
 #: final polish always use the caller's ``tol``.
 _INTERMEDIATE_TOL = 1e-6
 
-#: Default cap on MINRES iterations inside each per-level RQI refinement.
+#: Cap on MINRES iterations inside each per-level RQI refinement.
 _RQI_INNER_CAP = 80
 
-#: LOBPCG sweep budget at *intermediate* levels (the finest level and the
-#: final polish run the caller's full ``lobpcg_steps``): the next
-#: interpolation discards most of the extra accuracy, and the finest-level
-#: sweep, polish and guard decide the final residual.
+#: Low eigenvector approximations carried up the hierarchy (the robustness
+#: block of the module docstring; 1 would be the paper's single vector).
+_BLOCK_SIZE = 3
+
+#: Warm-started LOBPCG iterations at the finest level and in the final polish.
+_LOBPCG_STEPS = 20
+
+#: LOBPCG sweep budget at *intermediate* levels: the next interpolation
+#: discards most of the extra accuracy, and the finest-level sweep, polish
+#: and guard decide the final residual.
 _INTERMEDIATE_LOBPCG_STEPS = 10
 
 #: The warm-started Lanczos guard only runs when the residual is within this
@@ -135,33 +141,27 @@ def _orthonormal_block(block: np.ndarray, rng) -> np.ndarray:
     return q
 
 
-def _coarse_block_solve(pattern: SymmetricPattern, block_size: int, tol: float,
-                        rng, lap=None):
-    """Smallest nontrivial eigenpairs of the coarsest graph.
+def _coarse_block_solve(lap, tol: float, rng) -> np.ndarray:
+    """Smallest nontrivial eigenvectors of the coarsest graph's Laplacian *lap*.
 
     The coarsest graph normally has at most ``coarsest_size`` (about 100)
     vertices and is solved densely.  If the contraction stalled early (for
     example on star-like graphs whose maximal independent set is almost the
     whole vertex set) the coarsest graph can still be large; then a
-    constrained LOBPCG solve from a random block is used instead.  *lap* is
-    the prebuilt Laplacian from the workspace plan (built here otherwise).
+    constrained LOBPCG solve from a random block is used instead.
     """
-    if lap is None:
-        lap = laplacian_matrix(pattern)
-    n = pattern.n
-    k = int(min(block_size, max(1, n - 1)))
+    n = lap.shape[0]
+    k = int(min(_BLOCK_SIZE, max(1, n - 1)))
     if n <= 600:
-        values, vectors = np.linalg.eigh(lap.toarray())
+        _values, vectors = np.linalg.eigh(lap.toarray())
         block = vectors[:, 1 : 1 + k]
-        leading = float(values[1]) if n > 1 else 0.0
     else:
         start = _orthonormal_block(rng.standard_normal((n, k)), rng)
-        values, block = _lobpcg_refine(lap, start, tol=tol, maxiter=300)
-        leading = float(values[0])
+        _values, block = _lobpcg_refine(lap, start, tol=tol, maxiter=300)
     if block.shape[1] < k:  # pad with random deflated columns for tiny graphs
         pad = rng.standard_normal((n, k - block.shape[1]))
         block = np.hstack([block, pad])
-    return leading, _orthonormal_block(block, rng)
+    return _orthonormal_block(block, rng)
 
 
 def _lobpcg_refine(laplacian, block: np.ndarray, tol: float, maxiter: int):
@@ -197,12 +197,7 @@ def multilevel_fiedler(
     coarsest_size: int = 100,
     tol: float = 1e-8,
     rqi_steps: int = 2,
-    block_size: int = 3,
-    lobpcg_steps: int = 20,
-    max_levels: int = 50,
     rng=None,
-    mis_strategy: str = "degree",
-    rqi_inner_iter: int | None = None,
 ) -> MultilevelResult:
     """Compute the Fiedler vector with the multilevel contract/interpolate/refine scheme.
 
@@ -219,22 +214,11 @@ def multilevel_fiedler(
         result (intermediate levels use ``max(tol, 1e-6)``; see module
         docstring).
     rqi_steps:
-        Maximum RQI steps applied to the leading vector at each level ("one or
-        perhaps two" usually suffice).
-    block_size:
-        Number of low eigenvector approximations carried up the hierarchy
-        (robustness block; 1 reproduces the paper's single-vector scheme).
-    lobpcg_steps:
-        Warm-started LOBPCG iterations per level used to refine the block.
-    max_levels:
-        Safety cap on the number of contraction levels.
+        Maximum RQI steps applied to the leading vector at the finest level
+        ("one or perhaps two" usually suffice); coarser levels take at most
+        one.
     rng:
-        Seed or generator for random fallbacks and the MIS strategy.
-    mis_strategy:
-        Vertex scan order used by the maximal-independent-set coarsener.
-    rqi_inner_iter:
-        Cap on MINRES iterations inside each RQI refinement (default
-        ``min(n, 80)`` per level).
+        Seed or generator for the random fallbacks.
 
     Returns
     -------
@@ -244,13 +228,9 @@ def multilevel_fiedler(
     if n < 2:
         raise ValueError("the graph must have at least 2 vertices")
     rng = default_rng(rng)
-    block_size = int(max(1, block_size))
 
     workspace = spectral_workspace(pattern)
-    hierarchy, level_laps = workspace.hierarchy(
-        coarsest_size, max_levels, mis_strategy, rng
-    )
-    coarsest_pattern = hierarchy[-1].coarse_pattern if hierarchy else pattern
+    hierarchy, level_laps = workspace.hierarchy(coarsest_size)
     level_sizes = [pattern.n] + [lvl.coarse_pattern.n for lvl in hierarchy]
 
     # The finest-level Laplacian is shared by every refinement sweep, the
@@ -259,16 +239,10 @@ def multilevel_fiedler(
     full_lap = workspace.laplacian()
     coarsest_lap = level_laps[-1] if hierarchy else full_lap
 
-    inner_cap = rqi_inner_iter
-    if inner_cap is None:
-        inner_cap = _RQI_INNER_CAP
     mid_tol = max(tol, _INTERMEDIATE_TOL)
-    mid_steps = min(lobpcg_steps, _INTERMEDIATE_LOBPCG_STEPS)
 
     # --- coarse solve --------------------------------------------------- #
-    _coarse_value, block = _coarse_block_solve(
-        coarsest_pattern, block_size, tol, rng, lap=coarsest_lap
-    )
+    block = _coarse_block_solve(coarsest_lap, tol, rng)
     coarse_iterations = 0  # dense coarse solve: no Lanczos iterations to report
 
     # --- interpolate + refine up the hierarchy --------------------------- #
@@ -289,7 +263,7 @@ def multilevel_fiedler(
         refined = rayleigh_quotient_iteration(
             fine_lap, block[:, 0], tol=level_tol,
             max_iter=rqi_steps if idx == 0 else min(rqi_steps, 1),
-            inner_iter=min(fine_n, inner_cap),
+            inner_iter=min(fine_n, _RQI_INNER_CAP),
         )
         refinement_iterations += refined.iterations
         block[:, 0] = refined.eigenvector
@@ -299,25 +273,19 @@ def multilevel_fiedler(
         # full budget at the finest level (it owns the residual contract
         # together with the polish below), reduced budget at intermediate
         # levels whose extra digits the next interpolation discards.
-        level_steps = lobpcg_steps if idx == 0 else mid_steps
+        level_steps = _LOBPCG_STEPS if idx == 0 else _INTERMEDIATE_LOBPCG_STEPS
         _values, block = _lobpcg_refine(
             fine_lap, block, tol=level_tol, maxiter=level_steps
         )
         block = _orthonormal_block(block, rng)
 
     # --- final polish / bookkeeping on the original graph ----------------- #
-    if not hierarchy:
-        vector = deflate_constant(block[:, 0])
-        vector /= np.linalg.norm(vector)
-        rho = rayleigh_quotient(full_lap, vector)
-        residual = float(np.linalg.norm(full_lap @ vector - rho * vector))
-    else:
+    vector, rho, residual = _leading_residual(full_lap, block)
+    if hierarchy and residual > tol * max(1.0, abs(rho)):
+        _values, block = _lobpcg_refine(
+            full_lap, block, tol=tol, maxiter=_LOBPCG_STEPS
+        )
         vector, rho, residual = _leading_residual(full_lap, block)
-        if residual > tol * max(1.0, abs(rho)):
-            _values, block = _lobpcg_refine(
-                full_lap, block, tol=tol, maxiter=lobpcg_steps
-            )
-            vector, rho, residual = _leading_residual(full_lap, block)
 
     tol_bar = tol * max(1.0, abs(rho))
     if tol_bar < residual <= _GUARD_RESIDUAL_WINDOW * tol_bar:

@@ -25,13 +25,10 @@ existing object flow with no new plumbing:
 
 Everything memoized here is a deterministic pure function of the immutable
 structure: Laplacian assembly, the component split, the pseudo-peripheral
-searches, and the coarsening hierarchy under the deterministic MIS
-strategies (``"degree"``/``"natural"``).
-The one stochastic case — ``mis_strategy="random"`` — draws from the caller's
-rng, so it is computed fresh on every call and never cached: a warm run must
-consume exactly the random stream a cold run does.  Warm-vs-cold
-byte-identity for every registered spectral/hybrid algorithm is pinned by
-``tests/test_spectral_workspace.py``.
+searches, and the coarsening hierarchy, whose degree-order independent sets
+draw no random numbers, so a warm run consumes exactly the random stream a
+cold run does.  Warm-vs-cold byte-identity for every registered
+spectral/hybrid algorithm is pinned by ``tests/test_spectral_workspace.py``.
 
 Memory: a workspace lives exactly as long as its pattern; dropping the
 pattern (e.g. :func:`repro.batch.engine.clear_problem_cache`) drops the plan
@@ -67,10 +64,6 @@ import numpy as np
 
 __all__ = ["SpectralWorkspace", "spectral_workspace"]
 
-#: MIS scan strategies that never draw from the rng — only their hierarchies
-#: may be cached (see module docstring).
-_DETERMINISTIC_MIS = ("degree", "natural")
-
 #: Weak reference to the one workspace whose hierarchies this process keeps
 #: (see the module docstring), or ``None``.
 _hierarchy_holder = None
@@ -94,7 +87,6 @@ class SpectralWorkspace:
             "components_builds": 0, "components_hits": 0,
             "split_builds": 0, "split_hits": 0,
             "hierarchy_builds": 0, "hierarchy_hits": 0,
-            "hierarchy_uncached": 0,
             "peripheral_builds": 0, "peripheral_hits": 0,
             "diameter_builds": 0, "diameter_hits": 0,
         }
@@ -172,7 +164,7 @@ class SpectralWorkspace:
     # ------------------------------------------------------------------ #
     # coarsening hierarchy
     # ------------------------------------------------------------------ #
-    def hierarchy(self, coarsest_size: int, max_levels: int, strategy: str, rng):
+    def hierarchy(self, coarsest_size: int):
         """``(levels, level_laplacians)`` of the contraction hierarchy.
 
         ``levels`` is :func:`repro.graph.coarsen.coarsening_hierarchy`'s
@@ -181,22 +173,13 @@ class SpectralWorkspace:
         interpolation → refinement sweep reuse one prebuilt CSR per level
         instead of re-assembling and re-symmetrizing).
 
-        Deterministic MIS strategies are memoized per
-        ``(coarsest_size, max_levels, strategy)``, in one workspace per
-        process at a time; ``"random"`` consumes the caller's rng and is
-        rebuilt on every call (cold-path identity).
+        Memoized per ``coarsest_size``, in one workspace per process at a
+        time.
         """
         from repro.graph.coarsen import coarsening_hierarchy
         from repro.graph.laplacian import laplacian_matrix
 
-        key = (int(coarsest_size), int(max_levels), str(strategy))
-        if strategy not in _DETERMINISTIC_MIS:
-            self.info["hierarchy_uncached"] += 1
-            levels = coarsening_hierarchy(
-                self.pattern, coarsest_size=coarsest_size,
-                max_levels=max_levels, rng=rng, strategy=strategy,
-            )
-            return levels, [laplacian_matrix(lvl.coarse_pattern) for lvl in levels]
+        key = int(coarsest_size)
         cached = self._hierarchies.get(key)
         if cached is None:
             self._hold_hierarchies()
@@ -205,16 +188,13 @@ class SpectralWorkspace:
 
             store = get_default_store()
             levels = (None if store is None
-                      else codecs.load_hierarchy(store, self.digest(), *key))
+                      else codecs.load_hierarchy(store, self.digest(), key))
             if levels is None:
-                levels = coarsening_hierarchy(
-                    self.pattern, coarsest_size=coarsest_size,
-                    max_levels=max_levels, rng=rng, strategy=strategy,
-                )
+                levels = coarsening_hierarchy(self.pattern, coarsest_size=coarsest_size)
                 self.info["hierarchy_builds"] += 1
                 if store is not None:
                     try:
-                        codecs.save_hierarchy(store, self.digest(), *key, levels)
+                        codecs.save_hierarchy(store, self.digest(), key, levels)
                     except OSError:
                         pass  # a read-only/full store must never fail the solve
             cached = (levels, [laplacian_matrix(lvl.coarse_pattern) for lvl in levels])

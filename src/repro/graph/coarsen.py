@@ -15,7 +15,9 @@ operations:
   ("typically 100" vertices in the paper).
 
 This module provides those three pieces; the eigen-solver that consumes them
-lives in :mod:`repro.eigen.multilevel`.
+lives in :mod:`repro.eigen.multilevel`.  The independent set is always the
+greedy scan in nondecreasing degree order, which draws no random numbers, so
+a hierarchy is a pure function of the structure and ``coarsest_size``.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sparse.pattern import SymmetricPattern
-from repro.utils.rng import default_rng
 
 __all__ = [
+    "MAX_LEVELS",
     "maximal_independent_set",
     "coarsen_graph",
     "coarsening_hierarchy",
@@ -35,24 +37,15 @@ __all__ = [
     "CoarseLevel",
 ]
 
+#: Safety cap on the number of contraction levels of a hierarchy.
+MAX_LEVELS = 50
 
-def maximal_independent_set(
-    pattern: SymmetricPattern,
-    rng=None,
-    strategy: str = "degree",
-) -> np.ndarray:
+
+def maximal_independent_set(pattern: SymmetricPattern) -> np.ndarray:
     """Greedy maximal independent set of the graph.
 
-    Parameters
-    ----------
-    pattern:
-        Adjacency structure.
-    rng:
-        Random generator (or seed) used when *strategy* is ``"random"``.
-    strategy:
-        Vertex scan order: ``"degree"`` (nondecreasing degree — produces a
-        large independent set, the default), ``"natural"`` (index order), or
-        ``"random"`` (uniformly random order).
+    Vertices are scanned in nondecreasing degree order (stable, so ties go
+    by index): low-degree vertices first give a large independent set.
 
     Returns
     -------
@@ -63,14 +56,7 @@ def maximal_independent_set(
     n = pattern.n
     if n == 0:
         return np.empty(0, dtype=np.intp)
-    if strategy == "degree":
-        order = np.argsort(pattern.degree(), kind="stable")
-    elif strategy == "natural":
-        order = np.arange(n, dtype=np.intp)
-    elif strategy == "random":
-        order = default_rng(rng).permutation(n).astype(np.intp)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    order = np.argsort(pattern.degree(), kind="stable")
 
     # The sequential greedy scan selects v iff no scan-earlier neighbor was
     # selected — i.e. the lexicographically-first MIS under the scan ranking.
@@ -169,11 +155,7 @@ class CoarseLevel:
     domain_of: np.ndarray
 
 
-def coarsen_graph(
-    pattern: SymmetricPattern,
-    rng=None,
-    strategy: str = "degree",
-) -> CoarseLevel:
+def coarsen_graph(pattern: SymmetricPattern) -> CoarseLevel:
     """Contract the graph by one level (maximal independent set + domain growing).
 
     Domains are grown from the independent-set vertices breadth-first and
@@ -186,7 +168,7 @@ def coarsen_graph(
     in the independent set), so the coarse graph never loses components.
     """
     n = pattern.n
-    mis = maximal_independent_set(pattern, rng=rng, strategy=strategy)
+    mis = maximal_independent_set(pattern)
     n_coarse = mis.size
     domain_of = np.full(n, -1, dtype=np.intp)
     domain_of[mis] = np.arange(n_coarse, dtype=np.intp)
@@ -216,19 +198,15 @@ def coarsen_graph(
 
 
 def coarsening_hierarchy(
-    pattern: SymmetricPattern,
-    coarsest_size: int = 100,
-    max_levels: int = 50,
-    rng=None,
-    strategy: str = "degree",
+    pattern: SymmetricPattern, coarsest_size: int = 100
 ) -> list[CoarseLevel]:
     """Build the full contraction hierarchy down to ``coarsest_size`` vertices.
 
     Contraction stops when the graph has at most *coarsest_size* vertices
-    ("typically 100" in the paper), when *max_levels* levels have been built,
-    or when a contraction fails to shrink the graph (possible on pathological
-    graphs such as stars, where the independent set is almost the whole
-    vertex set).
+    ("typically 100" in the paper), when :data:`MAX_LEVELS` levels have been
+    built, or when a contraction fails to shrink the graph (possible on
+    pathological graphs such as stars, where the independent set is almost
+    the whole vertex set).
 
     Returns
     -------
@@ -237,13 +215,12 @@ def coarsening_hierarchy(
         is the coarsest graph.  The list is empty when the input is already
         small enough.
     """
-    rng = default_rng(rng)
     levels: list[CoarseLevel] = []
     current = pattern
-    for _ in range(max_levels):
+    for _ in range(MAX_LEVELS):
         if current.n <= coarsest_size:
             break
-        level = coarsen_graph(current, rng=rng, strategy=strategy)
+        level = coarsen_graph(current)
         if level.coarse_pattern.n >= current.n:
             break  # no progress; stop rather than loop forever
         levels.append(level)

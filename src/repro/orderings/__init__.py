@@ -31,7 +31,7 @@ from repro.orderings.gps import gps_ordering
 from repro.orderings.gibbs_king import gibbs_king_ordering
 from repro.orderings.king import king_ordering, reverse_king_ordering
 from repro.orderings.sloan import sloan_ordering
-from repro.orderings.spectral import SpectralOrderingResult, spectral_ordering
+from repro.orderings.spectral import spectral_ordering
 from repro.orderings.hybrid import hybrid_spectral_ordering
 from repro.orderings.registry import ORDERING_ALGORITHMS, get_ordering_algorithm
 
@@ -48,7 +48,6 @@ __all__ = [
     "reverse_king_ordering",
     "sloan_ordering",
     "spectral_ordering",
-    "SpectralOrderingResult",
     "hybrid_spectral_ordering",
     "ORDERING_ALGORITHMS",
     "get_ordering_algorithm",

@@ -22,12 +22,19 @@ from typing import Callable
 
 import numpy as np
 
+from repro.envelope.metrics import envelope_size
 from repro.sparse.ops import structure_from_matrix
 from repro.sparse.pattern import SymmetricPattern
 from repro.utils.rng import default_rng
 from repro.utils.validation import check_permutation
 
-__all__ = ["Ordering", "identity_ordering", "random_ordering", "order_by_components"]
+__all__ = [
+    "Ordering",
+    "identity_ordering",
+    "random_ordering",
+    "order_by_components",
+    "forward_or_reverse",
+]
 
 
 @dataclass(frozen=True)
@@ -105,6 +112,16 @@ def random_ordering(n: int, rng=None) -> Ordering:
     """A uniformly random ordering (baseline / stress-testing)."""
     generator = default_rng(rng)
     return Ordering(generator.permutation(n).astype(np.intp), algorithm="random")
+
+
+def forward_or_reverse(pattern: SymmetricPattern, forward: np.ndarray) -> np.ndarray:
+    """*forward* or its reverse, whichever has the smaller envelope on
+    *pattern* (*forward* on a tie): the last step of the GPS, GK and King
+    numberings of a component."""
+    backward = forward[::-1].copy()
+    if envelope_size(pattern, backward) < envelope_size(pattern, forward):
+        return backward
+    return forward
 
 
 def order_by_components(

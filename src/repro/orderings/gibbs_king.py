@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.envelope.metrics import envelope_size
-from repro.orderings.base import Ordering, order_by_components
+from repro.orderings.base import Ordering, forward_or_reverse, order_by_components
 from repro.orderings.gps import combined_level_structure, number_by_levels
 from repro.sparse.pattern import SymmetricPattern
 
@@ -34,10 +33,7 @@ def _gk_component(pattern: SymmetricPattern) -> np.ndarray:
         return np.zeros(1, dtype=np.intp)
     levels, _height, start, _end = combined_level_structure(pattern)
     forward = number_by_levels(pattern, levels, start, tie_break="king")
-    backward = forward[::-1].copy()
-    if envelope_size(pattern, backward) < envelope_size(pattern, forward):
-        return backward
-    return forward
+    return forward_or_reverse(pattern, forward)
 
 
 def gibbs_king_ordering(pattern) -> Ordering:

@@ -33,10 +33,9 @@ import operator
 
 import numpy as np
 
-from repro.envelope.metrics import envelope_size
 from repro.graph.components import connected_components
 from repro.graph.peripheral import pseudo_diameter
-from repro.orderings.base import Ordering, order_by_components
+from repro.orderings.base import Ordering, forward_or_reverse, order_by_components
 from repro.sparse.pattern import SymmetricPattern
 
 __all__ = ["gps_ordering", "combined_level_structure", "number_by_levels"]
@@ -258,10 +257,7 @@ def _gps_component(pattern: SymmetricPattern) -> np.ndarray:
         return np.zeros(1, dtype=np.intp)
     levels, _height, start, _end = combined_level_structure(pattern)
     forward = number_by_levels(pattern, levels, start, tie_break="degree")
-    backward = forward[::-1].copy()
-    if envelope_size(pattern, backward) < envelope_size(pattern, forward):
-        return backward
-    return forward
+    return forward_or_reverse(pattern, forward)
 
 
 def gps_ordering(pattern) -> Ordering:

@@ -4,20 +4,14 @@
     on the adjacency structure to improve the envelope parameters obtained
     from the spectral method."
 
-Two local strategies are provided on top of the spectral ordering:
+The local pass converts the spectral ordering into an *adjacency ordering*
+(Section 2.4): starting from the vertex with the smallest Fiedler component
+(in the winning sort direction), repeatedly number the front vertex (a
+vertex adjacent to the numbered set) with the smallest Fiedler component.
+This keeps the global shape of the spectral ordering while guaranteeing the
+adjacency property that makes frontwidths small.
 
-* ``"adjacency"`` (default) — convert the spectral ordering into an
-  *adjacency ordering* (Section 2.4): starting from the vertex with the
-  smallest Fiedler component, repeatedly number the front vertex (a vertex
-  adjacent to the numbered set) with the smallest Fiedler component.  This
-  keeps the global shape of the spectral ordering while guaranteeing the
-  adjacency property that makes frontwidths small.
-* ``"window"`` — a sliding-window local search: within every window of
-  ``window`` consecutive positions, greedily move the vertex whose relocation
-  most reduces the envelope size (first-improvement, a bounded number of
-  sweeps).
-
-Both refinements never return an ordering with a larger envelope than the
+The refinement never returns an ordering with a larger envelope than the
 plain spectral one — the better of the refined and original orderings is kept.
 """
 
@@ -67,62 +61,28 @@ def _adjacency_refine(pattern: SymmetricPattern, priorities: np.ndarray) -> np.n
     return order
 
 
-def _window_refine(
-    pattern: SymmetricPattern, perm: np.ndarray, window: int, sweeps: int
-) -> np.ndarray:
-    """Bounded sliding-window first-improvement search on the envelope size."""
-    best = perm.copy()
-    best_size = envelope_size(pattern, best)
-    n = best.size
-    for _ in range(sweeps):
-        improved = False
-        for start in range(0, max(1, n - window + 1), max(1, window // 2)):
-            stop = min(n, start + window)
-            for i in range(start, stop):
-                for j in range(i + 1, stop):
-                    candidate = best.copy()
-                    candidate[i], candidate[j] = candidate[j], candidate[i]
-                    size = envelope_size(pattern, candidate)
-                    if size < best_size:
-                        best, best_size = candidate, size
-                        improved = True
-        if not improved:
-            break
-    return best
-
-
 def hybrid_spectral_ordering(
     pattern,
     *,
-    strategy: str = "adjacency",
     method: str = "auto",
     tol: float = 1e-8,
     rng=None,
-    window: int = 16,
-    sweeps: int = 2,
     **solver_options,
 ) -> Ordering:
-    """Spectral ordering followed by a local refinement pass.
+    """Spectral ordering followed by the adjacency refinement pass.
 
     Parameters
     ----------
     pattern:
         Matrix structure.
-    strategy:
-        ``"adjacency"`` or ``"window"`` (see module docstring).
     method, tol, rng, **solver_options:
         Passed to the underlying spectral ordering / Fiedler solver.
-    window, sweeps:
-        Parameters of the ``"window"`` strategy.
 
     Returns
     -------
     Ordering
-        ``algorithm == "hybrid-spectral"``; metadata records the strategy and
-        whether the refinement actually improved the envelope.
+        ``algorithm == "hybrid-spectral"``.
     """
-    if strategy not in ("adjacency", "window"):
-        raise ValueError(f"strategy must be 'adjacency' or 'window', got {strategy!r}")
     pattern = structure_from_matrix(pattern)
 
     def _component(sub: SymmetricPattern) -> np.ndarray:
@@ -131,16 +91,11 @@ def hybrid_spectral_ordering(
         if sub.n <= 2:
             return base
         base_size = envelope_size(sub, base)
-        if strategy == "adjacency":
-            detail = details[-1] if details and details[-1] is not None else None
-            if detail is None:
-                return base
-            vec = np.asarray(detail["fiedler_vector"], dtype=np.float64)
-            if detail["direction"] == "nonincreasing":
-                vec = -vec
-            refined = _adjacency_refine(sub, vec)
-        else:
-            refined = _window_refine(sub, base, window=window, sweeps=sweeps)
+        detail = details[-1]
+        vec = np.asarray(detail["fiedler_vector"], dtype=np.float64)
+        if detail["direction"] == "nonincreasing":
+            vec = -vec
+        refined = _adjacency_refine(sub, vec)
         if envelope_size(sub, refined) <= base_size:
             return refined
         return base
@@ -149,5 +104,5 @@ def hybrid_spectral_ordering(
         pattern,
         _component,
         algorithm="hybrid-spectral",
-        metadata={"strategy": strategy, "method": method},
+        metadata={"method": method},
     )

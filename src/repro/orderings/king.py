@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.envelope.metrics import envelope_size
 from repro.graph.peripheral import pseudo_peripheral_node
-from repro.orderings.base import Ordering, order_by_components
+from repro.orderings.base import Ordering, forward_or_reverse, order_by_components
 from repro.orderings.gps import number_by_levels
 from repro.sparse.pattern import SymmetricPattern
 
@@ -31,10 +30,7 @@ def _king_component(pattern: SymmetricPattern) -> np.ndarray:
     # Unreached vertices cannot exist on a connected component, but clamp for safety.
     levels[levels < 0] = int(levels.max(initial=0)) + 1
     forward = number_by_levels(pattern, levels, int(root), tie_break="king")
-    backward = forward[::-1].copy()
-    if envelope_size(pattern, backward) < envelope_size(pattern, forward):
-        return backward
-    return forward
+    return forward_or_reverse(pattern, forward)
 
 
 def king_ordering(pattern) -> Ordering:

@@ -24,8 +24,6 @@ which preserves the per-component envelope optimality properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.envelope.metrics import envelope_size
@@ -34,39 +32,7 @@ from repro.orderings.base import Ordering, order_by_components
 from repro.sparse.ops import structure_from_matrix
 from repro.sparse.pattern import SymmetricPattern
 
-__all__ = ["SpectralOrderingResult", "spectral_ordering", "ordering_from_vector"]
-
-
-@dataclass(frozen=True)
-class SpectralOrderingResult:
-    """Detailed result of a spectral ordering on a *connected* pattern.
-
-    Attributes
-    ----------
-    ordering:
-        The chosen :class:`Ordering` (nondecreasing or nonincreasing sort,
-        whichever gives the smaller envelope).
-    fiedler_value:
-        Estimate of ``lambda_2``.
-    fiedler_vector:
-        The eigenvector used (original vertex numbering).
-    direction:
-        ``"nondecreasing"`` or ``"nonincreasing"`` — the winning sort
-        direction of Algorithm 1 step 3.
-    envelope_nondecreasing / envelope_nonincreasing:
-        Envelope sizes of the two candidate orderings.
-    solver:
-        Eigen-solver used (after ``auto`` resolution).
-    """
-
-    ordering: Ordering
-    fiedler_value: float
-    fiedler_vector: np.ndarray
-    direction: str
-    envelope_nondecreasing: int
-    envelope_nonincreasing: int
-    solver: str = "auto"
-    extra: dict = field(default_factory=dict)
+__all__ = ["spectral_ordering", "ordering_from_vector"]
 
 
 def ordering_from_vector(
@@ -153,9 +119,8 @@ def spectral_ordering(
     method: str = "auto",
     tol: float = 1e-8,
     rng=None,
-    return_details: bool = False,
     **solver_options,
-):
+) -> Ordering:
     """Spectral envelope-reducing ordering (Algorithm 1).
 
     Parameters
@@ -170,17 +135,18 @@ def spectral_ordering(
         Eigen-residual tolerance.
     rng:
         Seed or generator for the iterative solvers.
-    return_details:
-        If true, return a :class:`SpectralOrderingResult` (connected input
-        only — with several components the per-component details are attached
-        to ``Ordering.metadata["components"]`` instead).
     **solver_options:
         Extra options forwarded to the eigen-solver (e.g. ``coarsest_size``;
         see :func:`repro.eigen.fiedler.fiedler_vector`).
 
     Returns
     -------
-    Ordering or SpectralOrderingResult
+    Ordering
+        ``metadata["components"]`` holds, for each component of more than
+        one vertex, the Fiedler value and vector, the winning sort
+        direction, the envelope sizes of both directions, the solver and
+        whether it converged; ``direction``, ``fiedler_value`` and
+        ``solver`` repeat the first component's.
     """
     pattern = structure_from_matrix(pattern)
     details: list = []
@@ -197,19 +163,4 @@ def spectral_ordering(
         ordering.metadata["direction"] = component_details[0]["direction"]
         ordering.metadata["fiedler_value"] = component_details[0]["fiedler_value"]
         ordering.metadata["solver"] = component_details[0]["solver"]
-
-    if not return_details:
-        return ordering
-    if not component_details:
-        raise ValueError("return_details requires at least one nontrivial component")
-    first = component_details[0]
-    return SpectralOrderingResult(
-        ordering=ordering,
-        fiedler_value=float(first["fiedler_value"]),
-        fiedler_vector=np.asarray(first["fiedler_vector"]),
-        direction=first["direction"],
-        envelope_nondecreasing=int(first["envelope_nondecreasing"]),
-        envelope_nonincreasing=int(first["envelope_nonincreasing"]),
-        solver=first["solver"],
-        extra={"num_components": ordering.metadata.get("num_components", 1)},
-    )
+    return ordering

@@ -45,7 +45,6 @@ from repro.graph.peripheral import pseudo_diameter
 from repro.graph.traversal import RootedLevelStructure, _checked_root
 from repro.orderings.gps import _checked_numbering_input
 from repro.sparse.pattern import SymmetricPattern
-from repro.utils.rng import default_rng
 
 __all__ = [
     "breadth_first_levels_reference",
@@ -479,25 +478,13 @@ def subpattern_reference(pattern: SymmetricPattern, vertices) -> SymmetricPatter
     return SymmetricPattern.from_edges(vertices.size, edges, symmetrize=False)
 
 
-def maximal_independent_set_reference(
-    pattern: SymmetricPattern,
-    rng=None,
-    strategy: str = "degree",
-) -> np.ndarray:
-    """Sequential greedy MIS scan (reference for
-    :func:`repro.graph.coarsen.maximal_independent_set`)."""
+def maximal_independent_set_reference(pattern: SymmetricPattern) -> np.ndarray:
+    """Sequential greedy MIS scan in nondecreasing degree order (reference
+    for :func:`repro.graph.coarsen.maximal_independent_set`)."""
     n = pattern.n
     if n == 0:
         return np.empty(0, dtype=np.intp)
-    if strategy == "degree":
-        order = np.argsort(pattern.degree(), kind="stable")
-    elif strategy == "natural":
-        order = np.arange(n, dtype=np.intp)
-    elif strategy == "random":
-        order = default_rng(rng).permutation(n).astype(np.intp)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
+    order = np.argsort(pattern.degree(), kind="stable")
     selected = np.zeros(n, dtype=bool)
     blocked = np.zeros(n, dtype=bool)
     indptr, indices = pattern.indptr, pattern.indices

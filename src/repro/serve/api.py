@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 from repro.batch.tasks import build_task, derive_seed
 from repro.collections.registry import all_problems, get_problem_spec
+from repro.eigen.fiedler import FIEDLER_SOLVERS
 from repro.orderings.registry import ORDERING_ALGORITHMS
 from repro.serve.protocol import ProtocolError
 from repro.store.core import canonical_params
@@ -200,22 +201,38 @@ def _build_inline_pattern(payload: dict, max_inline_n: int):
                    f"{type(exc).__name__}: {exc}") from None
 
 
+def _keyword_names(parameters) -> set[str]:
+    """The names of *parameters*, after the first, that take a keyword."""
+    return {p.name for p in list(parameters)[1:]
+            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
+
+
+#: What the ``**solver_options`` of the spectral and hybrid orderings may
+#: name: every keyword parameter of the solvers ``fiedler_vector`` runs.
+_SOLVER_OPTIONS = frozenset().union(*(
+    _keyword_names(inspect.signature(solver).parameters.values())
+    for solver in FIEDLER_SOLVERS.values()))
+
+
 def _check_option_names(algorithm: str, options: dict) -> None:
     """Reject option names the algorithm's signature cannot accept.
 
     Without this, an unknown option sails through validation and dies as a
     ``TypeError`` inside the worker — a 500 for what is plainly a client
-    mistake.  Algorithms taking ``**kwargs`` keep their flexibility.
+    mistake.  An algorithm taking ``**solver_options`` (spectral, hybrid)
+    forwards them to :func:`~repro.eigen.fiedler.fiedler_vector`, so it
+    also accepts the keyword parameters of every Fiedler solver; a name
+    that only a solver other than the resolved one takes still fails in
+    the worker.
     """
     func = ORDERING_ALGORITHMS[algorithm]
     try:
         parameters = list(inspect.signature(func).parameters.values())
     except (TypeError, ValueError):  # exotic callables: let the worker judge
         return
+    accepted = _keyword_names(parameters)
     if any(p.kind is p.VAR_KEYWORD for p in parameters):
-        return
-    accepted = {p.name for p in parameters[1:]
-                if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
+        accepted |= _SOLVER_OPTIONS
     unknown = sorted(set(options) - accepted)
     if unknown:
         raise ProtocolError(

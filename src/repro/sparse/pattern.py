@@ -147,23 +147,17 @@ class SymmetricPattern:
         The structure is symmetrized (``pattern(A) | pattern(A.T)``) so that
         structurally unsymmetric inputs — common after dropping small entries
         — still yield a valid undirected adjacency, exactly as sparse ordering
-        packages do.  Entries with ``|a_ij| <= tol`` are treated as zero.
+        packages do.  Entries with ``|a_ij| <= tol`` are treated as zero; the
+        symmetrization is by position, so ``a_ij = -a_ji`` is still an edge.
         """
         if not sp.issparse(matrix):
             matrix = sp.csr_matrix(np.asarray(matrix))
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"matrix must be square, got shape {matrix.shape}")
-        n = matrix.shape[0]
-        m = matrix.tocsr(copy=True)
-        if m.nnz and tol > 0:
-            m.data = np.where(np.abs(m.data) <= tol, 0.0, m.data)
-        m.eliminate_zeros()
-        pattern = m + m.T  # structural symmetrization
-        pattern = pattern.tocsr()
-        pattern.setdiag(0)
-        pattern.eliminate_zeros()
-        pattern.sort_indices()
-        return cls(n, pattern.indptr.astype(np.intp), pattern.indices.astype(np.intp))
+        m = matrix.tocoo(copy=True)
+        m.sum_duplicates()
+        dropped = (m.data == 0) | (np.abs(m.data) <= tol)
+        return cls.from_edge_arrays(matrix.shape[0], m.row[~dropped], m.col[~dropped])
 
     @classmethod
     def from_adjacency_lists(cls, adjacency: Sequence[Sequence[int]]) -> "SymmetricPattern":

@@ -20,10 +20,12 @@ against their write cost, are stored:
 ``hierarchy``
     A :class:`~repro.eigen.workspace.SpectralWorkspace` coarsening
     hierarchy, keyed by the pattern's structural digest and
-    ``(coarsest_size, max_levels, strategy)``; only the deterministic MIS
-    strategies are stored.  Per-level Laplacians are *not* stored — they
-    are rebuilt bit-identically by
-    :func:`repro.graph.laplacian.laplacian_matrix` on load.
+    ``coarsest_size``.  The address also holds the level cap and the MIS
+    scan order (``max_levels`` 50, ``strategy`` ``"degree"``), which no
+    caller sets, so entries written when they were options stay addressed.
+    Per-level Laplacians are *not* stored — they are rebuilt
+    bit-identically by :func:`repro.graph.laplacian.laplacian_matrix` on
+    load.
 ``fiedler``
     A converged :class:`~repro.eigen.fiedler.FiedlerResult`, keyed by solver
     method, tolerances, options **and a digest of the rng state before the
@@ -139,12 +141,14 @@ def load_pattern(store, problem: str, scale):
 # --------------------------------------------------------------------- #
 # coarsening hierarchy
 # --------------------------------------------------------------------- #
-def _hierarchy_params(coarsest_size: int, max_levels: int, strategy: str) -> dict:
-    return {"coarsest_size": int(coarsest_size), "max_levels": int(max_levels),
-            "strategy": str(strategy)}
+def _hierarchy_params(coarsest_size: int) -> dict:
+    from repro.graph.coarsen import MAX_LEVELS
+
+    return {"coarsest_size": int(coarsest_size), "max_levels": MAX_LEVELS,
+            "strategy": "degree"}
 
 
-def save_hierarchy(store, digest: str, coarsest_size, max_levels, strategy, levels):
+def save_hierarchy(store, digest: str, coarsest_size, levels):
     arrays = {"num_levels": np.asarray(len(levels), dtype=np.int64)}
     for i, level in enumerate(levels):
         arrays[f"l{i}_fine_n"] = np.asarray(int(level.fine_n), dtype=np.int64)
@@ -154,14 +158,14 @@ def save_hierarchy(store, digest: str, coarsest_size, max_levels, strategy, leve
         arrays[f"l{i}_domain_of"] = level.domain_of
     return store.save(
         "hierarchy", HIERARCHY_VERSION, digest, arrays,
-        params=_hierarchy_params(coarsest_size, max_levels, strategy),
+        params=_hierarchy_params(coarsest_size),
     )
 
 
-def load_hierarchy(store, digest: str, coarsest_size, max_levels, strategy):
+def load_hierarchy(store, digest: str, coarsest_size):
     arrays = store.load(
         "hierarchy", HIERARCHY_VERSION, digest,
-        params=_hierarchy_params(coarsest_size, max_levels, strategy),
+        params=_hierarchy_params(coarsest_size),
     )
     if arrays is None:
         return None

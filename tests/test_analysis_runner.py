@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.runner import ExperimentResult, run_comparison, run_problem_suite
-from repro.collections.meshes import grid2d_pattern
 from repro.envelope.metrics import envelope_size
 from repro.orderings.registry import ORDERING_ALGORITHMS
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis.spy import ascii_spy, band_profile, density_grid
 from repro.collections.generators import airfoil_pattern
-from repro.collections.meshes import grid2d_pattern, path_pattern
+from repro.collections.meshes import path_pattern
 from repro.envelope.metrics import bandwidth, envelope_size
 from repro.orderings.cuthill_mckee import rcm_ordering
 from repro.orderings.spectral import spectral_ordering

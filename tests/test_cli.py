@@ -4,7 +4,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.cli import build_parser, main
 from repro.collections.meshes import grid2d_pattern
@@ -112,6 +111,27 @@ class TestFiedlerCommand:
         vector = np.loadtxt(vec_path)
         assert vector.shape == (56,)
         assert abs(vector.sum()) < 1e-8
+
+
+class TestProblemReference:
+    """Every command parses ``problem:NAME[@SCALE]`` the same way: a scale
+    that is empty or not a number is a usage error, never a traceback or a
+    silent default."""
+
+    @pytest.mark.parametrize("reference", ["problem:POW9@", "problem:POW9@abc"])
+    @pytest.mark.parametrize(
+        "command",
+        [["reorder"], ["fiedler"], ["order"], ["order", "--server", "http://127.0.0.1:9"]],
+        ids=["reorder", "fiedler", "order", "order-server"],
+    )
+    def test_bad_scale_exits_2_with_one_line(self, command, reference, capsys):
+        code = main([command[0], reference, *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        scale_text = reference.partition("@")[2]
+        assert captured.err.splitlines() == [
+            f"{reference}: scale must be positive and finite, got {scale_text!r}"]
+        assert captured.out == ""
 
 
 class TestSuiteCommand:

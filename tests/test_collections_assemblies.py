@@ -1,8 +1,5 @@
 """Unit tests for the irregular assembly generators (shell assemblies, perforated solids)."""
 
-import numpy as np
-import pytest
-
 from repro.collections.generators import (
     cylinder_shell_pattern,
     perforated_solid_pattern,

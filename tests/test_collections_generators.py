@@ -1,7 +1,6 @@
 """Unit tests for the synthetic generators (repro.collections.generators
 and the random-graph families of repro.collections.random_graphs)."""
 
-import numpy as np
 import pytest
 
 from repro.collections.generators import (

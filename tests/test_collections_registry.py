@@ -1,6 +1,5 @@
 """Unit tests for the problem registry (repro.collections.registry)."""
 
-import numpy as np
 import pytest
 
 from repro.collections.registry import (

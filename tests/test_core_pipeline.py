@@ -5,7 +5,6 @@ import pytest
 
 import repro
 from repro.collections.generators import airfoil_pattern
-from repro.collections.meshes import grid2d_pattern
 from repro.core.pipeline import compare_orderings, reorder
 from repro.envelope.metrics import envelope_size
 

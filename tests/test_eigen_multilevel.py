@@ -83,8 +83,3 @@ class TestMultilevelFiedler:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             multilevel_fiedler(path_pattern(1))
-
-    def test_mis_strategy_option(self):
-        pattern = grid2d_pattern(16, 16)
-        result = multilevel_fiedler(pattern, coarsest_size=40, mis_strategy="random", rng=1)
-        assert result.eigenvalue == pytest.approx(_dense_lambda2(pattern), rel=1e-3)

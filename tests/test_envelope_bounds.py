@@ -1,11 +1,10 @@
 """Unit and property tests for the Theorem 2.1 / 2.2 bounds (repro.envelope.bounds)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 
-from repro.collections.generators import airfoil_pattern, random_geometric_pattern
-from repro.collections.meshes import complete_pattern, grid2d_pattern, path_pattern
+from repro.collections.generators import airfoil_pattern
+from repro.collections.meshes import grid2d_pattern, path_pattern
 from repro.envelope.bounds import (
     envelope_size_bounds,
     envelope_work_bounds,

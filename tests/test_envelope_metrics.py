@@ -1,15 +1,9 @@
 """Unit and property tests for the envelope parameters (repro.envelope.metrics)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 
-from repro.collections.meshes import (
-    complete_pattern,
-    grid2d_pattern,
-    path_pattern,
-    star_pattern,
-)
+from repro.collections.meshes import grid2d_pattern
 from repro.envelope.metrics import (
     bandwidth,
     envelope_size,

@@ -4,10 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.collections.meshes import grid2d_pattern, path_pattern, star_pattern
 from repro.eigen.fiedler import fiedler_vector
 from repro.envelope.theory import (
     adjacency_ordering_violations,

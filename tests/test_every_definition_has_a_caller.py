@@ -19,6 +19,11 @@ included.
 A definition with no reference fails the test unless :data:`ALLOWLIST` names
 it under one of five reasons.  An allowlist entry whose definition is gone,
 or has gained a caller, fails too, so the list can only shrink.
+
+The same holds for imports, over ``src/``, ``tests/``, ``examples/`` and
+``benchmarks/``: an imported name that no ``Name`` node and no ``__all__``
+entry of its module uses fails.  ``perfbench/`` stays out, as its
+``import repro.cli`` is a deliberate side-effect import.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "benchmarks", "examples", "perfbench")
+IMPORT_SCANNED = ("src", "tests", "examples", "benchmarks")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 # Module attributes the import system calls (PEP 562).
@@ -189,11 +195,11 @@ def stale_entry(qualified: str, definitions: dict, references: dict) -> str | No
     return None
 
 
-@lru_cache(maxsize=1)
-def _repository_sources() -> dict[str, str]:
+@lru_cache(maxsize=2)
+def _repository_sources(tops: tuple[str, ...] = SCANNED) -> dict[str, str]:
     return {
         path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
-        for top in SCANNED
+        for top in tops
         for path in sorted((ROOT / top).rglob("*.py"))
     }
 
@@ -360,3 +366,65 @@ def test_an_allowlisted_name_that_gains_a_caller_is_stale():
     assert stale_entry(qualified, *edited) == (
         f"{qualified} has callers [('examples/quickstart.py', None)]; drop its allowlist entry"
     )
+
+
+# --------------------------------------------------------------------- #
+# unused imports
+# --------------------------------------------------------------------- #
+def unused_imports(sources: dict[str, str]) -> list[str]:
+    """``path:line name`` of each imported name in *sources* that no ``Name``
+    node and no ``__all__`` entry of its module uses.
+
+    ``import a.b`` binds ``a``; ``from __future__`` imports are directives.
+    """
+    found = []
+    for path, text in sources.items():
+        tree = ast.parse(text, filename=path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.value for stmt in tree.body if _assigns_all(stmt)
+                 for node in ast.walk(stmt)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path}:{node.lineno} {name}" for name in bound if name not in used]
+    return found
+
+
+def test_no_unused_imports():
+    found = unused_imports(_repository_sources(IMPORT_SCANNED))
+    assert not found, "imported names that nothing uses; delete them:\n" + "\n".join(found)
+
+
+def test_what_counts_as_an_import_use():
+    sources = {
+        "src/repro/pkg/__init__.py": (
+            "from __future__ import annotations\n"
+            "from repro.pkg.mod import exported, helper\n"
+            "__all__ = ['exported']\n"
+        ),
+        "examples/use.py": (
+            "import os.path\n"
+            "import numpy as np\n"
+            "from json import dumps as to_text, loads\n"
+            "def main():\n"
+            "    import math\n"
+            "    return os.sep, to_text, math\n"
+        ),
+    }
+    assert unused_imports(sources) == [
+        "src/repro/pkg/__init__.py:2 helper",
+        "examples/use.py:2 np",
+        "examples/use.py:3 loads",
+    ]
+
+
+def test_an_added_unused_import_is_found():
+    path = "tests/test_sparse_ops.py"
+    sources = dict(_repository_sources(IMPORT_SCANNED))
+    sources[path] = "import json\n" + sources[path]
+    assert unused_imports(sources) == [f"{path}:1 json"]

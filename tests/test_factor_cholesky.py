@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from repro.collections.generators import random_geometric_pattern
-from repro.collections.meshes import grid2d_pattern, path_pattern
 from repro.envelope.metrics import row_widths
 from repro.factor.cholesky import envelope_cholesky, estimate_factor_work
 from repro.factor.storage import EnvelopeStorage

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.collections.meshes import grid2d_pattern, path_pattern
 from repro.envelope.metrics import envelope_size
 from repro.factor.storage import EnvelopeStorage
 from repro.orderings.cuthill_mckee import rcm_ordering

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from repro.collections.generators import random_geometric_pattern
 from repro.collections.meshes import grid2d_pattern
+import repro.graph.coarsen as coarsen
 from repro.graph.coarsen import (
     coarsen_graph,
     coarsening_hierarchy,
@@ -39,14 +40,11 @@ class TestMaximalIndependentSet:
     def test_grid(self, grid_12x9):
         _assert_independent_and_maximal(grid_12x9, maximal_independent_set(grid_12x9))
 
-    def test_strategies_all_valid(self, geometric200):
-        for strategy in ("degree", "natural", "random"):
-            mis = maximal_independent_set(geometric200, rng=3, strategy=strategy)
-            _assert_independent_and_maximal(geometric200, mis)
-
-    def test_unknown_strategy(self, path10):
-        with pytest.raises(ValueError):
-            maximal_independent_set(path10, strategy="bogus")
+    def test_valid_under_relabelling(self, geometric200):
+        n = geometric200.n
+        for perm in (np.arange(n)[::-1], np.random.default_rng(3).permutation(n)):
+            relabelled = geometric200.permute(perm)
+            _assert_independent_and_maximal(relabelled, maximal_independent_set(relabelled))
 
     def test_empty_graph_selects_everything(self):
         from repro.sparse.pattern import SymmetricPattern
@@ -120,10 +118,11 @@ class TestCoarseningHierarchy:
         sizes = [big.n] + [lvl.coarse_pattern.n for lvl in hierarchy]
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
-    def test_max_levels_respected(self):
+    def test_max_levels_respected(self, monkeypatch):
+        monkeypatch.setattr(coarsen, "MAX_LEVELS", 3)
         big = grid2d_pattern(20, 20)
-        hierarchy = coarsening_hierarchy(big, coarsest_size=2, max_levels=3)
-        assert len(hierarchy) <= 3
+        hierarchy = coarsening_hierarchy(big, coarsest_size=2)
+        assert len(hierarchy) == 3
 
 
 class TestInterpolateBlock:

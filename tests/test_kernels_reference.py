@@ -230,16 +230,23 @@ def test_components_and_subpattern_match_reference(index):
     assert pattern.subpattern(subset) == reference.subpattern_reference(pattern, subset)
 
 
-@pytest.mark.parametrize("strategy", ["degree", "natural", "random"])
+def _relabelled(pattern: SymmetricPattern, layout: str, seed: int) -> SymmetricPattern:
+    """*pattern* as given, with its vertex numbering reversed, or with it
+    shuffled by a seeded permutation: the degree scan then meets other rank
+    layouts (ties between equal degrees go by index)."""
+    if layout == "given":
+        return pattern
+    if layout == "reversed":
+        return pattern.permute(np.arange(pattern.n)[::-1])
+    return pattern.permute(np.random.default_rng(seed).permutation(pattern.n))
+
+
+@pytest.mark.parametrize("layout", ["given", "reversed", "shuffled"])
 @pytest.mark.parametrize("index", range(len(CORPUS)), ids=lambda i: f"graph{i}")
-def test_mis_and_domain_growth_match_reference(index, strategy):
-    pattern = CORPUS[index]
-    mis = coarsen.maximal_independent_set(
-        pattern, rng=np.random.default_rng(index), strategy=strategy
-    )
-    ref = reference.maximal_independent_set_reference(
-        pattern, rng=np.random.default_rng(index), strategy=strategy
-    )
+def test_mis_and_domain_growth_match_reference(index, layout):
+    pattern = _relabelled(CORPUS[index], layout, seed=index)
+    mis = coarsen.maximal_independent_set(pattern)
+    ref = reference.maximal_independent_set_reference(pattern)
     assert np.array_equal(mis, ref)
 
     domain_of = np.full(pattern.n, -1, dtype=np.intp)
@@ -250,15 +257,21 @@ def test_mis_and_domain_growth_match_reference(index, strategy):
     assert np.array_equal(domain_of, ref_domain_of)
 
 
-def test_mis_greedy_tail_matches_reference_on_adversarial_rank():
-    # A long path scanned along its length decides O(1) vertices per round,
-    # forcing the sequential-tail fallback of the round-based MIS.
+def test_mis_greedy_tail_matches_reference_on_adversarial_rank(monkeypatch):
+    # The stable degree order ranks a long path along its length (its two
+    # ends first), so each round decides O(1) vertices, forcing the
+    # sequential-tail fallback of the round-based MIS.
     n = 400
     pattern = SymmetricPattern.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    mis = coarsen.maximal_independent_set(pattern, strategy="natural")
-    ref = reference.maximal_independent_set_reference(pattern, strategy="natural")
+    tails = []
+    greedy_tail = coarsen._greedy_tail
+    monkeypatch.setattr(coarsen, "_greedy_tail",
+                        lambda *args: tails.append(1) or greedy_tail(*args))
+    mis = coarsen.maximal_independent_set(pattern)
+    ref = reference.maximal_independent_set_reference(pattern)
+    assert tails == [1]
     assert np.array_equal(mis, ref)
-    assert np.array_equal(mis, np.arange(0, n, 2))
+    assert np.array_equal(mis, np.append(np.arange(0, n - 2, 2), n - 1))
 
 
 def assert_structure_equal(a, b):

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.orderings.base import Ordering, identity_ordering, order_by_components, random_ordering
+from repro.orderings.base import (
+    Ordering,
+    forward_or_reverse,
+    identity_ordering,
+    order_by_components,
+    random_ordering,
+)
 from repro.sparse.pattern import SymmetricPattern
 
 
@@ -71,6 +77,18 @@ class TestFactories:
         b = random_ordering(20, rng=3)
         np.testing.assert_array_equal(a.perm, b.perm)
         assert sorted(a.perm.tolist()) == list(range(20))
+
+
+class TestForwardOrReverse:
+    def test_tie_keeps_forward(self):
+        path = SymmetricPattern.from_edges(5, [(i, i + 1) for i in range(4)])
+        forward = np.arange(5)
+        assert forward_or_reverse(path, forward) is forward
+
+    def test_smaller_reverse_wins(self):
+        # centre first: envelope 1 + 2 + 3 + 4; centre last: 4
+        star = SymmetricPattern.from_edges(5, [(0, leaf) for leaf in range(1, 5)])
+        np.testing.assert_array_equal(forward_or_reverse(star, np.arange(5)), [4, 3, 2, 1, 0])
 
 
 class TestOrderByComponents:

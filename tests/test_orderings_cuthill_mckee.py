@@ -1,11 +1,10 @@
 """Unit tests for Cuthill-McKee and RCM (repro.orderings.cuthill_mckee)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from repro.collections.meshes import grid2d_pattern, path_pattern
+from repro.collections.meshes import grid2d_pattern
 from repro.envelope.metrics import bandwidth, envelope_size
 from repro.envelope.theory import is_adjacency_ordering
 from repro.orderings.cuthill_mckee import cuthill_mckee_ordering, rcm_ordering

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro.collections.generators import annulus_pattern
-from repro.collections.meshes import grid2d_pattern, path_pattern
+from repro.collections.meshes import grid2d_pattern
 from repro.envelope.metrics import bandwidth, envelope_size
 from repro.orderings.base import random_ordering
 from repro.orderings.gibbs_king import gibbs_king_ordering

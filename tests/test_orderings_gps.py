@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.collections.meshes import grid2d_pattern, path_pattern
+from repro.collections.meshes import grid2d_pattern
 from repro.envelope.metrics import bandwidth, envelope_size
 from repro.orderings.base import random_ordering
 from repro.orderings.cuthill_mckee import rcm_ordering

@@ -1,11 +1,9 @@
 """Unit tests for the hybrid spectral+local ordering (repro.orderings.hybrid)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 
 from repro.collections.generators import airfoil_pattern
-from repro.collections.meshes import grid2d_pattern, path_pattern
 from repro.envelope.metrics import envelope_size
 from repro.envelope.theory import is_adjacency_ordering
 from repro.orderings.hybrid import hybrid_spectral_ordering
@@ -18,40 +16,29 @@ class TestHybridSpectralOrdering:
         spec = envelope_size(geometric200, spectral_ordering(geometric200, method="lanczos", rng=1).perm)
         hybrid = envelope_size(
             geometric200,
-            hybrid_spectral_ordering(geometric200, strategy="adjacency", method="lanczos", rng=1).perm,
+            hybrid_spectral_ordering(geometric200, method="lanczos", rng=1).perm,
         )
         assert hybrid <= spec
 
-    def test_never_worse_than_spectral_window(self):
-        pattern = grid2d_pattern(9, 7)
-        spec = envelope_size(pattern, spectral_ordering(pattern, method="dense").perm)
-        hybrid = envelope_size(
-            pattern,
-            hybrid_spectral_ordering(pattern, strategy="window", method="dense", window=8, sweeps=1).perm,
-        )
-        assert hybrid <= spec
-
-    def test_adjacency_strategy_produces_adjacency_ordering(self):
+    def test_refinement_produces_adjacency_ordering(self):
         pattern = airfoil_pattern(300, seed=2)
-        ordering = hybrid_spectral_ordering(pattern, strategy="adjacency", method="lanczos")
-        # Priority-first traversal guarantees the adjacency property whenever
-        # it actually replaces the spectral order (it is kept only if no worse).
-        if ordering.metadata.get("strategy") == "adjacency":
-            # the refined order may have been discarded; only check validity
-            assert sorted(ordering.perm.tolist()) == list(range(pattern.n))
+        ordering = hybrid_spectral_ordering(pattern, method="lanczos")
+        spectral = spectral_ordering(pattern, method="lanczos")
+        # Here the priority-first traversal replaces the spectral order (it
+        # is kept only if no worse), and each step of a traversal numbers a
+        # neighbour of the numbered set.
+        assert not np.array_equal(ordering.perm, spectral.perm)
+        assert is_adjacency_ordering(pattern, ordering.perm)
+        assert not is_adjacency_ordering(pattern, spectral.perm)
 
     def test_path_optimal(self, path10):
         ordering = hybrid_spectral_ordering(path10, method="dense")
         assert envelope_size(path10, ordering.perm) == 9
 
-    def test_invalid_strategy(self, path10):
-        with pytest.raises(ValueError):
-            hybrid_spectral_ordering(path10, strategy="annealing")
-
     def test_metadata(self, path10):
-        ordering = hybrid_spectral_ordering(path10, method="dense", strategy="adjacency")
+        ordering = hybrid_spectral_ordering(path10, method="dense")
         assert ordering.algorithm == "hybrid-spectral"
-        assert ordering.metadata["strategy"] == "adjacency"
+        assert ordering.metadata["method"] == "dense"
 
     def test_disconnected_handled(self, disconnected_pattern):
         ordering = hybrid_spectral_ordering(disconnected_pattern, method="dense")

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings
 
-from repro.collections.meshes import grid2d_pattern, path_pattern
+from repro.collections.meshes import grid2d_pattern
 from repro.envelope.metrics import envelope_size, frontwidths
 from repro.orderings.base import random_ordering
 from repro.orderings.king import king_ordering, reverse_king_ordering

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.collections.meshes import grid2d_pattern, path_pattern
+from repro.collections.meshes import grid2d_pattern
 from repro.envelope.metrics import envelope_size, frontwidths
 from repro.orderings.base import random_ordering
 from repro.orderings.sloan import sloan_ordering

@@ -5,14 +5,10 @@ import pytest
 from hypothesis import given, settings
 
 from repro.collections.generators import airfoil_pattern
-from repro.collections.meshes import grid2d_pattern, path_pattern
+from repro.collections.meshes import grid2d_pattern
 from repro.envelope.metrics import envelope_size
 from repro.orderings.base import random_ordering
-from repro.orderings.spectral import (
-    SpectralOrderingResult,
-    ordering_from_vector,
-    spectral_ordering,
-)
+from repro.orderings.spectral import ordering_from_vector, spectral_ordering
 from repro.sparse.pattern import SymmetricPattern
 from tests.conftest import small_connected_patterns
 
@@ -52,11 +48,12 @@ class TestSpectralOrderingAlgorithm1:
         assert sorted(ordering.perm.tolist()) == list(range(grid_12x9.n))
 
     def test_both_directions_evaluated(self, geometric200):
-        result = spectral_ordering(geometric200, method="lanczos", return_details=True)
-        assert isinstance(result, SpectralOrderingResult)
-        assert result.direction in ("nondecreasing", "nonincreasing")
-        chosen = min(result.envelope_nondecreasing, result.envelope_nonincreasing)
-        assert envelope_size(geometric200, result.ordering.perm) == chosen
+        ordering = spectral_ordering(geometric200, method="lanczos")
+        [detail] = ordering.metadata["components"]
+        assert detail["direction"] in ("nondecreasing", "nonincreasing")
+        assert ordering.metadata["direction"] == detail["direction"]
+        chosen = min(detail["envelope_nondecreasing"], detail["envelope_nonincreasing"])
+        assert envelope_size(geometric200, ordering.perm) == chosen
 
     def test_beats_random_ordering(self, geometric200):
         spec = spectral_ordering(geometric200, method="lanczos")
@@ -79,13 +76,15 @@ class TestSpectralOrderingAlgorithm1:
         assert ordering.metadata["fiedler_value"] > 0
         assert ordering.metadata["solver"] == "dense"
 
-    def test_return_details_fields(self, grid_8x6):
-        result = spectral_ordering(grid_8x6, method="dense", return_details=True)
-        assert result.fiedler_value > 0
-        assert result.fiedler_vector.shape == (grid_8x6.n,)
-        assert result.solver == "dense"
-        assert result.envelope_nondecreasing > 0
-        assert result.envelope_nonincreasing > 0
+    def test_component_details_fields(self, grid_8x6):
+        ordering = spectral_ordering(grid_8x6, method="dense")
+        [detail] = ordering.metadata["components"]
+        assert detail["fiedler_value"] > 0
+        assert detail["fiedler_vector"].shape == (grid_8x6.n,)
+        assert detail["solver"] == "dense"
+        assert detail["converged"] is True
+        assert detail["envelope_nondecreasing"] > 0
+        assert detail["envelope_nonincreasing"] > 0
 
     def test_solver_method_forwarded(self, grid_8x6):
         ordering = spectral_ordering(grid_8x6, method="lanczos")
@@ -112,10 +111,7 @@ class TestSpectralOrderingAlgorithm1:
     def test_single_vertex(self):
         ordering = spectral_ordering(SymmetricPattern.empty(1))
         np.testing.assert_array_equal(ordering.perm, [0])
-
-    def test_return_details_requires_nontrivial_component(self):
-        with pytest.raises(ValueError):
-            spectral_ordering(SymmetricPattern.empty(1), return_details=True)
+        assert "components" not in ordering.metadata
 
     def test_grid_envelope_close_to_known_orderings(self):
         # On a long thin grid the spectral ordering should be within a factor

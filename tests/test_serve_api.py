@@ -196,6 +196,24 @@ class TestValidation4xx:
                 assert exc.code == 400
                 assert json.loads(exc.read())["error"]["type"] == "InvalidBody"
 
+    @pytest.mark.parametrize("algorithm", ["spectral", "hybrid"])
+    @pytest.mark.parametrize("option", ["foo", "mis_strategy"])
+    def test_unknown_spectral_option(self, server, algorithm, option):
+        status, _headers, body = server.client.request(
+            "POST", "/v1/order", {"problem": PROBLEM, "scale": 0.05,
+                                  "algorithm": algorithm, "options": {option: 1}})
+        assert status == 400
+        assert body["error"]["type"] == "UnknownOption"
+        assert repr(option) in body["error"]["message"]
+
+    def test_solver_option_reaches_the_solver(self, server):
+        status, _headers, body = server.client.request(
+            "POST", "/v1/order",
+            {"problem": PROBLEM, "scale": 0.05, "algorithm": "spectral",
+             "options": {"method": "multilevel", "coarsest_size": 50}})
+        assert status == 200
+        assert body["record"]["status"] == "ok"
+
     def test_no_pattern_source(self, server):
         status, _headers, body = server.client.request(
             "POST", "/v1/order", {"algorithm": "rcm"})

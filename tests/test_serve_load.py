@@ -22,8 +22,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-import pytest
-
 from tests.serve_harness import ServerProcess, child_pids
 
 PROBLEM = "POW9"

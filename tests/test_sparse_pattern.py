@@ -43,6 +43,27 @@ class TestConstruction:
         p = SymmetricPattern.from_scipy(a, tol=1e-12)
         assert p.num_edges == 0
 
+    def test_from_scipy_keeps_an_edge_whose_values_cancel(self):
+        a = np.array([[1.0, 2.0], [-2.0, 1.0]])
+        assert SymmetricPattern.from_scipy(a).num_edges == 1
+        assert SymmetricPattern.from_scipy(sp.csr_matrix(a)).num_edges == 1
+
+    def test_from_scipy_ignores_a_stored_explicit_zero(self):
+        # row 0 stores a_01 = 1 and an explicit a_02 = 0; rows 1 and 2 are empty
+        a = sp.csr_matrix((np.array([1.0, 0.0]), np.array([1, 2]), np.array([0, 2, 2, 2])),
+                          shape=(3, 3))
+        assert a.nnz == 2
+        p = SymmetricPattern.from_scipy(a)
+        assert p.has_edge(0, 1) and p.has_edge(1, 0)
+        assert not p.has_edge(0, 2) and p.num_edges == 1
+
+    def test_from_scipy_tol_filters_each_entry_before_symmetrizing(self):
+        a = np.array([[1.0, 1e-15, 0.0],
+                      [1.0, 1.0, 0.5],
+                      [0.0, -0.5, 1.0]])
+        assert list(SymmetricPattern.from_scipy(a, tol=0.6).edges()) == [(0, 1)]
+        assert list(SymmetricPattern.from_scipy(a, tol=0.1).edges()) == [(0, 1), (1, 2)]
+
     def test_from_scipy_rejects_rectangular(self):
         with pytest.raises(ValueError):
             SymmetricPattern.from_scipy(sp.csr_matrix(np.zeros((2, 3))))

@@ -20,7 +20,6 @@ from repro.batch import BatchTask, derive_seed
 from repro.batch.engine import execute_task
 from repro.collections.generators import random_geometric_pattern
 from repro.collections.meshes import grid2d_pattern
-from repro.eigen.multilevel import multilevel_fiedler
 from repro.eigen.workspace import SpectralWorkspace, spectral_workspace
 from repro.envelope.metrics import envelope_statistics
 from repro.graph.components import is_connected
@@ -141,12 +140,11 @@ def test_component_split_keeps_every_edge(disconnected_pattern):
     assert kept == disconnected_pattern.num_edges
 
 
-def test_hierarchy_cached_for_deterministic_strategies():
+def test_hierarchy_cached_per_coarsest_size():
     pattern = random_geometric_pattern(300, seed=5)
     ws = spectral_workspace(pattern)
-    rng = np.random.default_rng(0)
-    levels, laps = ws.hierarchy(40, 50, "degree", rng)
-    levels2, laps2 = ws.hierarchy(40, 50, "degree", np.random.default_rng(1))
+    levels, laps = ws.hierarchy(40)
+    levels2, laps2 = ws.hierarchy(40)
     assert levels2 is levels and laps2 is laps
     assert ws.info["hierarchy_builds"] == 1
     assert ws.info["hierarchy_hits"] == 1
@@ -154,47 +152,36 @@ def test_hierarchy_cached_for_deterministic_strategies():
     for level, lap in zip(levels, laps):
         assert lap.shape == (level.coarse_pattern.n,) * 2
     # a different key is a different cache entry
-    ws.hierarchy(60, 50, "degree", rng)
+    ws.hierarchy(60)
     assert ws.info["hierarchy_builds"] == 2
-    assert ws.hierarchy(40, 50, "degree", rng)[0] is levels
+    assert ws.hierarchy(40)[0] is levels
 
 
 def test_hierarchies_are_kept_for_one_workspace_at_a_time():
     """A hierarchy can outweigh its pattern several times over (hub graphs),
     so building one for another pattern drops the previous pattern's."""
-    rng = np.random.default_rng(0)
     gone = spectral_workspace(random_geometric_pattern(300, seed=4))
-    gone.hierarchy(40, 50, "degree", rng)
+    gone.hierarchy(40)
     del gone  # a holder that was collected drops nothing
     gc.collect()  # the workspace and its pattern refer to each other
     first = spectral_workspace(random_geometric_pattern(300, seed=5))
     second = spectral_workspace(random_geometric_pattern(300, seed=6))
-    levels, _laps = first.hierarchy(40, 50, "degree", rng)
-    first.hierarchy(60, 50, "degree", rng)
-    second.hierarchy(40, 50, "degree", rng)
-    second.hierarchy(40, 50, "degree", rng)
+    levels, _laps = first.hierarchy(40)
+    first.hierarchy(60)
+    second.hierarchy(40)
+    second.hierarchy(40)
     assert second.info["hierarchy_builds"] == 1
     assert second.info["hierarchy_hits"] == 1
     # both of the first workspace's entries went; a rebuild is equal
-    rebuilt, _laps = first.hierarchy(40, 50, "degree", rng)
-    first.hierarchy(60, 50, "degree", rng)
+    rebuilt, _laps = first.hierarchy(40)
+    first.hierarchy(60)
     assert first.info["hierarchy_builds"] == 4
     assert first.info["hierarchy_hits"] == 0
     assert rebuilt is not levels
     assert [level.coarse_pattern for level in rebuilt] == [
         level.coarse_pattern for level in levels]
-    second.hierarchy(40, 50, "degree", rng)
+    second.hierarchy(40)
     assert second.info["hierarchy_builds"] == 2
-
-
-def test_random_strategy_bypasses_the_cache_and_preserves_rng_stream():
-    pattern = random_geometric_pattern(300, seed=5)
-    ws = spectral_workspace(pattern)
-    a = multilevel_fiedler(pattern, coarsest_size=40, mis_strategy="random", rng=9)
-    b = multilevel_fiedler(pattern, coarsest_size=40, mis_strategy="random", rng=9)
-    assert ws.info["hierarchy_uncached"] >= 2
-    assert a.eigenvalue == pytest.approx(b.eigenvalue, rel=1e-12)
-    np.testing.assert_allclose(a.eigenvector, b.eigenvector)
 
 
 def test_direct_laplacian_build_matches_legacy_construction():

@@ -199,9 +199,9 @@ class TestCodecs:
         pattern = random_geometric_pattern(300, seed=5)
         ws = spectral_workspace(pattern)
         digest = pattern_digest(pattern)
-        levels, laps = ws.hierarchy(40, 50, "degree", np.random.default_rng(0))
-        codecs.save_hierarchy(store, digest, 40, 50, "degree", levels)
-        loaded = codecs.load_hierarchy(store, digest, 40, 50, "degree")
+        levels, laps = ws.hierarchy(40)
+        codecs.save_hierarchy(store, digest, 40, levels)
+        loaded = codecs.load_hierarchy(store, digest, 40)
         assert len(loaded) == len(levels)
         for built, read in zip(levels, loaded):
             assert read.fine_n == built.fine_n
@@ -209,7 +209,11 @@ class TestCodecs:
             np.testing.assert_array_equal(read.coarse_vertices, built.coarse_vertices)
             np.testing.assert_array_equal(read.domain_of, built.domain_of)
         # a different hierarchy key is a different (absent) entry
-        assert codecs.load_hierarchy(store, digest, 60, 50, "degree") is None
+        assert codecs.load_hierarchy(store, digest, 60) is None
+        # the level cap and MIS scan order stay in the address, so entries
+        # written while they were options are still read
+        [row] = store.entries()
+        assert row["params"] == '{"coarsest_size":40,"max_levels":50,"strategy":"degree"}'
 
 
 # --------------------------------------------------------------------------- #
@@ -301,14 +305,6 @@ class TestWarmFromDiskIdentity:
         )
         assert np.array_equal(rebuilt.perm, cold.perm)
         assert store.stats["corrupt"] > 0
-
-    def test_random_mis_strategy_never_cached(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        set_default_store(store)
-        pattern = random_geometric_pattern(300, seed=5)
-        multilevel_fiedler(pattern, coarsest_size=40, mis_strategy="random", rng=9)
-        kinds = {row["kind"] for row in store.entries()}
-        assert "hierarchy" not in kinds
 
 
 # --------------------------------------------------------------------------- #
