@@ -4,7 +4,8 @@ Each paper table row reports, for one matrix and one algorithm: the envelope
 size, the bandwidth, the ordering run time and the rank of the algorithm by
 envelope size.  :func:`rows_from_records` produces exactly those rows from
 the batch engine's records, and :func:`format_table` renders them as a
-fixed-width text table.
+fixed-width text table.  :func:`fidelity_scorecard` sets the same records
+against the numbers the paper reports.
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ComparisonRow", "rank_by", "rows_from_records", "format_table"]
+from repro.orderings.registry import PAPER_ALGORITHMS
+
+__all__ = [
+    "ComparisonRow", "rank_by", "rows_from_records", "format_table",
+    "COMBINATORIAL_ALGORITHMS", "FidelityRow", "fidelity_scorecard",
+]
+
+#: The paper's combinatorial orderings, against whose best spectral is judged.
+COMBINATORIAL_ALGORITHMS = ("rcm", "gps", "gk")
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,86 @@ def rows_from_records(records) -> list[ComparisonRow]:
             )
         )
     return rank_by(rows)
+
+
+@dataclass(frozen=True)
+class FidelityRow:
+    """One problem's run set against the paper's row for it.
+
+    Every ratio is ours over the paper's.  ``nnz_ratio`` counts one triangle
+    and the diagonal, as the paper does.  ``spectral_ratio`` is the spectral
+    envelope over the best GK, GPS or RCM envelope (below 1, spectral wins);
+    ``paper_spectral_ratio`` is the same from the paper's envelopes.
+    ``envelopes`` and ``bandwidths`` map each of rcm, gps and gk to ours over
+    the paper's.
+    """
+
+    problem: str
+    n_ratio: float
+    nnz_ratio: float
+    spectral_ratio: float
+    paper_spectral_ratio: float
+    envelopes: dict
+    bandwidths: dict
+
+    @property
+    def agrees(self) -> bool:
+        """Whether spectral wins here exactly when it wins in the paper."""
+        return (self.spectral_ratio < 1) == (self.paper_spectral_ratio < 1)
+
+
+def _spectral_ratio(envelopes: dict) -> float:
+    return envelopes["spectral"] / min(envelopes[name] for name in COMBINATORIAL_ALGORITHMS)
+
+
+def _geomean(values) -> float:
+    return float(np.exp(np.mean(np.log(values))))
+
+
+def fidelity_scorecard(records, specs) -> tuple[list[FidelityRow], dict]:
+    """Score batch records against the paper's Tables 4.1-4.3.
+
+    *specs* are :class:`repro.collections.registry.ProblemSpec`s; a problem
+    gets a row, in *specs* order, when its four paper cells all read ok.
+    The summary counts the problems scored, our spectral wins, the paper's
+    and the problems on which the two agree, and gives the geometric mean
+    of each of ``envelopes`` and ``bandwidths`` over the rows.
+    """
+    cells = {(record.problem, record.algorithm): record for record in records if record.ok}
+    rows = []
+    for spec in specs:
+        by_name = {name: cells.get((spec.name, name)) for name in PAPER_ALGORITHMS}
+        if None in by_name.values():
+            continue
+        envelopes = {name: record.metrics["envelope_size"] for name, record in by_name.items()}
+        n = by_name["spectral"].n
+        rows.append(FidelityRow(
+            problem=spec.name,
+            n_ratio=n / spec.paper_n,
+            nnz_ratio=(by_name["spectral"].nnz + n) / 2 / spec.paper_nnz,
+            spectral_ratio=_spectral_ratio(envelopes),
+            paper_spectral_ratio=_spectral_ratio(spec.paper_envelopes),
+            envelopes={
+                name: envelopes[name] / spec.paper_envelopes[name]
+                for name in COMBINATORIAL_ALGORITHMS
+            },
+            bandwidths={
+                name: by_name[name].metrics["bandwidth"] / spec.paper_bandwidths[name]
+                for name in COMBINATORIAL_ALGORITHMS
+            },
+        ))
+    summary = {
+        "problems": len(rows),
+        "spectral_wins": sum(row.spectral_ratio < 1 for row in rows),
+        "paper_spectral_wins": sum(row.paper_spectral_ratio < 1 for row in rows),
+        "agreements": sum(row.agrees for row in rows),
+    }
+    for column in ("envelopes", "bandwidths"):
+        summary[column] = {
+            name: _geomean([getattr(row, column)[name] for row in rows]) if rows else None
+            for name in COMBINATORIAL_ALGORITHMS
+        }
+    return rows, summary
 
 
 def format_table(rows: list[ComparisonRow], title: str = "") -> str:

@@ -25,6 +25,7 @@ sort-direction choice Algorithm 1 makes anyway.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,9 @@ from repro.eigen.workspace import spectral_workspace
 from repro.sparse.ops import structure_from_matrix
 from repro.utils.rng import default_rng
 
-__all__ = ["FiedlerResult", "fiedler_vector", "FIEDLER_METHODS", "FIEDLER_SOLVERS"]
+__all__ = [
+    "FiedlerResult", "fiedler_vector", "FIEDLER_METHODS", "FIEDLER_SOLVERS", "SOLVER_OPTIONS",
+]
 
 #: Methods accepted by :func:`fiedler_vector`.
 FIEDLER_METHODS = ("auto", "dense", "lanczos", "multilevel", "eigsh", "lobpcg")
@@ -112,8 +115,12 @@ def fiedler_vector(
         eigenvector carries no ordering information.  Callers that handle
         components themselves (the spectral ordering does) pass ``False``.
     **solver_options:
-        Extra keyword arguments forwarded to the chosen solver
-        (e.g. ``coarsest_size=...`` for the multilevel method).
+        Extra keyword arguments for the solver (e.g. ``coarsest_size=...``
+        for the multilevel method; :data:`SOLVER_OPTIONS` names what each
+        takes).  An explicit *method* must take every one (else
+        ``ValueError``).  ``auto`` forwards only those its resolved solver
+        takes, so the components of one graph may resolve to different
+        solvers.  A name no solver takes is a ``TypeError`` either way.
 
     Returns
     -------
@@ -133,6 +140,7 @@ def fiedler_vector(
         )
 
     resolved = _resolve_auto(n) if method == "auto" else method
+    solver_options = _forwarded_options(method, resolved, solver_options)
     rng = default_rng(rng)
 
     # Persistent-store fast path: a converged eigensolve is cached keyed by
@@ -213,6 +221,20 @@ def fiedler_vector(
     return result
 
 
+def _forwarded_options(method: str, resolved: str, options: dict) -> dict:
+    """The *options* the *resolved* solver takes; raise on one it may not drop."""
+    accepted = SOLVER_OPTIONS[resolved]
+    for name in options:
+        if not any(name in names for names in SOLVER_OPTIONS.values()):
+            raise TypeError(f"fiedler_vector() got an unexpected keyword argument {name!r}")
+        if name not in accepted and method != "auto":
+            raise ValueError(
+                f"Fiedler method {method!r} takes no option {name!r}; "
+                f"it takes {sorted(accepted)}"
+            )
+    return {name: value for name, value in options.items() if name in accepted}
+
+
 def _fiedler_eigsh(laplacian, *, tol: float, rng, maxiter: int | None = None):
     """Second-smallest eigenpair via ARPACK shift-invert around zero.
 
@@ -276,4 +298,15 @@ FIEDLER_SOLVERS = {
     "multilevel": multilevel_fiedler,
     "eigsh": _fiedler_eigsh,
     "lobpcg": _fiedler_lobpcg,
+}
+
+#: The ``**solver_options`` names each method's solver takes: its keyword
+#: parameters after the first, less ``tol`` and ``rng``, which
+#: :func:`fiedler_vector` passes itself.  ``dense`` takes none.
+SOLVER_OPTIONS = {"dense": frozenset()} | {
+    method: frozenset(
+        name for name, parameter in list(inspect.signature(solver).parameters.items())[1:]
+        if parameter.kind in (parameter.POSITIONAL_OR_KEYWORD, parameter.KEYWORD_ONLY)
+    ) - {"tol", "rng"}
+    for method, solver in FIEDLER_SOLVERS.items()
 }

@@ -3,11 +3,15 @@
 The GPS, GK and RCM algorithms all start a breadth-first search "from a
 suitable vertex" — a *pseudo-peripheral* node, i.e. one whose eccentricity is
 close to the graph diameter.  The standard way to find one is the George-Liu
-shrinking strategy (George & Liu 1979; used by SPARSPAK's RCM): repeatedly
-root a level structure at a minimum-degree vertex of the deepest last level
-until the eccentricity stops increasing.  The Gibbs-Poole-Stockmeyer algorithm
-additionally needs the *pair* of endpoints (a pseudo-diameter), which
-:func:`pseudo_diameter` returns.
+strategy (George & Liu 1979; used by SPARSPAK's RCM): root a level structure,
+probe every vertex of its last level in order of increasing degree, and
+re-root at the first one that is deeper, until none is.  The
+Gibbs-Poole-Stockmeyer algorithm additionally needs the *pair* of endpoints
+(a pseudo-diameter), which :func:`pseudo_diameter` returns.  Its endpoint
+scan uses the Duff-Reid-Scott (1989) shrinking: of the last level it probes
+only the first vertex of each distinct degree, so it sweeps once per degree
+rather than once per last-level vertex.  GK, GPS and Sloan start from the
+pseudo-diameter; RCM and King from the pseudo-peripheral node alone.
 
 A search called without ``start`` is a pure function of the structure, so
 its result is memoized on the pattern's
@@ -66,7 +70,12 @@ def pseudo_peripheral_node(
     *,
     graph=None,
 ) -> tuple[int, RootedLevelStructure]:
-    """Find a pseudo-peripheral node with the George-Liu shrinking strategy.
+    """Find a pseudo-peripheral node with the George-Liu strategy.
+
+    Each round probes every vertex of the current last level, by increasing
+    degree, and re-roots at the first one whose level structure is deeper;
+    a round in which none is deeper ends the search on the narrowest
+    structure of the same depth met in it.
 
     Parameters
     ----------
@@ -108,8 +117,8 @@ def _pseudo_peripheral_node(pattern, start, max_iterations, graph):
 
     for _ in range(max_iterations):
         last_level = structure.levels[-1]
-        # Sort the last level by degree and probe candidates of smallest degree;
-        # shrinking the candidate set keeps the cost low (George & Liu).
+        # Probe every last-level vertex by increasing degree (stable order);
+        # unlike the endpoint scan of pseudo_diameter, nothing is left out.
         order = np.asarray(last_level, dtype=np.intp)[
             np.argsort(degrees[np.asarray(last_level, dtype=np.intp)], kind="stable")
         ]
@@ -141,10 +150,13 @@ def pseudo_diameter(
     """Find a pseudo-diameter (pair of mutually distant vertices).
 
     Implements the endpoint search of the Gibbs-Poole-Stockmeyer algorithm:
-    find a pseudo-peripheral node ``u``; among the minimum-degree vertices of
-    the last level of ``L(u)``, pick the one ``v`` whose level structure has
-    the smallest width.  Every sweep, including those of a restart from a
-    deeper vertex, reads one :func:`repro.graph.traversal.bfs_graph`
+    find a pseudo-peripheral node ``u``; from the last level of ``L(u)``
+    take the first vertex of each distinct degree, by increasing degree (the
+    Duff-Reid-Scott shrinking), and pick the candidate ``v`` whose level
+    structure has the smallest width.  A candidate deeper than ``u``
+    restarts the search from it, under the same rule.  Every sweep,
+    including those of a restart, reads one
+    :func:`repro.graph.traversal.bfs_graph`
     (*graph*, or built here when omitted).  Without *start* the result is
     memoized on the pattern (see the module docstring).
 
@@ -163,9 +175,11 @@ def _pseudo_diameter(pattern, start, graph):
     u, structure_u = pseudo_peripheral_node(pattern, start=start, graph=graph)
     degrees = pattern.degree()
     last = np.asarray(structure_u.levels[-1], dtype=np.intp)
-    # GPS examines the last level sorted by degree, keeping the structure of
-    # minimum width among those with eccentricity equal to that of u.
-    candidates = last[np.argsort(degrees[last], kind="stable")]
+    # GPS examines the last level by increasing degree, keeping the structure
+    # of minimum width among those with eccentricity equal to that of u;
+    # Duff-Reid-Scott shrinking keeps one candidate per distinct degree, the
+    # first in the level's order (np.unique returns first occurrences).
+    candidates = last[np.unique(degrees[last], return_index=True)[1]]
     best_v = int(candidates[0])
     best_structure = breadth_first_levels(pattern, best_v, graph=graph)
     best_width = best_structure.width

@@ -90,13 +90,12 @@ def hybrid_spectral_ordering(
         base = _spectral_component(sub, method, tol, rng, solver_options, details)
         if sub.n <= 2:
             return base
-        base_size = envelope_size(sub, base)
         detail = details[-1]
         vec = np.asarray(detail["fiedler_vector"], dtype=np.float64)
         if detail["direction"] == "nonincreasing":
             vec = -vec
         refined = _adjacency_refine(sub, vec)
-        if envelope_size(sub, refined) <= base_size:
+        if envelope_size(sub, refined) <= detail[f"envelope_{detail['direction']}"]:
             return refined
         return base
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from repro.batch.tasks import build_task, derive_seed
 from repro.collections.registry import all_problems, get_problem_spec
-from repro.eigen.fiedler import FIEDLER_SOLVERS
+from repro.eigen.fiedler import SOLVER_OPTIONS
 from repro.orderings.registry import ORDERING_ALGORITHMS
 from repro.serve.protocol import ProtocolError
 from repro.store.core import canonical_params
@@ -208,10 +208,8 @@ def _keyword_names(parameters) -> set[str]:
 
 
 #: What the ``**solver_options`` of the spectral and hybrid orderings may
-#: name: every keyword parameter of the solvers ``fiedler_vector`` runs.
-_SOLVER_OPTIONS = frozenset().union(*(
-    _keyword_names(inspect.signature(solver).parameters.values())
-    for solver in FIEDLER_SOLVERS.values()))
+#: name under ``auto``: every option some Fiedler solver takes.
+_SOLVER_OPTIONS = frozenset().union(*SOLVER_OPTIONS.values())
 
 
 def _check_option_names(algorithm: str, options: dict) -> None:
@@ -221,9 +219,9 @@ def _check_option_names(algorithm: str, options: dict) -> None:
     ``TypeError`` inside the worker — a 500 for what is plainly a client
     mistake.  An algorithm taking ``**solver_options`` (spectral, hybrid)
     forwards them to :func:`~repro.eigen.fiedler.fiedler_vector`, so it
-    also accepts the keyword parameters of every Fiedler solver; a name
-    that only a solver other than the resolved one takes still fails in
-    the worker.
+    also accepts the options of the solver ``options["method"]`` names, or
+    of every Fiedler solver under ``auto``, which forwards each component's
+    solver only what it takes.
     """
     func = ORDERING_ALGORITHMS[algorithm]
     try:
@@ -231,14 +229,19 @@ def _check_option_names(algorithm: str, options: dict) -> None:
     except (TypeError, ValueError):  # exotic callables: let the worker judge
         return
     accepted = _keyword_names(parameters)
+    label = f"algorithm {algorithm!r}"
     if any(p.kind is p.VAR_KEYWORD for p in parameters):
-        accepted |= _SOLVER_OPTIONS
+        method = options.get("method")
+        if isinstance(method, str) and method in SOLVER_OPTIONS:
+            accepted |= SOLVER_OPTIONS[method]
+            label += f" with method {method!r}"
+        else:
+            accepted |= _SOLVER_OPTIONS
     unknown = sorted(set(options) - accepted)
     if unknown:
         raise ProtocolError(
             400,
-            f"unknown option(s) {unknown} for algorithm {algorithm!r}; "
-            f"accepted: {sorted(accepted)}",
+            f"unknown option(s) {unknown} for {label}; accepted: {sorted(accepted)}",
             "UnknownOption",
         )
 

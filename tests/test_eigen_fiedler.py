@@ -5,7 +5,7 @@ import pytest
 
 from repro.collections.generators import random_geometric_pattern
 from repro.collections.meshes import grid2d_pattern, path_pattern
-from repro.eigen.fiedler import FIEDLER_METHODS, fiedler_vector
+from repro.eigen.fiedler import FIEDLER_METHODS, SOLVER_OPTIONS, fiedler_vector
 from repro.graph.laplacian import laplacian_matrix
 
 
@@ -45,6 +45,28 @@ class TestFiedlerVectorMethods:
     def test_unknown_method_rejected(self, path10):
         with pytest.raises(ValueError, match="method"):
             fiedler_vector(path10, method="does-not-exist")
+
+    def test_auto_rejects_an_option_no_solver_takes(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'foo'"):
+            fiedler_vector(grid2d_pattern(15, 10), foo=1)
+
+    def test_auto_drops_an_option_only_another_solver_takes(self):
+        pattern = grid2d_pattern(15, 10)
+        plain = fiedler_vector(pattern, rng=0)
+        dropped = fiedler_vector(pattern, rng=0, coarsest_size=50, maxiter=10)
+        assert dropped.method == plain.method == "lanczos"
+        np.testing.assert_array_equal(dropped.eigenvector, plain.eigenvector)
+
+    @pytest.mark.parametrize("method", ["lanczos", "dense", "eigsh"])
+    def test_explicit_method_rejects_an_option_it_does_not_take(self, method):
+        with pytest.raises(ValueError, match=f"'{method}' takes no option 'coarsest_size'"):
+            fiedler_vector(grid2d_pattern(15, 10), method=method, coarsest_size=50)
+
+    def test_solver_options_are_each_solvers_own_keywords(self):
+        assert set(SOLVER_OPTIONS) == set(FIEDLER_METHODS) - {"auto"}
+        assert SOLVER_OPTIONS["dense"] == frozenset()
+        assert SOLVER_OPTIONS["multilevel"] == {"coarsest_size", "rqi_steps"}
+        assert SOLVER_OPTIONS["lanczos"] == {"max_iter", "start", "restarts", "reorth"}
 
     def test_methods_constant_is_complete(self):
         assert set(FIEDLER_METHODS) == {"auto", "dense", "lanczos", "multilevel", "eigsh", "lobpcg"}

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 import repro.graph.peripheral as peripheral
 import repro.graph.traversal as traversal
 from repro.batch import build_task, clear_problem_cache, execute_task
-from repro.collections.meshes import grid2d_pattern
+from repro.collections.meshes import (
+    binary_tree_pattern,
+    cycle_pattern,
+    grid2d_pattern,
+    path_pattern,
+    star_pattern,
+)
 from repro.collections.registry import load_problem
 from repro.eigen.workspace import spectral_workspace
 from repro.graph.peripheral import pseudo_diameter, pseudo_peripheral_node
@@ -64,12 +70,25 @@ class TestPseudoDiameter:
         u, v, _, _ = pseudo_diameter(cycle12)
         assert u != v
 
+    @pytest.mark.parametrize("pattern", [
+        path_pattern(10), cycle_pattern(12), star_pattern(9), binary_tree_pattern(4),
+        grid2d_pattern(7, 11),
+    ], ids=["path", "cycle", "star", "binary-tree", "grid"])
+    def test_endpoints_are_a_true_diameter(self, pattern):
+        u, v, structure_u, _sv = pseudo_diameter(pattern)
+        diameter = max(
+            breadth_first_levels_reference(pattern, root).height for root in range(pattern.n)
+        )
+        assert structure_u.level_of[v] == diameter
 
-#: A 12-vertex graph on which pseudo_diameter finds a last-level vertex deeper
-#: than its pseudo-peripheral node and restarts the search from there.
-RESTART = SymmetricPattern.from_edges(12, [
-    (1, 0), (2, 0), (3, 1), (4, 3), (5, 0), (6, 1), (7, 2), (8, 7), (9, 4),
-    (10, 5), (11, 10), (11, 8), (3, 7)])
+
+#: A 9-vertex graph on which pseudo_diameter restarts.  The George-Liu rounds
+#: end on node 6 of eccentricity 3, whose last level holds 0, 4 and 1 of
+#: degrees 2, 3 and 4; vertex 4, the endpoint scan's second candidate, has
+#: eccentricity 4, so the search restarts from it.
+RESTART = SymmetricPattern.from_edges(9, [
+    (0, 1), (0, 2), (1, 4), (1, 5), (1, 7), (2, 3), (3, 6), (4, 5), (4, 7),
+    (5, 7), (5, 8), (6, 8), (7, 8)])
 
 
 @pytest.fixture
@@ -118,6 +137,33 @@ class TestOneGraphPerSearch:
         calls["bfs_graph"] = 0
         peripheral.pseudo_diameter(grid, graph=graph)
         assert calls["bfs_graph"] == 0
+
+
+#: Graphs whose last level repeats degrees and whose scan does not restart.
+SCAN_GRAPHS = {
+    "binary-tree": lambda: binary_tree_pattern(5),
+    "9-point-grid": lambda: grid2d_pattern(12, 9, stencil=9),
+    "FLAP@0.02": lambda: load_problem("FLAP", 0.02)[0],
+    "BCSSTK30@0.02": lambda: load_problem("BCSSTK30", 0.02)[0],
+    "BCSSTK33@0.05": lambda: load_problem("BCSSTK33", 0.05)[0],
+}
+
+
+class TestEndpointScan:
+    """The endpoint scan sweeps one last-level vertex per distinct degree."""
+
+    @pytest.mark.parametrize("name", list(SCAN_GRAPHS))
+    def test_at_most_one_sweep_per_last_level_degree(self, calls, name):
+        pattern = SCAN_GRAPHS[name]()
+        _u, structure_u = peripheral.pseudo_peripheral_node(pattern)
+        last = structure_u.levels[-1]
+        degrees = len(np.unique(pattern.degree()[last]))
+        assert degrees < len(last)  # the rule leaves vertices out
+        calls["breadth_first_levels"] = calls["pseudo_diameter"] = 0
+        # The node search is memoized, so every sweep here is the scan's.
+        peripheral.pseudo_diameter(pattern)
+        assert calls["pseudo_diameter"] == 1  # no restart
+        assert 1 <= calls["breadth_first_levels"] <= degrees
 
 
 class TestSearchMemo:
@@ -234,6 +280,12 @@ class TestPeripheralProperties:
         diameter = nx.diameter(graph)
         _, structure = pseudo_peripheral_node(pattern)
         assert structure.height * 2 >= diameter
+
+    @given(small_connected_patterns(min_n=2))
+    @settings(max_examples=50, deadline=None)
+    def test_v_ends_the_structure_of_u_and_sees_as_deep(self, pattern):
+        _u, v, structure_u, structure_v = pseudo_diameter(pattern)
+        assert structure_u.level_of[v] == structure_u.height <= structure_v.height
 
     @given(small_connected_patterns(min_n=2))
     @settings(max_examples=25, deadline=None)

@@ -31,6 +31,23 @@ class TestHybridSpectralOrdering:
         assert is_adjacency_ordering(pattern, ordering.perm)
         assert not is_adjacency_ordering(pattern, spectral.perm)
 
+    def test_measures_each_order_once(self, monkeypatch):
+        """Both spectral directions and the refined order: the hybrid pass
+        reads the chosen direction's envelope from the spectral detail."""
+        import repro.orderings.hybrid as hybrid
+        import repro.orderings.spectral as spectral
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return envelope_size(*args, **kwargs)
+
+        monkeypatch.setattr(hybrid, "envelope_size", counted)
+        monkeypatch.setattr(spectral, "envelope_size", counted)
+        hybrid_spectral_ordering(airfoil_pattern(300, seed=2), method="lanczos")
+        assert len(calls) == 3
+
     def test_path_optimal(self, path10):
         ordering = hybrid_spectral_ordering(path10, method="dense")
         assert envelope_size(path10, ordering.perm) == 9

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 
-from repro.collections.generators import airfoil_pattern
+from repro.collections.generators import airfoil_pattern, random_geometric_pattern
 from repro.collections.meshes import grid2d_pattern
+from repro.collections.registry import load_problem
 from repro.envelope.metrics import envelope_size
 from repro.orderings.base import random_ordering
 from repro.orderings.spectral import ordering_from_vector, spectral_ordering
@@ -107,6 +109,38 @@ class TestSpectralOrderingAlgorithm1:
     def test_accepts_scipy_input(self, grid_8x6):
         ordering = spectral_ordering(grid_8x6.to_scipy("spd"), method="dense")
         assert sorted(ordering.perm.tolist()) == list(range(grid_8x6.n))
+
+    def test_auto_drops_a_solver_option_lanczos_does_not_take(self):
+        pattern, _spec = load_problem("CAN1072", 0.1)
+        plain = spectral_ordering(pattern, rng=0)
+        with_option = spectral_ordering(pattern.copy(), rng=0, coarsest_size=50)
+        assert {d["solver"] for d in with_option.metadata["components"]} == {"lanczos"}
+        np.testing.assert_array_equal(with_option.perm, plain.perm)
+
+    def test_auto_components_take_the_options_of_their_own_solver(self, monkeypatch):
+        """One graph, two components: multilevel gets ``coarsest_size``, Lanczos does not."""
+        import repro.eigen.fiedler as fiedler
+
+        passed = []
+
+        def multilevel(pattern, **options):
+            passed.append(options["coarsest_size"])
+            return solve(pattern, **options)
+
+        solve = fiedler.multilevel_fiedler
+        monkeypatch.setattr(fiedler, "multilevel_fiedler", multilevel)
+        pattern = SymmetricPattern.from_scipy(sp.block_diag([
+            grid2d_pattern(80, 64).to_scipy(), random_geometric_pattern(200, seed=7).to_scipy(),
+        ]))
+        ordering = spectral_ordering(pattern, rng=0, coarsest_size=50)
+        solvers = [d["solver"] for d in ordering.metadata["components"]]
+        assert sorted(solvers) == ["lanczos", "multilevel"]
+        assert passed == [50]
+
+    @pytest.mark.parametrize("method", ["lanczos", "dense"])
+    def test_explicit_method_rejects_an_option_it_does_not_take(self, grid_8x6, method):
+        with pytest.raises(ValueError, match=f"'{method}' takes no option 'coarsest_size'"):
+            spectral_ordering(grid_8x6, method=method, coarsest_size=50)
 
     def test_single_vertex(self):
         ordering = spectral_ordering(SymmetricPattern.empty(1))

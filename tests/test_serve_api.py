@@ -214,6 +214,21 @@ class TestValidation4xx:
         assert status == 200
         assert body["record"]["status"] == "ok"
 
+    def test_auto_drops_an_option_its_solver_does_not_take(self, server):
+        """CAN1072@0.1 resolves to Lanczos under auto, which takes no
+        ``coarsest_size``; an explicit Lanczos request is rejected up front."""
+        payload = {"problem": "CAN1072", "scale": 0.1, "algorithm": "spectral",
+                   "options": {"coarsest_size": 50}}
+        status, _headers, body = server.client.request("POST", "/v1/order", payload)
+        assert status == 200
+        assert body["record"]["status"] == "ok"
+        payload["options"]["method"] = "lanczos"
+        status, _headers, body = server.client.request("POST", "/v1/order", payload)
+        assert status == 400
+        assert body["error"]["type"] == "UnknownOption"
+        assert "'coarsest_size'" in body["error"]["message"]
+        assert "'lanczos'" in body["error"]["message"]
+
     def test_no_pattern_source(self, server):
         status, _headers, body = server.client.request(
             "POST", "/v1/order", {"algorithm": "rcm"})

@@ -267,6 +267,19 @@ class TestWarmFromDiskIdentity:
         assert warm.method == cold.method
         np.testing.assert_array_equal(warm_next, cold_next)
 
+    def test_auto_addresses_the_entry_by_the_options_it_forwards(self, tmp_path):
+        """Lanczos takes no ``coarsest_size``, so auto drops it before the
+        address is built, and the solve hits the entry a plain auto wrote."""
+        store = ArtifactStore(tmp_path)
+        set_default_store(store)
+        pattern = random_geometric_pattern(200, seed=7)
+        plain = fiedler_vector(pattern.copy(), rng=3)
+        hits = store.stats["hits"]
+        dropped = fiedler_vector(pattern.copy(), rng=3, coarsest_size=50)
+        assert plain.method == dropped.method == "lanczos"
+        assert store.stats["hits"] == hits + 1
+        np.testing.assert_array_equal(dropped.eigenvector, plain.eigenvector)
+
     def test_multilevel_warm_identity(self, tmp_path):
         pattern = random_geometric_pattern(300, seed=5)
         cold = multilevel_fiedler(pattern.copy(), coarsest_size=40, rng=9)
