@@ -1,4 +1,4 @@
-"""Ablation A1 — which Fiedler-vector solver to use (DESIGN.md design choice).
+"""Ablation A1 — which Fiedler-vector solver to use.
 
 The paper computes the second Laplacian eigenvector with Lanczos or with the
 multilevel scheme; SciPy offers LOBPCG and shift-invert ARPACK.  This harness

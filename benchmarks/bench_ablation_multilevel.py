@@ -1,4 +1,4 @@
-"""Ablation A2 — multilevel solver parameters (DESIGN.md design choice).
+"""Ablation A2 — multilevel solver parameters.
 
 Section 3 of the paper contracts "until the size of the vertex set is less
 than some number (typically 100)" and refines with "one or perhaps two" RQI

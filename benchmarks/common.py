@@ -1,22 +1,22 @@
-"""Shared infrastructure for the benchmark harnesses.
+"""Shared infrastructure for the pytest-benchmark harnesses.
 
-Every benchmark regenerates part of the paper's evaluation section:
-
-* ``bench_table_4_1.py`` / ``4_2`` / ``4_3`` — ordering quality and run time
-  for the four paper algorithms on each test-set surrogate (Tables 4.1-4.3);
-* ``bench_table_4_4.py`` — envelope factorization times under the spectral and
-  RCM orderings (Table 4.4);
 * ``bench_figures_4_1_to_4_5.py`` — structure plots of BARTH4 under the five
   orderings (Figures 4.1-4.5);
-* ``bench_ablation_*.py`` — ablations of the design choices called out in
-  DESIGN.md.
+* ``bench_ablation_*.py`` — ablations of the library's design choices: the
+  Fiedler solver, the multilevel parameters, the hybrid ordering, the
+  preconditioner ordering and the scaling with problem size.
+
+The paper's Tables 4.1-4.4 come from ``repro suite --table 4.x`` at any
+scale and from ``benchmarks/bench_fidelity.py`` at paper size.
 
 Surrogate sizes are controlled by the ``REPRO_BENCH_SCALE`` environment
-variable (default 0.05, i.e. about 5% of the paper's matrix orders, which
-keeps a full ``pytest benchmarks/ --benchmark-only`` run to a few minutes in
-pure Python).  Each harness also writes a human-readable results file under
-``benchmarks/results/`` so the numbers can be compared against the paper's
-tables (see EXPERIMENTS.md).
+variable (default 0.05, i.e. about 5% of the paper's matrix orders).  Run
+the harnesses once each, untimed, with::
+
+    REPRO_BENCH_SCALE=0.02 python -m pytest benchmarks -o python_files='bench_*.py' --benchmark-disable
+
+Each harness also writes a human-readable results file under
+``benchmarks/results/``, which git ignores.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from repro.bench import time_call
-from repro.collections.registry import PAPER_PROBLEMS, load_problem
+from repro.collections.registry import load_problem
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -61,11 +61,6 @@ def cached_problem(name: str, scale: float | None = None):
         scale = bench_scale()
     pattern, _spec = load_problem(name, scale=scale)
     return pattern
-
-
-def problem_spec(name: str):
-    """The :class:`repro.collections.registry.ProblemSpec` for *name*."""
-    return PAPER_PROBLEMS[name.upper()]
 
 
 class TableCollector:

@@ -27,8 +27,7 @@ import time
 
 import numpy as np
 
-from repro import envelope_solve
-from repro.analysis.runner import run_comparison
+from repro import compare_orderings, envelope_solve
 from repro.collections import cylinder_shell_pattern
 from repro.envelope.metrics import envelope_size
 from repro.factor.cholesky import envelope_cholesky, estimate_factor_work
@@ -47,7 +46,7 @@ def main(argv: list[str]) -> None:
     )
 
     # --- ordering comparison (one block of Table 4.1) ------------------------
-    comparison = run_comparison(
+    comparison = compare_orderings(
         pattern, algorithms=("spectral", "gk", "gps", "rcm", "sloan"), problem="shell"
     )
     print()
@@ -55,8 +54,8 @@ def main(argv: list[str]) -> None:
 
     # --- factorization experiment (Table 4.4) --------------------------------
     matrix = pattern.to_scipy("spd")
-    spectral = comparison.orderings["spectral"]
-    rcm = comparison.orderings["rcm"]
+    spectral = comparison.record_for("shell", "spectral").ordering
+    rcm = comparison.record_for("shell", "rcm").ordering
 
     print("\nEnvelope factorization (Table 4.4 shape):")
     print(f"{'ordering':<10} {'envelope':>12} {'est. work':>14} {'ops':>14} {'time (s)':>10}")

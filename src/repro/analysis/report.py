@@ -5,7 +5,8 @@ size, the bandwidth, the ordering run time and the rank of the algorithm by
 envelope size.  :func:`rows_from_records` produces exactly those rows from
 the batch engine's records, and :func:`format_table` renders them as a
 fixed-width text table.  :func:`fidelity_scorecard` sets the same records
-against the numbers the paper reports.
+against the numbers the paper reports, and :func:`factor_scorecard` does
+the same for the envelope factorizations of Table 4.4.
 """
 
 from __future__ import annotations
@@ -19,10 +20,19 @@ from repro.orderings.registry import PAPER_ALGORITHMS
 __all__ = [
     "ComparisonRow", "rank_by", "rows_from_records", "format_table",
     "COMBINATORIAL_ALGORITHMS", "FidelityRow", "fidelity_scorecard",
+    "PAPER_FACTOR_TIMES", "FactorRow", "factor_scorecard",
 ]
 
 #: The paper's combinatorial orderings, against whose best spectral is judged.
 COMBINATORIAL_ALGORITHMS = ("rcm", "gps", "gk")
+
+#: Table 4.4: the paper's envelope factorization times in seconds, spectral
+#: and RCM ordering, of the three problems it factors.
+PAPER_FACTOR_TIMES = {
+    "BCSSTK29": {"spectral": 257.0, "rcm": 1677.0},
+    "BCSSTK33": {"spectral": 670.0, "rcm": 685.0},
+    "BARTH4": {"spectral": 8.19, "rcm": 35.17},
+}
 
 
 @dataclass(frozen=True)
@@ -161,6 +171,54 @@ def fidelity_scorecard(records, specs) -> tuple[list[FidelityRow], dict]:
             for name in COMBINATORIAL_ALGORITHMS
         }
     return rows, summary
+
+
+@dataclass(frozen=True)
+class FactorRow:
+    """One problem's envelope factorizations against the paper's Table 4.4.
+
+    Every ratio is the spectral ordering's over RCM's: ``envelope_ratio`` of
+    the envelope sizes, ``work_ratio`` of the factor's multiply-adds and
+    ``time_ratio`` of the factor times; the ``paper_`` ratios come from the
+    paper's envelopes and times.  ``seconds`` holds our two factor times,
+    spectral first.
+    """
+
+    problem: str
+    envelope_ratio: float
+    paper_envelope_ratio: float
+    work_ratio: float
+    time_ratio: float
+    paper_time_ratio: float
+    seconds: tuple
+
+
+def factor_scorecard(factorizations, specs) -> list[FactorRow]:
+    """Score envelope factorizations against the paper's Table 4.4.
+
+    *factorizations* maps ``(problem, algorithm)`` to the ``(envelope size,
+    operations, seconds)`` of one factorization under that ordering.
+    *specs* are :class:`repro.collections.registry.ProblemSpec`s of problems
+    in :data:`PAPER_FACTOR_TIMES`; one gets a row, in *specs* order, when
+    both its spectral and RCM factorizations are there.
+    """
+    rows = []
+    for spec in specs:
+        spectral = factorizations.get((spec.name, "spectral"))
+        rcm = factorizations.get((spec.name, "rcm"))
+        if spectral is None or rcm is None:
+            continue
+        paper_times = PAPER_FACTOR_TIMES[spec.name]
+        rows.append(FactorRow(
+            problem=spec.name,
+            envelope_ratio=spectral[0] / rcm[0],
+            paper_envelope_ratio=spec.paper_envelopes["spectral"] / spec.paper_envelopes["rcm"],
+            work_ratio=spectral[1] / rcm[1],
+            time_ratio=spectral[2] / rcm[2],
+            paper_time_ratio=paper_times["spectral"] / paper_times["rcm"],
+            seconds=(spectral[2], rcm[2]),
+        ))
+    return rows
 
 
 def format_table(rows: list[ComparisonRow], title: str = "") -> str:

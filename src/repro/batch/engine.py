@@ -159,8 +159,8 @@ def execute_task(task: BatchTask, pattern=None, capture_errors: bool = True) -> 
         task's scale.
     capture_errors:
         When true (the batch default) any exception becomes a structured
-        ``"error"`` record; when false it propagates to the caller (the
-        behaviour of the legacy in-process runner).
+        ``"error"`` record; when false it propagates to the caller, as
+        :func:`repro.core.pipeline.compare_orderings` wants.
     """
     try:
         faults.worker_faults(_fault_key(task), point="start")

@@ -247,7 +247,7 @@ def _cmd_reorder(args) -> int:
 
 def _cmd_compare(args) -> int:
     from repro.analysis.report import format_table
-    from repro.analysis.runner import run_comparison
+    from repro.core.pipeline import compare_orderings
 
     pattern, _matrix, label = _load_input(args.input)
     algorithms = tuple(args.algorithms.split(",")) if args.algorithms else PAPER_ALGORITHMS
@@ -256,9 +256,9 @@ def _cmd_compare(args) -> int:
         print(f"unknown algorithms: {unknown}; available: {sorted(ORDERING_ALGORITHMS)}",
               file=sys.stderr)
         return 2
-    result = run_comparison(pattern, algorithms=algorithms, problem=label)
-    print(format_table(result.rows, title=f"Ordering comparison — {label}"))
-    print(f"\nSmallest envelope: {result.winner.upper()}")
+    suite = compare_orderings(pattern, algorithms=algorithms, problem=label)
+    print(format_table(suite.to_rows(), title=f"Ordering comparison — {label}"))
+    print(f"\nSmallest envelope: {suite.winners()[label].upper()}")
     return 0
 
 

@@ -2,9 +2,10 @@
 
 Tables 4.1-4.3 of the paper evaluate 18 matrices.  For each of them this
 registry records the paper's size (equations and nonzeros), the envelope sizes
-the paper reports for each ordering algorithm (used by ``EXPERIMENTS.md`` to
-compare shapes), and a generator that builds a synthetic surrogate from the
-same structural family.
+the paper reports for each ordering algorithm (which
+:func:`repro.analysis.report.fidelity_scorecard` sets our runs against), and
+a generator that builds a synthetic surrogate from the same structural
+family.
 
 Surrogate sizes
 ---------------

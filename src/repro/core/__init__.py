@@ -2,8 +2,9 @@
 
 :func:`repro.core.pipeline.reorder` is the one-call entry point — structure in,
 ordering plus envelope statistics out — and
-:func:`repro.core.pipeline.compare_orderings` reproduces a full paper-table row
-set for a single matrix.
+:func:`repro.core.pipeline.compare_orderings` runs several orderings on a
+single matrix through the batch engine's cell and returns the
+:class:`repro.batch.results.SuiteResult` of one paper-table row block.
 """
 
 from repro.core.pipeline import EnvelopeReport, compare_orderings, reorder

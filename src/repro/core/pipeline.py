@@ -12,15 +12,17 @@ Typical use::
 or, to reproduce a row block of the paper's tables for your own matrix::
 
     from repro import compare_orderings
-    result = compare_orderings(matrix)
-    print(result.to_text())
+    suite = compare_orderings(matrix)
+    print(suite.to_text())
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.runner import ExperimentResult, run_comparison
+from repro.batch.engine import execute_task
+from repro.batch.results import SuiteResult
+from repro.batch.tasks import BatchTask, derive_seed
 from repro.bench.core import time_call
 from repro.envelope.metrics import EnvelopeStatistics, envelope_statistics
 from repro.orderings.base import Ordering
@@ -103,16 +105,29 @@ def compare_orderings(
     algorithms: tuple = PAPER_ALGORITHMS,
     problem: str = "problem",
     **algorithm_options,
-) -> ExperimentResult:
+) -> SuiteResult:
     """Run several ordering algorithms on one matrix and rank them.
 
     This reproduces one problem block of the paper's Tables 4.1-4.3 for an
-    arbitrary user matrix.  See :func:`repro.analysis.runner.run_comparison`.
+    arbitrary user matrix.  Each algorithm runs as one batch-engine cell
+    (:func:`repro.batch.engine.execute_task`) with the seed ``repro suite``
+    derives for it, and an exception propagates instead of becoming an
+    ``"error"`` record.  Keyword arguments map an algorithm name to its
+    options, e.g. ``spectral={"method": "dense"}``.
     """
     pattern = structure_from_matrix(matrix)
-    return run_comparison(
-        pattern,
-        algorithms=algorithms,
-        problem=problem,
-        algorithm_options=algorithm_options or None,
-    )
+    records = [
+        execute_task(
+            BatchTask(
+                problem=problem,
+                algorithm=name,
+                seed=derive_seed(0, problem, name),
+                options=dict(algorithm_options.get(name, {})),
+                index=index,
+            ),
+            pattern=pattern,
+            capture_errors=False,
+        )
+        for index, name in enumerate(algorithms)
+    ]
+    return SuiteResult(problems=[problem], algorithms=list(algorithms), records=records)

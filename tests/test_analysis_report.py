@@ -4,10 +4,16 @@ import math
 
 import pytest
 
-from repro.analysis.report import ComparisonRow, fidelity_scorecard, format_table, rank_by
-from repro.analysis.runner import run_comparison
+from repro.analysis.report import (
+    ComparisonRow,
+    factor_scorecard,
+    fidelity_scorecard,
+    format_table,
+    rank_by,
+)
 from repro.batch.results import TaskRecord
 from repro.collections.registry import ProblemSpec
+from repro.core.pipeline import compare_orderings
 
 
 def _rows():
@@ -36,7 +42,7 @@ class TestRankBy:
 
 class TestFormatTable:
     def test_contains_all_algorithms_and_title(self, grid_8x6):
-        rows = run_comparison(grid_8x6, ("rcm", "gps"), problem="grid_8x6").rows
+        rows = compare_orderings(grid_8x6, ("rcm", "gps"), problem="grid_8x6").to_rows()
         text = format_table(rows, title="Table test")
         assert "Table test" in text
         assert "RCM" in text and "GPS" in text
@@ -109,3 +115,44 @@ class TestFidelityScorecard:
         rows, summary = fidelity_scorecard([], self.SPECS)
         assert rows == [] and summary["problems"] == summary["agreements"] == 0
         assert summary["envelopes"] == {"rcm": None, "gps": None, "gk": None}
+
+
+class TestFactorScorecard:
+    """Table 4.4's scorecard is a pure function of factorizations and specs."""
+
+    PAPER_ENV = {"spectral": 50, "gk": 70, "gps": 75, "rcm": 100}
+    SPECS = [_spec("BARTH4", PAPER_ENV, {}), _spec("BCSSTK29", PAPER_ENV, {}),
+             _spec("BCSSTK33", PAPER_ENV, {})]
+    FACTORIZATIONS = {
+        ("BCSSTK29", "spectral"): (300, 900, 1.5),
+        ("BCSSTK29", "rcm"): (400, 1800, 2.0),
+        ("BARTH4", "spectral"): (100, 400, 0.25),
+        ("BARTH4", "rcm"): (100, 500, 1.0),
+        ("BCSSTK33", "rcm"): (100, 500, 1.0),
+    }
+
+    def test_rows_follow_the_specs_and_skip_unfactored_problems(self):
+        rows = factor_scorecard(self.FACTORIZATIONS, self.SPECS)
+        assert [row.problem for row in rows] == ["BARTH4", "BCSSTK29"]
+
+    def test_ratios_are_spectral_over_rcm(self):
+        barth4, bcsstk29 = factor_scorecard(self.FACTORIZATIONS, self.SPECS)
+        assert bcsstk29.envelope_ratio == pytest.approx(0.75)
+        assert bcsstk29.paper_envelope_ratio == pytest.approx(0.5)
+        assert bcsstk29.work_ratio == pytest.approx(0.5)
+        assert bcsstk29.time_ratio == pytest.approx(0.75)
+        assert bcsstk29.seconds == (1.5, 2.0)
+        assert barth4.envelope_ratio == pytest.approx(1.0)
+        assert barth4.work_ratio == pytest.approx(0.8)
+        assert barth4.time_ratio == pytest.approx(0.25)
+
+    def test_paper_time_ratios_are_table_4_4s(self):
+        rows = factor_scorecard(
+            {(spec.name, name): (1, 1, 1.0) for spec in self.SPECS for name in ("spectral", "rcm")},
+            self.SPECS,
+        )
+        assert {row.problem: round(row.paper_time_ratio, 3) for row in rows} == {
+            "BARTH4": 0.233, "BCSSTK29": 0.153, "BCSSTK33": 0.978}
+
+    def test_no_rows(self):
+        assert factor_scorecard({}, self.SPECS) == []

@@ -55,11 +55,33 @@ class TestReorder:
 class TestCompareOrderings:
     def test_default_algorithms(self, grid_8x6):
         result = compare_orderings(grid_8x6, problem="grid")
-        assert {r.algorithm for r in result.rows} == {"spectral", "gk", "gps", "rcm"}
+        assert {r.algorithm for r in result.to_rows()} == {"spectral", "gk", "gps", "rcm"}
+        assert all(record.ok and record.time_s >= 0 for record in result.records)
 
     def test_custom_algorithms(self, grid_8x6):
         result = compare_orderings(grid_8x6, algorithms=("rcm", "sloan"))
-        assert {r.algorithm for r in result.rows} == {"rcm", "sloan"}
+        assert {r.algorithm for r in result.to_rows()} == {"rcm", "sloan"}
+
+    def test_winner_has_rank_one(self, geometric200):
+        result = compare_orderings(geometric200, algorithms=("spectral", "rcm"), problem="geo")
+        rows = {r.algorithm: r for r in result.to_rows()}
+        winner_row = rows[result.winners()["geo"]]
+        assert winner_row.rank == 1
+        assert winner_row.envelope_size == min(r.envelope_size for r in rows.values())
+
+    def test_rows_match_orderings(self, grid_8x6):
+        result = compare_orderings(grid_8x6, algorithms=("rcm",), problem="grid")
+        (row,) = result.to_rows()
+        ordering = result.record_for("grid", "rcm").ordering
+        assert row.envelope_size == envelope_size(grid_8x6, ordering.perm)
+
+    def test_algorithm_options_forwarded(self, grid_8x6):
+        result = compare_orderings(grid_8x6, algorithms=("spectral",), spectral={"method": "dense"})
+        assert result.record_for("problem", "spectral").ordering.metadata["solver"] == "dense"
+
+    def test_unknown_algorithm_raises(self, grid_8x6):
+        with pytest.raises(KeyError):
+            compare_orderings(grid_8x6, algorithms=("rcm", "amd"))
 
 
 class TestPackageExports:

@@ -64,7 +64,7 @@ class TestDegenerateGraphs:
 
     def test_compare_orderings_on_diagonal_matrix(self):
         result = compare_orderings(SymmetricPattern.empty(5), algorithms=("rcm", "gps"))
-        assert all(row.envelope_size == 0 for row in result.rows)
+        assert all(row.envelope_size == 0 for row in result.to_rows())
 
 
 class TestEigenFailureModes:

@@ -16,9 +16,9 @@ surrogates:
 import numpy as np
 import pytest
 
-from repro.analysis.runner import run_comparison
 from repro.analysis.spy import band_profile, density_grid
 from repro.collections.registry import load_problem
+from repro.core.pipeline import compare_orderings
 from repro.envelope.metrics import envelope_size
 from repro.factor.cholesky import envelope_cholesky
 from repro.orderings.registry import ORDERING_ALGORITHMS
@@ -36,13 +36,13 @@ def barth4():
 
 @pytest.fixture(scope="module")
 def barth4_comparison(barth4):
-    return run_comparison(barth4, problem="BARTH4")
+    return compare_orderings(barth4, problem="BARTH4")
 
 
 class TestTableShape:
     def test_barth4_spectral_wins_envelope(self, barth4_comparison):
         """Table 4.3: SPECTRAL has rank 1 on BARTH4 by a wide margin."""
-        rows = {r.algorithm: r for r in barth4_comparison.rows}
+        rows = {r.algorithm: r for r in barth4_comparison.to_rows()}
         assert rows["spectral"].rank == 1
         assert rows["spectral"].envelope_size < rows["rcm"].envelope_size
         assert rows["spectral"].envelope_size < rows["gps"].envelope_size
@@ -50,21 +50,21 @@ class TestTableShape:
 
     def test_barth4_margin_is_substantial(self, barth4_comparison):
         """The paper reports a ~2x envelope reduction vs RCM on BARTH4."""
-        rows = {r.algorithm: r for r in barth4_comparison.rows}
+        rows = {r.algorithm: r for r in barth4_comparison.to_rows()}
         assert rows["rcm"].envelope_size >= 1.3 * rows["spectral"].envelope_size
 
     def test_local_methods_win_bandwidth(self, barth4_comparison):
         """Section 4: 'the bandwidths of the spectral reorderings are often
         much greater than those of the other reorderings'."""
-        rows = {r.algorithm: r for r in barth4_comparison.rows}
+        rows = {r.algorithm: r for r in barth4_comparison.to_rows()}
         best_local_bw = min(rows["gps"].bandwidth, rows["gk"].bandwidth, rows["rcm"].bandwidth)
         assert rows["spectral"].bandwidth >= best_local_bw
 
     def test_power_network_spectral_wins(self):
         """Table 4.2: POW9 shows the largest spectral advantage (>2x vs RCM)."""
         pattern, _ = load_problem("POW9", scale=SCALE)
-        result = run_comparison(pattern, problem="POW9")
-        rows = {r.algorithm: r for r in result.rows}
+        result = compare_orderings(pattern, problem="POW9")
+        rows = {r.algorithm: r for r in result.to_rows()}
         assert rows["spectral"].envelope_size < rows["rcm"].envelope_size
 
     def test_every_algorithm_beats_random_on_misc_suite(self):
@@ -108,8 +108,8 @@ class TestFigureShape:
     def test_spectral_profile_differs_from_local_profiles(self, barth4, barth4_comparison):
         """Figures 4.2-4.5: GK/GPS/RCM spy plots look alike; SPECTRAL's differs."""
         grids = {
-            name: density_grid(barth4, ordering.perm, resolution=16).astype(float)
-            for name, ordering in barth4_comparison.orderings.items()
+            record.algorithm: density_grid(barth4, record.ordering.perm, resolution=16).astype(float)
+            for record in barth4_comparison.records
         }
 
         def distance(a, b):
@@ -122,8 +122,8 @@ class TestFigureShape:
 
     def test_band_profiles_quantify_figures(self, barth4, barth4_comparison):
         profiles = {
-            name: band_profile(barth4, ordering.perm)
-            for name, ordering in barth4_comparison.orderings.items()
+            record.algorithm: band_profile(barth4, record.ordering.perm)
+            for record in barth4_comparison.records
         }
         # Spectral: smaller area (envelope), usually wider extreme rows.
         assert profiles["spectral"]["envelope_size"] <= profiles["rcm"]["envelope_size"]
