@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import repro
+from repro.batch.engine import run_suite
 from repro.collections.generators import airfoil_pattern
+from repro.collections.registry import load_problem
 from repro.core.pipeline import compare_orderings, reorder
 from repro.envelope.metrics import envelope_size
+from repro.orderings.registry import ORDERING_ALGORITHMS
 
 
 class TestReorder:
@@ -82,6 +85,30 @@ class TestCompareOrderings:
     def test_unknown_algorithm_raises(self, grid_8x6):
         with pytest.raises(KeyError):
             compare_orderings(grid_8x6, algorithms=("rcm", "amd"))
+
+    def test_failed_algorithm_raises_runtime_error(self, grid_8x6, monkeypatch):
+        def boom(pattern, **kwargs):
+            raise RuntimeError("kaboom")
+
+        monkeypatch.setitem(ORDERING_ALGORITHMS, "boom", boom)
+        with pytest.raises(RuntimeError, match="kaboom"):
+            compare_orderings(grid_8x6, algorithms=("rcm", "boom"))
+
+    def test_to_text_is_table(self, grid_8x6):
+        text = compare_orderings(grid_8x6, algorithms=("rcm", "gps"), problem="grid").to_text()
+        assert "RCM" in text and "GPS" in text and "Rank" in text
+        assert "FAILED" not in text
+
+    def test_matches_the_suite_cell_of_a_registered_problem(self):
+        """Same seeds as ``repro suite``: a seeded algorithm gives the same permutation."""
+        pattern, _ = load_problem("POW9", scale=0.02)
+        result = compare_orderings(pattern, algorithms=("rcm", "random"), problem="POW9")
+        suite = run_suite(["POW9"], ("rcm", "random"), scale=0.02)
+        for name in ("rcm", "random"):
+            ours, theirs = result.record_for("POW9", name), suite.record_for("POW9", name)
+            assert ours.seed == theirs.seed
+            assert np.array_equal(ours.ordering.perm, theirs.ordering.perm)
+            assert ours.metrics["envelope_size"] == theirs.metrics["envelope_size"]
 
 
 class TestPackageExports:
