@@ -13,7 +13,10 @@ For Table 4.4 it then factors Laplacian + I of BCSSTK29, BCSSTK33 and
 BARTH4 with :func:`repro.factor.cholesky.envelope_cholesky` under the
 spectral and RCM orderings of that run, once each, and shows the spectral
 over RCM ratios of envelope, multiply-adds and factor time next to the
-paper's.  The scorecard is written to ``benchmarks/results/fidelity.txt``.
+paper's.  The time ratio comes from one run per cell, so it moves by about
+25% with host load, and ``envelope_cholesky``'s time follows the envelope
+size rather than the work: the work ratio is the one to compare.  The
+scorecard is written to ``benchmarks/results/fidelity.txt``.
 
 Run with::
 
@@ -151,6 +154,8 @@ def main() -> int:
         "Table 4.4: envelope Cholesky of Laplacian + I, one timed factorization per ordering.",
         "Ratios are spectral over RCM of envelope size, multiply-adds (work) and factor time;",
         "each paper column is the ratio to its left from the paper's numbers.",
+        "The time ratio is one run per cell and moves by about 25% with host load, and",
+        "envelope_cholesky's time follows the envelope size, not the work: compare the work ratio.",
         "",
         *format_factor_scorecard(factor_rows),
         "",

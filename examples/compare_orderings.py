@@ -11,7 +11,8 @@ Run with::
 
 ``scale`` controls the surrogate size (default 0.05, i.e. roughly 5% of the
 paper's matrix orders, which keeps the run under a minute); problem names
-default to one representative per paper table.
+default to one representative per paper table.  The exit code is 1 when a
+cell fails, as for ``repro suite``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.batch import run_suite
 from repro.collections.registry import available_problems
 
 
-def main(argv: list[str]) -> None:
+def main(argv: list[str]) -> int:
     scale = float(argv[1]) if len(argv) > 1 else 0.05
     problems = argv[2:] if len(argv) > 2 else ["BCSSTK13", "POW9", "DWT2680", "BARTH4", "SHUTTLE"]
     unknown = [p for p in problems if p.upper() not in available_problems()]
@@ -41,7 +42,8 @@ def main(argv: list[str]) -> None:
     print("Envelope-size wins per algorithm (paper: spectral wins 14 of 18):")
     for name, count in sorted(wins.items(), key=lambda kv: -kv[1]):
         print(f"  {name.upper():<10} {count}")
+    return 1 if suite.failures else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    sys.exit(main(sys.argv))

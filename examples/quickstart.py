@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import compare_orderings, envelope_solve, reorder
+from repro.analysis import format_table
 from repro.collections import airfoil_pattern
 
 
@@ -36,7 +37,7 @@ def main() -> None:
     # --- compare against the paper's baselines -------------------------------
     result = compare_orderings(pattern, problem="airfoil")
     print()
-    print(result.to_text())
+    print(format_table(result.to_rows(), title="Results for airfoil"))
 
     # --- solve a linear system with the envelope Cholesky solver -------------
     matrix = pattern.to_scipy("spd")

@@ -113,7 +113,9 @@ def compare_orderings(
     (:func:`repro.batch.engine.execute_task`) with the seed ``repro suite``
     derives for it, and an exception propagates instead of becoming an
     ``"error"`` record.  Keyword arguments map an algorithm name to its
-    options, e.g. ``spectral={"method": "dense"}``.
+    options, e.g. ``spectral={"method": "dense"}``.  The result's ``scale``
+    is ``None``, since the matrix is the caller's rather than a registered
+    problem built at a scale, and its ``wall_time_s`` sums the cell times.
     """
     pattern = structure_from_matrix(matrix)
     records = [
@@ -130,4 +132,5 @@ def compare_orderings(
         )
         for index, name in enumerate(algorithms)
     ]
-    return SuiteResult(problems=[problem], algorithms=list(algorithms), records=records)
+    return SuiteResult(problems=[problem], algorithms=list(algorithms), records=records,
+                       wall_time_s=sum(record.time_s for record in records))

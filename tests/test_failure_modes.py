@@ -7,7 +7,9 @@ fast with a clear exception — never with a silent wrong answer or an internal
 IndexError.
 """
 
+import importlib.util
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,3 +166,19 @@ class TestPipelineFailureModes:
         # stderr, not a raw KeyError traceback
         assert main(["compare", "problem:NOSUCHMATRIX"]) == 2
         assert "unknown problem" in capsys.readouterr().err
+
+    def test_compare_orderings_example_exits_one_on_a_failed_cell(self, monkeypatch, capsys):
+        """``examples/compare_orderings.py`` fails like ``repro suite`` when a cell fails."""
+        path = Path(__file__).parents[1] / "examples" / "compare_orderings.py"
+        spec = importlib.util.spec_from_file_location("compare_orderings_example", path)
+        example = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(example)
+        argv = ["compare_orderings.py", "0.02", "POW9"]
+        assert example.main(argv) == 0
+
+        def boom(pattern, **kwargs):
+            raise RuntimeError("kaboom")
+
+        monkeypatch.setitem(ORDERING_ALGORITHMS, "sloan", boom)
+        assert example.main(argv) == 1
+        assert "FAILED POW9/sloan: RuntimeError: kaboom" in capsys.readouterr().out
