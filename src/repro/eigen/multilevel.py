@@ -4,8 +4,11 @@ The three ingredients added to Lanczos are:
 
 * **Contraction** — build a series of smaller graphs by maximal independent
   sets and breadth-first domain growing
-  (:func:`repro.graph.coarsen.coarsening_hierarchy`), stopping when the graph
-  has at most ``coarsest_size`` vertices (the paper uses "typically 100");
+  (:func:`repro.graph.coarsen.coarsening_hierarchy`), each at most half the
+  size of the one before, stopping when the graph has at most
+  ``coarsest_size`` vertices (the paper uses "typically 100"), after
+  :data:`~repro.graph.coarsen.MAX_LEVELS` contractions, or when a
+  contraction stops shrinking it;
 * **Interpolation** — prolong a coarse second eigenvector to the next finer
   graph (:func:`repro.graph.coarsen.interpolate_block`);
 * **Refinement** — polish the interpolated vector with Rayleigh Quotient
@@ -145,10 +148,13 @@ def _coarse_block_solve(lap, tol: float, rng) -> np.ndarray:
     """Smallest nontrivial eigenvectors of the coarsest graph's Laplacian *lap*.
 
     The coarsest graph normally has at most ``coarsest_size`` (about 100)
-    vertices and is solved densely.  If the contraction stalled early (for
-    example on star-like graphs whose maximal independent set is almost the
-    whole vertex set) the coarsest graph can still be large; then a
-    constrained LOBPCG solve from a random block is used instead.
+    vertices and is solved densely.  On hub graphs the maximal independent
+    set keeps most of the leaves, each contraction removes only a few percent
+    of the vertices, and the hierarchy can spend its
+    :data:`~repro.graph.coarsen.MAX_LEVELS` contractions first: RANDOM/RMAT
+    at scale 0.02 still ends at 1,357 vertices after 50 contractions.  Such a
+    coarsest graph is solved by constrained LOBPCG from a random block
+    instead.
     """
     n = lap.shape[0]
     k = int(min(_BLOCK_SIZE, max(1, n - 1)))

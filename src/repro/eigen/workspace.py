@@ -33,10 +33,12 @@ spectral/hybrid algorithm is pinned by ``tests/test_spectral_workspace.py``.
 Memory: a workspace lives exactly as long as its pattern; dropping the
 pattern (e.g. :func:`repro.batch.engine.clear_problem_cache`) drops the plan
 with it.  The coarsening hierarchies are the exception, as they need not be
-small: on hub graphs coarsening stalls, and one pattern's hierarchy holds
-several times the pattern's own memory (RANDOM/RMAT@0.02: about 24 MB
-against 5 MB).  A process therefore keeps the hierarchies of one workspace
-at a time; building or loading one for another pattern first drops them.
+small: on hub graphs the coarse graphs grow dense, and one pattern's
+hierarchy with its level Laplacians can hold several times the pattern's
+own arrays (RANDOM/BA@0.02: 7.8 MB against 1.5 MB; RANDOM/RMAT@0.02:
+2.2 MB against 1.9 MB).  A process therefore keeps the hierarchies of one
+workspace at a time; building or loading one for another pattern first
+drops them.
 Otherwise a long-lived worker would run each spectral cell on top of the
 plans of every problem it had been dealt before, and its peak memory would
 depend on which cells those were.

@@ -12,7 +12,13 @@ operations:
   the fine graph: each fine vertex takes the value of the coarse vertex whose
   domain it belongs to (piecewise-constant prolongation).
 * A **hierarchy** of contractions down to a small coarsest graph
-  ("typically 100" vertices in the paper).
+  ("typically 100" vertices in the paper).  Every level of it at least
+  halves its graph, except possibly the last: a contraction that keeps more
+  than half of the vertices is folded together with the next into one level.
+  On hub graphs the degree-ordered independent set keeps the leaves, and one
+  contraction can remove as little as 1.5% of the vertices; without the fold
+  the solver would refine once per such contraction (RANDOM/RMAT@0.02: 50
+  levels from 10,958 down to 1,357 vertices, against 3 with it).
 
 This module provides those three pieces; the eigen-solver that consumes them
 lives in :mod:`repro.eigen.multilevel`.  The independent set is always the
@@ -37,7 +43,9 @@ __all__ = [
     "CoarseLevel",
 ]
 
-#: Safety cap on the number of contraction levels of a hierarchy.
+#: Safety cap on the contractions (:func:`coarsen_graph` calls) one hierarchy
+#: makes.  Folded contractions count one each, so a hierarchy has at most
+#: this many levels and usually far fewer.
 MAX_LEVELS = 50
 
 
@@ -203,10 +211,19 @@ def coarsening_hierarchy(
     """Build the full contraction hierarchy down to ``coarsest_size`` vertices.
 
     Contraction stops when the graph has at most *coarsest_size* vertices
-    ("typically 100" in the paper), when :data:`MAX_LEVELS` levels have been
-    built, or when a contraction fails to shrink the graph (possible on
-    pathological graphs such as stars, where the independent set is almost
-    the whole vertex set).
+    ("typically 100" in the paper), when :data:`MAX_LEVELS` contractions have
+    been made, or when a contraction fails to shrink the graph (possible on
+    graphs without edges, where the independent set is the whole vertex set).
+
+    Every level halves its graph (``2 * coarse_pattern.n <= fine_n``), except
+    possibly the last, which ends at one of the three stops above.  While a
+    level keeps more than half of its fine vertices, the next contraction is
+    folded into it: its ``domain_of`` maps each fine vertex through both
+    contractions and its ``coarse_vertices`` are the fine indices of the
+    surviving seeds.  A folded level is therefore a valid :class:`CoarseLevel`
+    (its coarse edges are exactly the fine edges that cross domains), and
+    interpolating through it equals interpolating through its contractions
+    one at a time.
 
     Returns
     -------
@@ -220,11 +237,21 @@ def coarsening_hierarchy(
     for _ in range(MAX_LEVELS):
         if current.n <= coarsest_size:
             break
-        level = coarsen_graph(current)
-        if level.coarse_pattern.n >= current.n:
+        step = coarsen_graph(current)
+        if step.coarse_pattern.n >= current.n:
             break  # no progress; stop rather than loop forever
-        levels.append(level)
-        current = level.coarse_pattern
+        if levels and 2 * current.n > levels[-1].fine_n:
+            # The last level keeps more than half of its graph: fold this
+            # contraction into it instead of starting a new level.
+            last = levels.pop()
+            step = CoarseLevel(
+                fine_n=last.fine_n,
+                coarse_pattern=step.coarse_pattern,
+                coarse_vertices=last.coarse_vertices[step.coarse_vertices],
+                domain_of=step.domain_of[last.domain_of],
+            )
+        levels.append(step)
+        current = step.coarse_pattern
     return levels
 
 

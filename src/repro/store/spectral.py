@@ -57,8 +57,8 @@ __all__ = [
 
 #: Builder versions — bump when the producing algorithm's output can change.
 PATTERN_VERSION = 1      # repro.collections registry generators
-HIERARCHY_VERSION = 1    # repro.graph.coarsen.coarsening_hierarchy
-FIEDLER_VERSION = 1      # repro.eigen lanczos / multilevel solvers
+HIERARCHY_VERSION = 2    # repro.graph.coarsen.coarsening_hierarchy
+FIEDLER_VERSION = 2      # repro.eigen lanczos / multilevel solvers
 
 
 # --------------------------------------------------------------------- #

@@ -1,11 +1,14 @@
 """Unit tests for the multilevel coarsener (repro.graph.coarsen)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.collections.generators import random_geometric_pattern
-from repro.collections.meshes import grid2d_pattern
+from repro.collections.meshes import grid2d_pattern, star_pattern
+from repro.collections.registry import load_problem
 import repro.graph.coarsen as coarsen
 from repro.graph.coarsen import (
     coarsen_graph,
@@ -27,6 +30,36 @@ def _assert_independent_and_maximal(pattern, mis):
     for v in range(pattern.n):
         if not selected[v]:
             assert selected[pattern.neighbors(v)].any()
+
+
+def _hierarchy_and_contractions(pattern, coarsest_size):
+    """The hierarchy of *pattern* and the number of contractions it made."""
+    with mock.patch.object(
+        coarsen, "coarsen_graph", wraps=coarsen.coarsen_graph
+    ) as contract:
+        hierarchy = coarsening_hierarchy(pattern, coarsest_size=coarsest_size)
+    return hierarchy, contract.call_count
+
+
+def _assert_levels_halve(pattern, coarsest_size):
+    """Every level but the last halves its graph, and the hierarchy ends at
+    ``coarsest_size``, at the contraction cap, or where a contraction stopped
+    shrinking the graph."""
+    hierarchy, contractions = _hierarchy_and_contractions(pattern, coarsest_size)
+    for level in hierarchy[:-1]:
+        assert 2 * level.coarse_pattern.n <= level.fine_n
+    end = hierarchy[-1].coarse_pattern if hierarchy else pattern
+    assert (
+        end.n <= coarsest_size
+        or contractions == coarsen.MAX_LEVELS
+        or coarsen_graph(end).coarse_pattern.n >= end.n
+    )
+
+
+def _rmat_pattern():
+    """A hub graph (n = 2,966) whose first contraction keeps more than half."""
+    pattern, _spec = load_problem("RANDOM/RMAT", 0.005)
+    return pattern
 
 
 class TestMaximalIndependentSet:
@@ -107,7 +140,7 @@ class TestCoarseningHierarchy:
         big = grid2d_pattern(25, 25)
         hierarchy = coarsening_hierarchy(big, coarsest_size=50)
         assert hierarchy
-        assert hierarchy[-1].coarse_pattern.n <= 50 or len(hierarchy) == 50
+        assert hierarchy[-1].coarse_pattern.n <= 50
 
     def test_small_graph_needs_no_levels(self, path10):
         assert coarsening_hierarchy(path10, coarsest_size=100) == []
@@ -123,6 +156,61 @@ class TestCoarseningHierarchy:
         big = grid2d_pattern(20, 20)
         hierarchy = coarsening_hierarchy(big, coarsest_size=2)
         assert len(hierarchy) == 3
+        # A star loses one vertex per contraction, so the cap binds on
+        # contractions: all three fold into one level.
+        star = star_pattern(40)
+        hierarchy, contractions = _hierarchy_and_contractions(star, 2)
+        assert contractions == 3
+        assert [(lvl.fine_n, lvl.coarse_pattern.n) for lvl in hierarchy] == [(40, 37)]
+
+    @pytest.mark.parametrize("name", ["grid", "geometric", "star", "rmat", "ba"])
+    def test_every_level_but_the_last_halves(self, name):
+        pattern = {
+            "grid": lambda: grid2d_pattern(25, 25),
+            "geometric": lambda: random_geometric_pattern(400, seed=11),
+            "star": lambda: star_pattern(300),
+            "rmat": _rmat_pattern,
+            "ba": lambda: load_problem("RANDOM/BA", 0.005)[0],
+        }[name]()
+        _assert_levels_halve(pattern, coarsest_size=30)
+
+    @given(small_patterns())
+    @settings(max_examples=40, deadline=None)
+    def test_property_levels_halve(self, pattern):
+        _assert_levels_halve(pattern, coarsest_size=3)
+
+    def test_hub_graph_folds_contractions(self):
+        pattern = _rmat_pattern()
+        assert 2 * coarsen_graph(pattern).coarse_pattern.n > pattern.n
+        hierarchy, contractions = _hierarchy_and_contractions(pattern, 100)
+        assert 0 < len(hierarchy) < contractions
+
+    def test_folded_level_is_a_coarse_level(self):
+        pattern = _rmat_pattern()
+        level = coarsening_hierarchy(pattern)[0]
+        steps = [coarsen_graph(pattern)]
+        while 2 * steps[-1].coarse_pattern.n > pattern.n:
+            steps.append(coarsen_graph(steps[-1].coarse_pattern))
+        assert len(steps) > 1
+        n_coarse = level.coarse_pattern.n
+        assert level.fine_n == pattern.n
+        assert n_coarse == steps[-1].coarse_pattern.n
+        np.testing.assert_array_equal(
+            level.domain_of[level.coarse_vertices], np.arange(n_coarse)
+        )
+        # its coarse edges are exactly the fine edges that cross domains
+        rows, cols = pattern.edge_arrays()
+        cu, cv = level.domain_of[rows], level.domain_of[cols]
+        cross = cu != cv
+        fine_cross = set(zip(np.minimum(cu, cv)[cross].tolist(),
+                             np.maximum(cu, cv)[cross].tolist()))
+        assert set(level.coarse_pattern.edges()) == fine_cross
+        # interpolating through it = through its contractions one at a time
+        coarse = np.random.default_rng(5).standard_normal((n_coarse, 3))
+        stepwise = coarse
+        for step in reversed(steps):
+            stepwise = interpolate_block(step, stepwise)
+        np.testing.assert_array_equal(interpolate_block(level, coarse), stepwise)
 
 
 class TestInterpolateBlock:
